@@ -13,7 +13,6 @@ import sys
 from . import invariants, oracle, proximity, symcalc
 from .codeword import (
     Chart,
-    GoursatWord,
     RvtWord,
     canonical_chart_point,
     enumerate_goursat_words,
@@ -30,7 +29,7 @@ from .errors import (
     TruncationTooSmall,
     WordError,
 )
-from .invariants import InvariantBundle, PuiseuxCharacteristic
+from .invariants import InvariantBundle
 from .polynomial import Poly, var_names
 
 EXIT_OK = 0
@@ -47,62 +46,83 @@ SYMBOLIC_LEVEL_LIMIT = 6
 # Serialization
 
 
-def bundle_to_json(b: InvariantBundle) -> dict:
+def _bundle_fields(b: InvariantBundle) -> dict:
+    # The serialized shape: dicts, strs, ints, and sequences of ints or of
+    # sequences.  The e-table rows and the SG vectors stay lazy here.
     return {
         "word": str(b.word),
         "goursat_word": str(b.goursat_word),
         "k": b.k,
-        "beta": list(b.beta),
-        "der": list(b.der),
-        "der2": list(b.der2),
-        "sg": list(b.sg),
-        "mult_vector": list(b.mult_vector),
+        "beta": b.beta,
+        "der": b.der,
+        "der2": b.der2,
+        "sg": b.sg,
+        "mult_vector": b.mult_vector,
         "m0": b.m0,
-        "vo": list(b.vo),
-        "b": list(b.b),
-        "e_table": {
-            "h_first": 2,
-            "rows": [list(row) for row in b.e_table.rows],
-            "sg": list(b.e_table.sg),
-        },
-        "puiseux": {
-            "lambda0": b.puiseux.lambda0,
-            "exponents": list(b.puiseux.exponents),
-        },
+        "vo": b.vo,
+        "b": b.b,
+        "e_table": {"h_first": 2, "rows": b.e_table.rows, "sg": b.e_table.sg},
+        "puiseux": {"lambda0": b.puiseux.lambda0, "exponents": b.puiseux.exponents},
         "nonholonomy_degree": b.nonholonomy_degree,
     }
 
 
+def _plain(value):
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (str, int)):
+        return value
+    return [_plain(item) for item in value]
+
+
+def bundle_to_json(b: InvariantBundle) -> dict:
+    """The bundle as plain JSON data: dicts, lists, strs and ints."""
+    return _plain(_bundle_fields(b))
+
+
 def bundle_from_json(data: dict) -> InvariantBundle:
-    vo = tuple(data["vo"])
-    k = data["k"]
-    table = invariants.e_table(vo, k)
-    if [list(r) for r in table.rows] != data["e_table"]["rows"]:
-        raise ValueError("serialized e-table rows are inconsistent with vo")
-    if list(table.sg) != data["e_table"]["sg"]:
-        raise ValueError("serialized e-table SG column is inconsistent with vo")
-    return InvariantBundle(
-        word=parse_word(data["word"]),
-        goursat_word=GoursatWord(data["goursat_word"]),
-        k=k,
-        beta=tuple(data["beta"]),
-        der=tuple(data["der"]),
-        der2=tuple(data["der2"]),
-        sg=tuple(data["sg"]),
-        mult_vector=tuple(data["mult_vector"]),
-        m0=data["m0"],
-        vo=vo,
-        b=tuple(data["b"]),
-        e_table=table,
-        puiseux=PuiseuxCharacteristic(
-            data["puiseux"]["lambda0"], tuple(data["puiseux"]["exponents"])
-        ),
-        nonholonomy_degree=data["nonholonomy_degree"],
+    """Re-derive the bundle from its word and m_0 and require every
+    serialized field to agree with the re-derivation (ValueError if not)."""
+    rebuilt = invariants.bundle(parse_word(data["word"]), m0=data["m0"])
+    expected = bundle_to_json(rebuilt)
+    wrong = sorted(
+        key for key in expected.keys() | data.keys() if expected.get(key) != data.get(key)
     )
+    if wrong:
+        raise ValueError(
+            f"serialized bundle disagrees with its re-derivation in: {', '.join(wrong)}"
+        )
+    return rebuilt
+
+
+def _dumps(value, indent: str) -> str:
+    # json.dumps(value, sort_keys=True, indent=2) for the shapes of
+    # _bundle_fields.  With indent set, the json module falls back to its
+    # pure-Python encoder, which is several times slower than this.
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = (f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value))
+    else:
+        brackets = "[]"
+        if isinstance(value[0], int):
+            items = map(str, value)
+        else:
+            items = (_dumps(item, inner) for item in value)
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
 def dumps_bundle(b: InvariantBundle) -> str:
-    return json.dumps(bundle_to_json(b), sort_keys=True, indent=2)
+    """Deterministic JSON text: json.dumps(bundle_to_json(b),
+    sort_keys=True, indent=2), written without building the plain lists."""
+    return _dumps(_bundle_fields(b), "")
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +156,22 @@ def render_etable(table: invariants.ETable) -> str:
     """ASCII e-table: one row per h with the SG column; rows h in the b
     vector (where a column first vanishes) are marked with '*'."""
     red = set(table.b)
-    width = max(
-        2, max((len(str(e)) for row in table.rows for e in row), default=1)
-    )
+    # Column i is largest on the diagonal, where e_{i,i} = S_i.
+    width = max(2, max(len(str(table.entry(i, i))) for i in range(2, table.k + 2))) + 1
     hwidth = max(2, len(str(table.height)))
-    cols = list(range(2, table.k + 2))
-    header = " " * 2 + "h".rjust(hwidth) + " |"
-    for i in cols:
-        header += str(i).rjust(width + 1)
-    header += " | SG"
-    sep = "-" * len(header)
-    lines = [header, sep]
-    for idx, row in enumerate(table.rows):
-        h = idx + 2
-        mark = "*" if h in red else " "
-        line = mark + " " + str(h).rjust(hwidth) + " |"
-        for i in cols:
-            if i - 2 < len(row):
-                line += str(row[i - 2]).rjust(width + 1)
-            else:
-                line += " " * (width + 1)
-        line += f" | {table.sg[idx]}"
-        lines.append(line)
+    header = (
+        " " * 2 + "h".rjust(hwidth) + " |"
+        + "".join(str(i).rjust(width) for i in range(2, table.k + 2))
+        + " | SG"
+    )
+    # line[n] formats (mark, h, the n entries of the row, SG_h).
+    line = [
+        f"%s %{hwidth}d |" + f"%{width}d" * n + " " * (width * (table.k - n)) + " | %d"
+        for n in range(table.k + 1)
+    ]
+    lines = [header, "-" * len(header)]
+    for h, row, sg in zip(range(2, table.height + 1), table.rows, table.sg):
+        lines.append(line[len(row)] % ("*" if h in red else " ", h, *row, sg))
     return "\n".join(lines) + "\n"
 
 

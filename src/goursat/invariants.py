@@ -16,7 +16,11 @@ degree of nonholonomy can be read off as the last characteristic exponent.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import proximity
 from .codeword import (
@@ -173,55 +177,166 @@ def _column_sums(vo: tuple[int, ...], k: int) -> dict[int, int]:
     return sums
 
 
+class LazySequence(Sequence):
+    """A read-only sequence whose items are computed on demand by item(index).
+
+    It compares equal to a tuple (or another lazy sequence) with the same
+    items, so it stands in for the tuple it replaces without building it.
+    """
+
+    __slots__ = ("_len", "_item")
+
+    def __init__(self, length: int, item: Callable[[int], object]):
+        self._len = length
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._item, range(*index.indices(self._len))))
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError(f"index {index} out of range for length {self._len}")
+        return self._item(index)
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(self._len))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, LazySequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class StepSequence(LazySequence):
+    """base + #{p in points : p <= first + index} for index = 0..length-1.
+
+    A step function held by its sorted breakpoints: it is built, sliced
+    and compared with another step sequence in O(len(points)), and
+    iterated in O(length + len(points)).
+    """
+
+    __slots__ = ("_first", "_base", "_points")
+
+    def __init__(self, first: int, length: int, base: int, points: tuple[int, ...]):
+        self._first = first
+        self._base = base
+        self._points = points
+        super().__init__(length, self._value)
+
+    def _value(self, index: int) -> int:
+        return self._base + bisect_right(self._points, self._first + index)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._len)
+            if step == 1:
+                length = max(0, stop - start)
+                return StepSequence(self._first + start, length, self._base, self._points)
+        return super().__getitem__(index)
+
+    def __iter__(self) -> Iterator[int]:
+        start = self._first
+        stop = start + self._len
+        value = self._base + bisect_right(self._points, start)
+        for p in self._points:
+            if start < p < stop:
+                yield from repeat(value, p - start)
+                value, start = value + 1, p
+        yield from repeat(value, stop - start)
+
+    def _jumps(self) -> tuple:
+        first, stop = self._first, self._first + self._len
+        head = self[0] if self._len else None
+        return self._len, head, tuple(p - first for p in self._points if first < p < stop)
+
+    def __eq__(self, other):
+        if isinstance(other, StepSequence):
+            return self._jumps() == other._jumps()
+        return super().__eq__(other)
+
+    __hash__ = LazySequence.__hash__
+
+
 @dataclass(frozen=True)
 class ETable:
     """The table of coefficient-order bounds e_{hi}, rows h = 2..H.
 
-    Row h holds e_{h,i} for i = 2..min(h, k+1); its number of zero entries
-    plus two is the small-growth rank SG_h.  H is b_{k+1}, past which every
-    row is all zeros.
+    Row h holds e_{h,i} = max(0, i - h + S_i) for i = 2..min(h, k+1); its
+    number of zero entries plus two is the small-growth rank SG_h.  H is
+    b_{k+1}, past which every row is all zeros.
+
+    Only k, the vertical orders, b and the column sums S are stored: O(k)
+    numbers, while the table has H - 1 rows and H grows like Fibonacci in
+    k.  Entries and rows are computed on demand, and ``rows`` and ``sg``
+    are read-only sequences that compare equal to the tuples they stand
+    for.  Column i first vanishes at row b_i, so SG_h = 2 + #{i : b_i <= h}.
     """
 
     k: int
     vo: tuple[int, ...]
     b: tuple[int, ...]  # (b_2, ..., b_{k+1})
-    rows: tuple[tuple[int, ...], ...]
-    sg: tuple[int, ...]  # SG_h for h = 2..H
+    sums: tuple[int, ...]  # (S_2, ..., S_{k+1})
 
     @property
     def height(self) -> int:
         return self.b[-1]
 
     def entry(self, h: int, i: int) -> int:
-        return self.rows[h - 2][i - 2]
+        if not (2 <= i <= min(h, self.k + 1) and h <= self.height):
+            raise IndexError(f"e_({h},{i}) lies outside the e-table")
+        return max(0, i - h + self.sums[i - 2])
+
+    def row(self, h: int) -> tuple[int, ...]:
+        """(e_{h,2}, ..., e_{h,min(h,k+1)})."""
+        if not 2 <= h <= self.height:
+            raise IndexError(f"row {h} lies outside the e-table (h = 2..{self.height})")
+        # i - h + S_i = b_i - h, since b_i = i + S_i.
+        return tuple([x - h if x > h else 0 for x in self.b[: min(h, self.k + 1) - 1]])
+
+    @property
+    def rows(self) -> LazySequence:
+        """Rows h = 2..H, each computed when it is read."""
+        return LazySequence(self.height - 1, lambda index: self.row(index + 2))
+
+    @property
+    def sg(self) -> StepSequence:
+        """SG_h for h = 2..H."""
+        return StepSequence(2, self.height - 1, 2, self.b)
 
 
 def e_table(vo: tuple[int, ...], k: int) -> ETable:
-    """Build the full e-table from the vertical orders (VO_2 .. VO_k)."""
+    """The e-table of the vertical orders (VO_2 .. VO_k), in O(k^2)."""
     vo = _check_vo(vo, k)
-    sums = _column_sums(vo, k)
-    b = tuple(i + sums[i] for i in range(2, k + 2))
-    height = b[-1]
-    rows = []
-    sg = []
-    for h in range(2, height + 1):
-        row = tuple(max(0, i - h + sums[i]) for i in range(2, min(h, k + 1) + 1))
-        rows.append(row)
-        sg.append(2 + sum(1 for e in row if e == 0))
-    table = ETable(k=k, vo=vo, b=b, rows=tuple(rows), sg=tuple(sg))
-    assert _b_by_scan(table) == b, "first-zero scan disagrees with closed form"
+    sums = tuple(_column_sums(vo, k).values())
+    b = tuple(i + s for i, s in enumerate(sums, start=2))
+    table = ETable(k=k, vo=vo, b=b, sums=sums)
+    scanned = _b_by_scan(table)
+    if scanned != b:
+        raise RouteMismatch(f"b: first-zero scan {scanned} vs closed form {b}")
     return table
 
 
 def _b_by_scan(table: ETable) -> tuple[int, ...]:
+    # Entries never grow down a column, so its first zero is found by
+    # bisection over the rows: O(log H) entries per column.
     out = []
     for i in range(2, table.k + 2):
-        for h in range(i, table.height + 1):
-            if table.entry(h, i) == 0:
-                out.append(h)
-                break
-        else:
-            raise AssertionError(f"column {i} never reaches zero")
+        rows = range(i, table.height + 1)
+        first = bisect_left(rows, True, key=lambda h: table.entry(h, i) == 0)
+        if first == len(rows):
+            raise RouteMismatch(f"e-table column {i} never reaches zero")
+        out.append(rows[first])
     return tuple(out)
 
 
@@ -235,15 +350,16 @@ def beta_from_b(b: tuple[int, ...]) -> tuple[int, ...]:
     return (1,) + tuple(b)
 
 
-def sg_from_beta(beta: tuple[int, ...]) -> tuple[int, ...]:
-    """The small growth vector SG_1 .. SG_{beta_last} from the beta vector."""
+def sg_from_beta(beta: tuple[int, ...]) -> StepSequence:
+    """The small growth vector SG_1 .. SG_{beta_last} from the beta vector.
+
+    SG_j = 1 + #{beta entries <= j}: a step sequence built in O(k), whose
+    items cost O(beta_last + k) to iterate.
+    """
     beta = tuple(beta)
     if not beta or beta[0] != 1 or any(a >= b for a, b in zip(beta, beta[1:])):
         raise ValueError(f"beta must be strictly increasing starting at 1: {beta}")
-    out = []
-    for j in range(1, beta[-1] + 1):
-        out.append(1 + sum(1 for v in beta if v <= j))
-    return tuple(out)
+    return StepSequence(1, beta[-1], 1, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +449,10 @@ def _normalize_multseq(ms: tuple[int, ...]) -> tuple[int, ...]:
 def pc_from_multseq(ms: tuple[int, ...]) -> PuiseuxCharacteristic:
     """Invert :func:`multseq_from_pc`.
 
-    Parses the sequence as a concatenation of Euclidean expansions.  Each
-    block's leading run determines the quotient; the remainder is found by
-    search (at most lambda_0 candidates per block) and the winner is
+    Parses the sequence as a concatenation of Euclidean expansions, one
+    block per exponent.  A block expands (d, e) with d = q*e + r and
+    0 < r < e, so it opens with q copies of e followed by r: the block's
+    leading run gives q and the entry after it gives r.  The result is
     verified by the forward map.
     """
     target = _normalize_multseq(ms)
@@ -346,36 +463,27 @@ def pc_from_multseq(ms: tuple[int, ...]) -> PuiseuxCharacteristic:
     def value_at(pos: int) -> int:
         return target[pos] if pos < len(target) else 1
 
-    def match(expansion: list[int], pos: int) -> bool:
-        return all(value_at(pos + t) == v for t, v in enumerate(expansion))
-
-    def search(e: int, lam_prev: int, pos: int, acc: tuple[int, ...]):
-        if e == 1:
-            return acc if pos >= len(target) else None
+    exponents: list[int] = []
+    e, pos = lam0, 0
+    while e > 1:
         run = 0
-        while pos + run < len(target) and target[pos + run] == e:
+        while value_at(pos + run) == e:
             run += 1
-        for r in range(1, e):
-            d = run * e + r
-            if acc:
-                # later blocks expand the gap (lambda_i - lambda_{i-1}, e)
-                lam = lam_prev + d
-                expansion = _euclid_multiset(d, e)
-            else:
-                # the first block expands (lambda_1, lambda_0) itself
-                lam = d
-                expansion = _euclid_multiset(lam, e)
-            if not match(expansion, pos):
-                continue
-            found = search(math.gcd(e, lam), lam, pos + len(expansion), acc + (lam,))
-            if found is not None:
-                return found
-        return None
-
-    exponents = search(lam0, lam0, 0, ())
-    if exponents is None:
+        r = value_at(pos + run)
+        if not 0 < r < e:
+            raise NotRealizable(f"no Puiseux characteristic yields {target}")
+        # the first block expands (lambda_1, lambda_0) itself, later blocks
+        # the gap (lambda_i - lambda_{i-1}, e)
+        d = run * e + r
+        expansion = _euclid_multiset(d, e)
+        if any(value_at(pos + t) != v for t, v in enumerate(expansion)):
+            raise NotRealizable(f"no Puiseux characteristic yields {target}")
+        exponents.append((exponents[-1] if exponents else 0) + d)
+        pos += len(expansion)
+        e = math.gcd(e, exponents[-1])
+    if pos < len(target):
         raise NotRealizable(f"no Puiseux characteristic yields {target}")
-    pc = PuiseuxCharacteristic(lam0, exponents)
+    pc = PuiseuxCharacteristic(lam0, tuple(exponents))
     if multseq_from_pc(pc) != target:
         raise NotRealizable(f"no Puiseux characteristic yields {target}")
     return pc
@@ -425,7 +533,7 @@ class InvariantBundle:
     beta: tuple[int, ...]
     der: tuple[int, ...]
     der2: tuple[int, ...]
-    sg: tuple[int, ...]
+    sg: StepSequence  # SG_1 .. SG_{beta_last}, computed on demand
     mult_vector: tuple[int, ...]
     m0: int
     vo: tuple[int, ...]

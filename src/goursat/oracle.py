@@ -104,7 +104,8 @@ class Series:
 
     def shift_out(self, e: int) -> "Series":
         """Divide by t^e; the leading e coefficients must vanish."""
-        assert all(c == 0 for c in self.coeffs[:e])
+        if any(c != 0 for c in self.coeffs[:e]):
+            raise TruncationTooSmall(f"cannot divide by t^{e}: a leading coefficient is nonzero")
         return Series(self.coeffs[e:])
 
     def invert_unit(self) -> "Series":
@@ -575,23 +576,28 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
                 out.append(fk.comps[var] * coeff.diff(var))
         return out
 
-    def extend(coeff: Poly, h: int) -> list[PathwayRow] | None:
-        # Each step must reach the next e-table value exactly; at points
-        # where some coordinates do not vanish, not every candidate drops
-        # the order, so search the order-attaining ones.
+    # Depth-first search for a chain of candidates that reaches the next
+    # e-table value at every step down to row b_i.  At points where some
+    # coordinates do not vanish, not every candidate drops the order, so
+    # the search backtracks; pending[d] iterates the candidates for row
+    # i + d + 1.  The stack is explicit because a chain has one step per
+    # row, and b_i grows like Fibonacci in k.
+    tail: list[PathwayRow] = []
+    pending = [iter(candidates(rows[-1].coeff))] if i < b_i else []
+    while pending:
+        h = i + len(pending)
+        expected = e_entry(h, i)
+        cand = next((c for c in pending[-1] if mono_order(c) == expected), None)
+        if cand is None:
+            pending.pop()
+            if tail:
+                tail.pop()
+            continue
+        tail.append(PathwayRow(h, cand, i, expected))
         if h == b_i:
-            return []
-        expected = e_entry(h + 1, i)
-        for cand in candidates(coeff):
-            if mono_order(cand) != expected:
-                continue
-            rest = extend(cand, h + 1)
-            if rest is not None:
-                return [PathwayRow(h + 1, cand, i, expected)] + rest
-        return None
-
-    tail = extend(rows[-1].coeff, i)
-    if tail is None:
+            break
+        pending.append(iter(candidates(cand)))
+    if i < b_i and not pending:
         raise OrderMismatch(
             f"no pathway from column {i} tracks orders down to zero at h={b_i}"
         )

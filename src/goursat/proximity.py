@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codeword import GoursatWord, as_goursat, lift_chain
+from .errors import RouteMismatch
 
 Edge = tuple[int, int]
 
@@ -56,8 +57,12 @@ def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
     for i in range(k - 1, -1, -1):
         m[i] = sum(m[j] for (a, j) in edges if a == i)
     for i in range(k):
-        assert m[i] >= m[i + 1], f"multiplicity increased at vertex {i}"
-    assert m[0] == m[1], "base vertex must copy m_1"
+        if m[i] < m[i + 1]:
+            raise RouteMismatch(
+                f"multiplicity increased at vertex {i}: m_{i} = {m[i]} < m_{i + 1} = {m[i + 1]}"
+            )
+    if m[0] != m[1]:
+        raise RouteMismatch(f"base vertex must copy m_1: m_0 = {m[0]}, m_1 = {m[1]}")
     return tuple(m)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from goursat import invariants
+from goursat.codeword import enumerate_goursat_words
 from goursat.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -85,6 +86,86 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             bundle_from_json(data)
 
+    def test_forged_invariants_rejected(self):
+        # A self-consistent e-table with a forged beta, degree and Puiseux
+        # characteristic: only a full re-derivation tells it apart.
+        data = bundle_to_json(invariants.bundle("RRVTVV"))
+        data["beta"] = [1, 2, 3, 5, 8, 11, 99]
+        data["nonholonomy_degree"] = 99
+        data["puiseux"] = {"exponents": [99], "lambda0": 8}
+        with pytest.raises(ValueError, match="beta, nonholonomy_degree, puiseux"):
+            bundle_from_json(data)
+
+    @pytest.mark.parametrize("field", ["sg", "vo", "der2", "goursat_word", "k"])
+    def test_any_tampered_field_rejected(self, field):
+        data = bundle_to_json(invariants.bundle("RRVTVV"))
+        data[field] = data[field][:-1] if isinstance(data[field], (list, str)) else 7
+        with pytest.raises(ValueError, match=f"in: {field}$"):
+            bundle_from_json(data)
+
+
+def _per_cell_render_etable(table) -> str:
+    # The e-table renderer as it was when every row was materialized: the
+    # width comes from a scan of every cell, each cell is appended in turn.
+    red = set(table.b)
+    width = max(2, max((len(str(e)) for row in table.rows for e in row), default=1))
+    hwidth = max(2, len(str(table.height)))
+    cols = list(range(2, table.k + 2))
+    header = " " * 2 + "h".rjust(hwidth) + " |"
+    for i in cols:
+        header += str(i).rjust(width + 1)
+    header += " | SG"
+    lines = [header, "-" * len(header)]
+    for idx, row in enumerate(table.rows):
+        h = idx + 2
+        line = ("*" if h in red else " ") + " " + str(h).rjust(hwidth) + " |"
+        for i in cols:
+            if i - 2 < len(row):
+                line += str(row[i - 2]).rjust(width + 1)
+            else:
+                line += " " * (width + 1)
+        line += f" | {table.sg[idx]}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def streamed_bundles():
+    """Every Goursat word with k <= 8, RR V^16 (degree 6,765) and RVTRV."""
+    out = [invariants.bundle(w) for k in range(1, 9) for w in enumerate_goursat_words(k)]
+    return out + [invariants.bundle("RR" + "V" * 16), invariants.bundle("RVTRV", m0=6)]
+
+
+class TestStreamedOutput:
+    def test_dumps_bundle_matches_json_module(self, streamed_bundles):
+        # Name the differing words rather than diff texts of up to 2 MB.
+        differ = [
+            str(b.word)
+            for b in streamed_bundles
+            if dumps_bundle(b) != json.dumps(bundle_to_json(b), sort_keys=True, indent=2)
+        ]
+        assert differ == []
+
+    def test_render_etable_matches_per_cell_renderer(self, streamed_bundles):
+        differ = [
+            str(b.word)
+            for b in streamed_bundles
+            if render_etable(b.e_table) != _per_cell_render_etable(b.e_table)
+        ]
+        assert differ == []
+
+    @pytest.mark.parametrize("word", ["RRVTVV", "RRRVV"])
+    def test_render_etable_matches_golden(self, word):
+        golden = (GOLDEN / f"etable_{word.lower()}.txt").read_text()
+        table = invariants.bundle(word).e_table
+        assert render_etable(table) == golden == _per_cell_render_etable(table)
+
+    def test_bundle_to_json_is_plain(self):
+        data = bundle_to_json(invariants.bundle("RRVTVV"))
+        assert type(data["sg"]) is list and type(data["e_table"]["sg"]) is list
+        assert all(type(row) is list for row in data["e_table"]["rows"])
+        assert type(data["puiseux"]["exponents"]) is list
+
 
 class TestETableCommand:
     @pytest.mark.parametrize("word", ["RRVTVV", "RRRVV"])
@@ -158,6 +239,14 @@ class TestVerifyCommand:
     def test_symbolic_budget_guard(self):
         code, _, err = run_cli("verify", "RRVVVVV", "--symbolic")
         assert code == EXIT_BUDGET
+
+    def test_verify_deep_word(self):
+        # The pathway search takes one step per e-table row; at k = 16 a
+        # recursive search ran out of stack.
+        code, out, err = run_cli("verify", "RR" + "V" * 14)
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err
+        assert out.endswith("PASS\n")
 
     def test_depth_budget(self):
         code, _, err = run_cli("verify", "RRVTVV", "--symbolic", "--depth", "4")

@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import pytest
 
 from goursat import invariants
@@ -285,3 +288,84 @@ def test_first_all_zero_row_is_the_degree():
                 and len(table.rows[h - 2]) == k
             )
             assert first_zero_row == b.nonholonomy_degree == table.b[-1]
+
+
+class TestLazySequences:
+    """ETable.rows, ETable.sg and sg_from_beta are computed on demand but
+    behave as the read-only tuples they stand for."""
+
+    ROWS = tuple(tuple(ETABLE_RRVTVV[h][0]) for h in sorted(ETABLE_RRVTVV))
+    SG = tuple(ETABLE_RRVTVV[h][1] for h in sorted(ETABLE_RRVTVV))
+
+    @pytest.mark.parametrize("attr", ["rows", "sg"])
+    def test_sequence_protocol(self, attr):
+        expected = getattr(self, attr.upper())
+        seq = getattr(e_table((0, 5, 0, 1, 1), 6), attr)
+        assert len(seq) == len(expected) == 18
+        assert seq[0] == expected[0]
+        assert seq[7] == expected[7]
+        assert seq[-1] == expected[-1]
+        assert seq[-18] == expected[0]
+        assert tuple(iter(seq)) == expected
+        assert list(seq) == list(expected)
+        assert seq == expected and expected == seq
+        assert seq != expected[:-1] and seq != expected[1:]
+        assert seq[3:9] == expected[3:9]
+        for index in (18, -19):
+            with pytest.raises(IndexError):
+                seq[index]
+
+    def test_sg_from_beta_protocol(self):
+        sg = sg_from_beta((1, 2, 3, 5, 8, 11, 19))
+        expected = (2, 3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 8)
+        assert len(sg) == 19
+        assert sg == expected and tuple(sg) == expected
+        assert [sg[i] for i in range(-19, 19)] == list(expected) * 2
+        assert sg[1:] == expected[1:] and sg[4:11] == expected[4:11]
+        assert sg[::2] == expected[::2]
+        assert sg != expected[:-1] + (9,)
+        with pytest.raises(IndexError):
+            sg[19]
+
+    def test_step_sequences_compare_by_breakpoints(self):
+        table = e_table((0, 5, 0, 1, 1), 6)
+        assert table.sg == sg_from_beta((1,) + table.b)[1:]
+        assert table.sg != sg_from_beta((1,) + table.b[:-1] + (20,))[1:]
+        assert hash(table.sg) == hash(self.SG)
+
+    def test_rows_agree_with_entries(self):
+        for k in range(1, 8):
+            for w in enumerate_goursat_words(k):
+                table = bundle(w).e_table
+                for h, row in enumerate(table.rows, start=2):
+                    assert row == tuple(
+                        table.entry(h, i) for i in range(2, min(h, k + 1) + 1)
+                    )
+                    assert table.sg[h - 2] == 2 + row.count(0)
+
+    def test_bundle_pickles(self):
+        b = bundle("RRVTVV")
+        again = pickle.loads(pickle.dumps(b))
+        assert again == b and again.sg == b.sg and again.e_table.rows == b.e_table.rows
+
+    def test_entry_outside_table(self):
+        table = e_table((0, 5, 0, 1, 1), 6)
+        for h, i in ((4, 5), (20, 2), (7, 8), (1, 1)):
+            with pytest.raises(IndexError):
+                table.entry(h, i)
+
+
+def test_bundle_memory_does_not_grow_with_degree():
+    # RR V^30 has degree of nonholonomy F(34); a materialized e-table would
+    # hold about 180 M entries and its SG vector 5.7 M.
+    word = "RR" + "V" * 30
+    bundle(word)
+    tracemalloc.start()
+    try:
+        b = bundle(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.nonholonomy_degree == 5_702_887
+    assert len(b.sg) == 5_702_887 and len(b.e_table.rows) == 5_702_886
+    assert peak < 1_000_000
