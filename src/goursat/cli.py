@@ -23,8 +23,7 @@ from .codeword import (
 )
 from .errors import (
     GoursatError,
-    IndexRange,
-    RouteMismatch,
+    LevelLimitExceeded,
     StepBudgetExceeded,
     TruncationTooSmall,
     WordError,
@@ -40,6 +39,9 @@ EXIT_BUDGET = 3
 # Brute-force small growth is exponential in the worst case; past this many
 # levels the symbolic verification refuses to run rather than hang.
 SYMBOLIC_LEVEL_LIMIT = 6
+# The number of Goursat words of length N grows like 2.6^N; past this length
+# verify --all-words refuses rather than run for hours.
+ALL_WORDS_LEVEL_LIMIT = 12
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +219,9 @@ def _wired_m0(word: RvtWord) -> int | None:
     """For non-Goursat words, m_0 = m_1 + VO_2 with VO_2 from the oracle."""
     if is_goursat(word):
         return None
-    point = canonical_chart_point(word)
-    vo2 = oracle.vo_at_point(point)[0]
+    vo2 = oracle.vo_at_point(canonical_chart_point(word))[0]
     gw = invariants.goursat_normalize(word)
-    mv = proximity.multiplicity_vector(proximity.build_diagram(gw))
-    m1 = mv[-1] if mv else 1
-    return m1 + vo2
+    return proximity.base_multiplicity(proximity.build_diagram(gw)) + vo2
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def verify_word(
 
     if symbolic:
         if word.k > SYMBOLIC_LEVEL_LIMIT:
-            raise StepBudgetExceeded(
+            raise LevelLimitExceeded(
                 f"symbolic verification is limited to k <= {SYMBOLIC_LEVEL_LIMIT}"
             )
         max_steps = depth if depth is not None else bundle.nonholonomy_degree + 2
@@ -382,7 +381,14 @@ def _verify_task(task: tuple[str, int | None, int, bool]) -> tuple[bool, list[st
 
 
 def cmd_verify(args) -> int:
+    if args.all_words is not None and args.word is not None:
+        raise WordError("verify takes a word or --all-words N, not both")
     if args.all_words is not None:
+        if args.all_words > ALL_WORDS_LEVEL_LIMIT:
+            raise LevelLimitExceeded(
+                f"verify --all-words is limited to N <= ALL_WORDS_LEVEL_LIMIT = "
+                f"{ALL_WORDS_LEVEL_LIMIT}, got {args.all_words}"
+            )
         words = list(enumerate_goursat_words(args.all_words))
         if not words:
             raise WordError(f"no Goursat words of length {args.all_words}")
@@ -413,8 +419,17 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INVALID; exit
+    code 2 is reserved for a verification mismatch."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="goursat",
         description=(
             "Exact invariants of rank-2 Goursat distributions from RVT code "
@@ -474,16 +489,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WordError as exc:
+    except ValueError as exc:  # WordError and every other invalid input
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except (StepBudgetExceeded, TruncationTooSmall) as exc:
+    except (LevelLimitExceeded, StepBudgetExceeded, TruncationTooSmall) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
-    except (RouteMismatch, IndexRange, GoursatError) as exc:
+    except GoursatError as exc:  # RouteMismatch and every other failed check
         print(str(exc), file=sys.stderr)
         return EXIT_MISMATCH
 

@@ -33,6 +33,7 @@ from .errors import (
     BadSymbol,
     EmptyWord,
     LeadingCritical,
+    LevelLimitExceeded,
     OrphanT,
     TooShort,
     Unsupported,
@@ -42,8 +43,8 @@ from .errors import (
 ALPHABET = frozenset("RVT")
 CRITICAL = frozenset("VT")
 
-# Charts are capped by policy: tables grow quadratically with the level and
-# nothing in scope needs more than 12 levels.
+# Charts are capped by a budget: tables grow quadratically with the level
+# and nothing in scope needs more than 12 levels.
 MAX_LEVELS = 16
 
 
@@ -120,6 +121,20 @@ def as_goursat(w: RvtWord | str) -> GoursatWord:
     return w if isinstance(w, GoursatWord) else GoursatWord(w.symbols)
 
 
+def critical_block(symbols: str, level: int) -> range:
+    """The levels of the critical block ``V T^t`` that starts at the given
+    level (1-indexed); empty when the symbol there is not V."""
+    rest = symbols[level - 1 :]
+    size = len(rest) - len(rest[1:].lstrip("T")) if rest.startswith("V") else 0
+    return range(level, level + size)
+
+
+def _regularize(symbols: str, level: int) -> GoursatWord:
+    # Replace the critical block starting at the level by R's.
+    block = critical_block(symbols, level)
+    return GoursatWord(symbols[: level - 1] + "R" * len(block) + symbols[block.stop - 1 :])
+
+
 def lift(w: GoursatWord | RvtWord | str) -> GoursatWord:
     """The lifted Goursat word, one level down the tower.
 
@@ -130,14 +145,7 @@ def lift(w: GoursatWord | RvtWord | str) -> GoursatWord:
     w = as_goursat(w)
     if w.k < 2:
         raise TooShort(2, w.k)
-    rest = list(w.symbols[1:])
-    if len(rest) >= 2 and rest[1] == "V":
-        rest[1] = "R"
-        pos = 2
-        while pos < len(rest) and rest[pos] == "T":
-            rest[pos] = "R"
-            pos += 1
-    return GoursatWord("".join(rest))
+    return _regularize(w.symbols[1:], 2)
 
 
 def lift_chain(w: GoursatWord | str) -> list[GoursatWord]:
@@ -161,13 +169,7 @@ def goursat_normalize(w: RvtWord | str) -> GoursatWord:
     w = _as_word(w)
     if is_goursat(w):
         return as_goursat(w)
-    symbols = list(w.symbols)
-    symbols[1] = "R"
-    pos = 2
-    while pos < len(symbols) and symbols[pos] == "T":
-        symbols[pos] = "R"
-        pos += 1
-    return GoursatWord("".join(symbols))
+    return _regularize(w.symbols, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,10 @@ class Chart:
         if any(c not in "oi" for c in self.choices):
             raise ValueError(f"chart word must use only o/i: {self.choices!r}")
         if len(self.choices) > MAX_LEVELS:
-            raise ValueError(f"charts are limited to {MAX_LEVELS} levels")
+            raise LevelLimitExceeded(
+                f"charts are limited to MAX_LEVELS = {MAX_LEVELS} levels, "
+                f"got {len(self.choices)}"
+            )
 
     @property
     def k(self) -> int:
@@ -229,10 +234,6 @@ class Chart:
         if self.choice(j) == "i":
             return self._retained[j - 1]
         return self.n_var(j - 1)
-
-    @cached_property
-    def var_names(self) -> tuple[str, ...]:
-        return ("r0",) + tuple(f"n{j}" for j in range(self.k + 1))
 
     @cached_property
     def alt_names(self) -> tuple[str, ...]:
@@ -340,26 +341,26 @@ def rvt_of_chart_point(p: ChartPoint) -> RvtWord:
 # Enumeration helpers (used by the batch CLI mode and exhaustive tests)
 
 
+def _extensions(prefix: str, k: int) -> Iterator[str]:
+    # Every valid word of length k that extends the prefix, lazily and in
+    # lexicographic order: a depth-first walk with an explicit stack, which
+    # pops the extensions by R, T, V in that order.
+    stack = [prefix]
+    while stack:
+        word = stack.pop()
+        if len(word) == k:
+            yield word
+        else:
+            stack.extend(word + s for s in ("VTR" if word[-1] in CRITICAL else "VR"))
+
+
 def enumerate_rvt_words(k: int) -> Iterator[RvtWord]:
     """All valid RVT words of length exactly k, in lexicographic order."""
-    if k < 1:
-        return
-    out: list[str] = []
-
-    def extend(prefix: str) -> None:
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        for s in "RVT" if prefix[-1] in CRITICAL else "RV":
-            extend(prefix + s)
-
-    extend("R")
-    for symbols in sorted(out):
-        yield RvtWord(symbols)
+    if k >= 1:
+        yield from map(RvtWord, _extensions("R", k))
 
 
 def enumerate_goursat_words(k: int) -> Iterator[GoursatWord]:
     """All Goursat words of length exactly k, in lexicographic order."""
-    for w in enumerate_rvt_words(k):
-        if is_goursat(w):
-            yield as_goursat(w)
+    if k >= 1:
+        yield from map(GoursatWord, _extensions("R" if k == 1 else "RR", k))

@@ -84,6 +84,10 @@ class StepBudgetExceeded(GoursatError):
     """Brute-force rank computation did not stabilize within the step budget."""
 
 
+class LevelLimitExceeded(GoursatError):
+    """A word or chart has more levels than a named limit allows."""
+
+
 class TruncationTooSmall(GoursatError):
     """A truncated power-series computation ran out of known coefficients."""
 

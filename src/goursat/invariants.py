@@ -20,7 +20,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from . import proximity
 from .codeword import (
@@ -44,74 +44,51 @@ from .errors import (
 # Back-end recursions
 
 
-def beta_backend(w: GoursatWord | str) -> tuple[int, ...]:
-    """Jean's beta vector (beta_2 .. beta_{k+2}) by the back-end recursion.
+def _backend(
+    w: GoursatWord | str,
+    offset: int,
+    seeds: Callable[[str], tuple[int, int]],
+    r_add: int,
+) -> tuple[int, ...]:
+    """Jean's back-end recursion, shared by beta and both derived vectors.
 
-    Seeds beta_2 = 1 and beta_3 = 2; for j >= 4 the entry depends on the
-    last symbol of the word:  R adds 1 to the previous word's entry, V
-    adds the two shorter prefixes' entries, T doubles one and subtracts
-    the other.
+    The vector of a prefix of length m has m + offset entries.  Its first
+    two entries are seeds(last symbol of the prefix); each later entry
+    depends on the last symbol: R adds r_add to the previous prefix's
+    entry, V adds the two shorter prefixes' entries, T doubles one and
+    subtracts the other.
     """
     w = as_goursat(w)
-    vecs: list[tuple[int, ...]] = []  # vecs[m-1][j-2] = beta_j of prefix length m
+    older: tuple[int, ...] = ()  # the vector of the prefix two shorter
+    prev: tuple[int, ...] = ()  # the vector of the prefix one shorter
     for m in range(1, w.k + 1):
         last = w.letter(m)
-        vec = [1, 2]
-        for j in range(4, m + 3):
+        vec = list(seeds(last)[: m + offset])
+        for idx in range(2, m + offset):
             if last == "R":
-                vec.append(1 + vecs[m - 2][j - 3])
+                vec.append(r_add + prev[idx - 1])
             elif last == "V":
-                vec.append(vecs[m - 2][j - 3] + vecs[m - 3][j - 4])
+                vec.append(prev[idx - 1] + older[idx - 2])
             else:
-                vec.append(2 * vecs[m - 2][j - 3] - vecs[m - 3][j - 4])
-        vecs.append(tuple(vec))
-    return vecs[-1]
+                vec.append(2 * prev[idx - 1] - older[idx - 2])
+        older, prev = prev, tuple(vec)
+    return prev
+
+
+def beta_backend(w: GoursatWord | str) -> tuple[int, ...]:
+    """Jean's beta vector (beta_2 .. beta_{k+2}); always begins (1, 2)."""
+    return _backend(w, 1, lambda last: (1, 2), 1)
 
 
 def der_backend(w: GoursatWord | str) -> tuple[int, ...]:
     """The derived vector (der_3 .. der_{k+2}); always begins (1, 1)."""
-    w = as_goursat(w)
-    vecs: list[tuple[int, ...]] = []  # vecs[m-1][j-3] = der_j of prefix length m
-    for m in range(1, w.k + 1):
-        last = w.letter(m)
-        vec = [1] if m == 1 else [1, 1]
-        for j in range(5, m + 3):
-            if last == "R":
-                vec.append(vecs[m - 2][j - 4])
-            elif last == "V":
-                vec.append(vecs[m - 2][j - 4] + vecs[m - 3][j - 5])
-            else:
-                vec.append(2 * vecs[m - 2][j - 4] - vecs[m - 3][j - 5])
-        vecs.append(tuple(vec))
-    return vecs[-1]
+    return _backend(w, 0, lambda last: (1, 1), 0)
 
 
 def der2_backend(w: GoursatWord | str) -> tuple[int, ...]:
-    """The second derived vector (der2_4 .. der2_{k+2}); begins with 0.
-
-    The seed pair (der2_4, der2_5) is (0, 1) when the word ends with V and
-    (0, 0) otherwise; longer entries follow the same recursion shapes as
-    the derived vector.
-    """
-    w = as_goursat(w)
-    vecs: list[tuple[int, ...]] = []  # vecs[m-1][j-4] = der2_j of prefix length m
-    for m in range(1, w.k + 1):
-        last = w.letter(m)
-        if m == 1:
-            vec: list[int] = []
-        elif m == 2:
-            vec = [0]
-        else:
-            vec = [0, 1 if last == "V" else 0]
-        for j in range(6, m + 3):
-            if last == "R":
-                vec.append(vecs[m - 2][j - 5])
-            elif last == "V":
-                vec.append(vecs[m - 2][j - 5] + vecs[m - 3][j - 6])
-            else:
-                vec.append(2 * vecs[m - 2][j - 5] - vecs[m - 3][j - 6])
-        vecs.append(tuple(vec))
-    return vecs[-1]
+    """The second derived vector (der2_4 .. der2_{k+2}); begins (0, 1) when
+    the word ends with V and (0, 0) otherwise."""
+    return _backend(w, -1, lambda last: (0, int(last == "V")), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,29 +466,41 @@ def pc_from_multseq(ms: tuple[int, ...]) -> PuiseuxCharacteristic:
     return pc
 
 
+def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None) -> int:
+    """The base multiplicity m_0 of the word whose normalized diagram is given.
+
+    For Goursat words m_0 = m_1; otherwise m_0 depends on the point and
+    must be supplied (the CLI wires it from the focal-order oracle), and
+    it is at least m_1.
+    """
+    m1 = proximity.base_multiplicity(diagram)
+    if is_goursat(w):
+        if m0 is not None and m0 != m1:
+            raise ValueError(f"Goursat word has m_0 = m_1 = {m1}, got m0={m0}")
+        return m1
+    if m0 is None:
+        raise MissingM0()
+    if m0 < m1:
+        raise ValueError(f"m_0 = {m0} cannot be smaller than m_1 = {m1}")
+    return m0
+
+
+def _puiseux(m0: int, mv: tuple[int, ...]) -> PuiseuxCharacteristic:
+    # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1).
+    return pc_from_multseq((m0,) + tuple(reversed(mv)) + (1,))
+
+
 def puiseux_of_word(
     w: RvtWord | str, m0: int | None = None
 ) -> PuiseuxCharacteristic:
     """Puiseux characteristic of the curve germ realizing the word.
 
-    The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1).  For Goursat
-    words m_0 = m_1; otherwise m_0 depends on the point and must be
-    supplied (the CLI wires it from the focal-order oracle).
+    m_0 is resolved as in :func:`bundle`: it equals m_1 for Goursat words
+    and must be supplied otherwise.
     """
     w = _as_word(w)
-    gw = goursat_normalize(w)
-    mv = proximity.multiplicity_vector(proximity.build_diagram(gw))
-    m1 = mv[-1] if mv else 1
-    if is_goursat(w):
-        if m0 is not None and m0 != m1:
-            raise ValueError(f"Goursat word has m_0 = m_1 = {m1}, got m0={m0}")
-        m0 = m1
-    elif m0 is None:
-        raise MissingM0()
-    elif m0 < m1:
-        raise ValueError(f"m_0 = {m0} cannot be smaller than m_1 = {m1}")
-    ms = (m0,) + tuple(reversed(mv)) + (1,)
-    return pc_from_multseq(ms)
+    diagram = proximity.build_diagram(goursat_normalize(w))
+    return _puiseux(_resolve_m0(w, diagram, m0), proximity.multiplicity_vector(diagram))
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +531,6 @@ class InvariantBundle:
     puiseux: PuiseuxCharacteristic
     nonholonomy_degree: int
 
-    @property
-    def provenance(self) -> dict[str, str]:
-        """Which route produced each field (all routes are asserted equal)."""
-        return {
-            "beta": "back-end recursion = accumulated front-end der = 1+b",
-            "der": "back-end recursion = front-end proximity recursion",
-            "der2": "back-end recursion = reversed restricted VO",
-            "sg": "beta positions = e-table zero counts",
-            "mult_vector": "proximity diagram",
-            "vo": "multiplicity differences (VO_2 from m_0 when supplied)",
-            "b": "e-table closed form = first-zero scan",
-            "puiseux": "multiplicity sequence via Euclidean expansion",
-            "nonholonomy_degree": "last beta entry",
-        }
-
 
 def _require(cond: bool, name: str, *routes) -> None:
     if not cond:
@@ -575,28 +549,23 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
     der_be = der_backend(gw)
     der2_be = der2_backend(gw)
 
+    # One proximity diagram serves the front-end der, which unrolls to
+    # (1, m_{k-1}, ..., m_1) as in proximity.derived_frontend, the
+    # vertical orders and the Puiseux characteristic.
     diagram = proximity.build_diagram(gw)
     mv = proximity.multiplicity_vector(diagram)
-    der_fe = proximity.derived_frontend(gw)
+    der_fe = (1,) + mv
     _require(der_fe == der_be, "der", der_fe, der_be)
 
-    beta_fe = (1,)
-    for d in der_fe:
-        beta_fe += (beta_fe[-1] + d,)
+    beta_fe = tuple(accumulate(der_fe, initial=1))
     _require(beta_fe == beta_be, "beta front-end", beta_fe, beta_be)
 
     vo = vo_from_mult(mv, k)
     der2_vo = ((0,) + tuple(reversed(vo[1:]))) if k >= 2 else ()
     _require(der2_vo == der2_be, "der2", der2_vo, der2_be)
 
-    m1 = mv[-1] if mv else 1
-    if is_goursat(w):
-        if m0 is not None and m0 != m1:
-            raise ValueError(f"Goursat word has m_0 = m_1 = {m1}, got m0={m0}")
-        m0 = m1
-    elif m0 is None:
-        raise MissingM0()
-    vo_full = ((m0 - m1,) + vo[1:]) if k >= 2 else ()
+    m0 = _resolve_m0(w, diagram, m0)
+    vo_full = ((m0 - proximity.base_multiplicity(diagram),) + vo[1:]) if k >= 2 else ()
 
     table = e_table(vo_full, k)
     beta_b = beta_from_b(table.b)
@@ -605,7 +574,7 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
     sg = sg_from_beta(beta_be)
     _require(table.sg == sg[1:], "sg", table.sg, sg[1:])
 
-    pc = puiseux_of_word(w, m0=m0)
+    pc = _puiseux(m0, mv)
     if any(s in CRITICAL for s in w.symbols):
         trailing_r = len(w.symbols) - len(w.symbols.rstrip("R"))
         lam_last = pc.exponents[-1]

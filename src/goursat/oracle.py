@@ -25,8 +25,8 @@ from .errors import (
     TruncationTooSmall,
 )
 from .invariants import PuiseuxCharacteristic
-from .polynomial import Poly
-from .symcalc import VField, lie_bracket, std_fields
+from .polynomial import Poly, var_names
+from .symcalc import RankTracker, VField, lie_bracket, std_fields
 
 # ---------------------------------------------------------------------------
 # Truncated power series in one parameter
@@ -164,32 +164,6 @@ class JetCurve:
 # Small growth by brute force
 
 
-class _RankTracker:
-    """Incremental exact rank of a growing set of rational vectors."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: Sequence) -> bool:
-        row = [Fraction(x) for x in vec]
-        for pivot_row, col in zip(self.rows, self.pivots):
-            if row[col]:
-                factor = row[col] / pivot_row[col]
-                row = [a - factor * b for a, b in zip(row, pivot_row)]
-        col = next((c for c in range(self.ncols) if row[c]), None)
-        if col is None:
-            return False
-        self.rows.append(row)
-        self.pivots.append(col)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def _primitive(field: VField) -> VField:
     """Scale a field so its coefficient content is 1 with positive leading
     coefficient; scalar multiples collapse to one representative."""
@@ -274,14 +248,10 @@ def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
         raise StepBudgetExceeded("max_steps must be at least 1")
     full_rank = p.chart.nvars
     gens = GeneratorSet(p.chart)
-    tracker = _RankTracker(full_rank)
-    for gen in gens.steps[0]:
-        tracker.add(gen.evaluate(p.coords))
-    sg = [tracker.rank]
-    if tracker.rank == full_rank:
-        return tuple(sg)
-    for _ in range(2, max_steps + 1):
-        batch = gens.grow()
+    tracker = RankTracker()
+    sg: list[int] = []
+    batch = gens.steps[0]
+    while True:
         for gen in batch:
             tracker.add(gen.evaluate(p.coords))
         sg.append(tracker.rank)
@@ -291,11 +261,11 @@ def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
             raise StepBudgetExceeded(
                 f"generators stabilized at rank {tracker.rank} < {full_rank}"
             )
-    if sg[-1] == full_rank:
-        return tuple(sg)
-    raise StepBudgetExceeded(
-        f"rank did not stabilize within {max_steps} steps (reached {tracker.rank})"
-    )
+        if len(sg) == max_steps:
+            raise StepBudgetExceeded(
+                f"rank did not stabilize within {max_steps} steps (reached {tracker.rank})"
+            )
+        batch = gens.grow()
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +284,7 @@ class FocalOrders:
         """(name, alternative name, o(coordinate), o(differential)) per
         coordinate, highest level first."""
         chart = self.point.chart
-        names = ("r0",) + tuple(f"n{j}" for j in range(chart.k + 1))
+        names = var_names(chart.k)
         order = [Chart.n_var(j) for j in range(chart.k, -1, -1)] + [0]
         return [
             (names[v], chart.alt_names[v], self.o_coord[v], self.o_diff[v])

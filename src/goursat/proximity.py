@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codeword import GoursatWord, as_goursat, lift_chain
+from .codeword import GoursatWord, critical_block, lift_chain
 from .errors import RouteMismatch
 
 Edge = tuple[int, int]
@@ -38,19 +38,6 @@ class ProximityDiagram:
         return sorted(j for (i, j) in self.edges if i == v)
 
 
-def _critical_block(w: GoursatWord) -> list[int]:
-    # Vertices whose labels change under lifting: the V at position 3 plus
-    # its maximal T-run.  Empty when symbol 3 is not V (or k < 3).
-    if w.k < 3 or w.letter(3) != "V":
-        return []
-    block = [3]
-    pos = 4
-    while pos <= w.k and w.letter(pos) == "T":
-        block.append(pos)
-        pos += 1
-    return block
-
-
 def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
     m = [0] * (k + 1)
     m[k] = 1
@@ -68,13 +55,13 @@ def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
 
 def build_diagram(w: GoursatWord | str) -> ProximityDiagram:
     """Build the proximity diagram by recursion on the lifted word."""
-    w = as_goursat(w)
-    edges: frozenset[Edge] = frozenset({(0, 1)})
-    diagram = ProximityDiagram(GoursatWord("R"), edges, _multiplicities(edges, 1))
-    for word in lift_chain(w)[1:]:
-        shifted = {(i + 1, j + 1) for (i, j) in diagram.edges}
+    edges: frozenset[Edge] = frozenset()
+    for word in lift_chain(w):
+        shifted = {(i + 1, j + 1) for (i, j) in edges}
         shifted.add((0, 1))
-        for v in _critical_block(word):
+        # Vertices whose labels change under lifting: the critical block
+        # starting at position 3.
+        for v in critical_block(word.symbols, 3):
             shifted.add((1, v))
         edges = frozenset(shifted)
         diagram = ProximityDiagram(word, edges, _multiplicities(edges, word.k))
@@ -92,12 +79,12 @@ def base_multiplicity(d: ProximityDiagram) -> int:
 
 
 def derived_frontend(w: GoursatWord | str) -> tuple[int, ...]:
-    """The derived vector computed front-end: der(w) = der(lift(w)) + (m_1,)."""
-    w = as_goursat(w)
-    der = [1]
-    for word in lift_chain(w)[1:]:
-        der.append(build_diagram(word).mult[1])
-    return tuple(der)
+    """The derived vector computed front-end: der(w) = der(lift(w)) + (m_1,).
+
+    Vertex j+1 of the diagram of w is vertex 1 of the diagram of its j-th
+    lift, so the recursion unrolls to der = (1, m_{k-1}, ..., m_1).
+    """
+    return (1,) + multiplicity_vector(build_diagram(w))
 
 
 def to_dot(d: ProximityDiagram) -> str:

@@ -114,6 +114,32 @@ def lie_bracket(x: VField, y: VField) -> VField:
     )
 
 
+class RankTracker:
+    """Incremental exact rank of a growing set of rational vectors."""
+
+    def __init__(self):
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
+
+    def add(self, vec: Sequence) -> bool:
+        """Add a vector; True iff it raised the rank."""
+        row = [Fraction(x) for x in vec]
+        for pivot_row, col in zip(self.rows, self.pivots):
+            if row[col]:
+                factor = row[col] / pivot_row[col]
+                row = [a - factor * b for a, b in zip(row, pivot_row)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        self.rows.append(row)
+        self.pivots.append(col)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
 # ---------------------------------------------------------------------------
 # Standard frames
 
@@ -249,17 +275,11 @@ def bracket_table(chart: Chart) -> BracketTable:
     entries: dict[tuple[str, int, int], BracketEntry] = {}
     for i in range(chart.k + 1):
         for j in range(chart.k + 1):
-            actual = lie_bracket(vs[i], fs[j])
-            entry = predicted_vf(chart, i, j)
-            if actual != entry.to_field(chart):
-                raise RouteMismatch(f"[v_{i}, f_{j}] deviates from its closed form")
-            entries[("v", i, j)] = entry
-
-            actual = lie_bracket(fs[i], fs[j])
-            entry = predicted_ff(chart, i, j)
-            if actual != entry.to_field(chart):
-                raise RouteMismatch(f"[f_{i}, f_{j}] deviates from its closed form")
-            entries[("f", i, j)] = entry
+            for kind, left, predicted in (("v", vs, predicted_vf), ("f", fs, predicted_ff)):
+                entry = predicted(chart, i, j)
+                if lie_bracket(left[i], fs[j]) != entry.to_field(chart):
+                    raise RouteMismatch(f"[{kind}_{i}, f_{j}] deviates from its closed form")
+                entries[(kind, i, j)] = entry
     return BracketTable(chart, entries)
 
 
@@ -456,8 +476,10 @@ def verify_structure(chart: Chart) -> StructureReport:
                     raise RouteMismatch(f"g_{m} is not a section at depth {i}")
         # Independence at a generic rational point (all coordinates nonzero).
         point = [Fraction(v + 2) for v in range(nv)]
-        rows = [f.evaluate(point) for f in gb.fields]
-        if _rank(rows) != nv:
+        tracker = RankTracker()
+        for f in gb.fields:
+            tracker.add(f.evaluate(point))
+        if tracker.rank != nv:
             raise RouteMismatch("g fields are not independent at a generic point")
         return ""
 
@@ -485,21 +507,3 @@ def verify_structure(chart: Chart) -> StructureReport:
     run("monomial_positivity", check_monomial_positivity)
 
     return StructureReport(chart, tuple(checks))
-
-
-def _rank(rows: list[tuple]) -> int:
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(matrix[0]) if matrix else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = matrix[rank][col]
-        for r in range(rank + 1, len(matrix)):
-            if matrix[r][col]:
-                factor = matrix[r][col] / inv
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-    return rank

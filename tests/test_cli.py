@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from goursat import invariants
-from goursat.codeword import enumerate_goursat_words
+from goursat.codeword import MAX_LEVELS, enumerate_goursat_words
 from goursat.cli import (
+    ALL_WORDS_LEVEL_LIMIT,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_MISMATCH,
@@ -251,6 +252,37 @@ class TestVerifyCommand:
     def test_depth_budget(self):
         code, _, err = run_cli("verify", "RRVTVV", "--symbolic", "--depth", "4")
         assert code == EXIT_BUDGET
+
+    def test_all_words_limit(self):
+        code, _, err = run_cli("verify", "--all-words", "1200")
+        assert code == EXIT_BUDGET
+        assert "Traceback" not in err
+        assert f"ALL_WORDS_LEVEL_LIMIT = {ALL_WORDS_LEVEL_LIMIT}" in err
+
+    def test_word_and_all_words_refused(self, capsys):
+        assert main(["verify", "RR", "--all-words", "3"]) == EXIT_INVALID
+        assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "RR" + "V" * 15], ["chart", "RR" + "V" * 15], ["bracket-table", "o" * 17]],
+)
+def test_chart_level_cap_is_a_budget(argv, capsys):
+    assert main(argv) == EXIT_BUDGET
+    assert f"MAX_LEVELS = {MAX_LEVELS}" in capsys.readouterr().err
+    assert main(["bracket-table", "o" * 17 + "x"]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["invariants"], ["frobnicate", "RR"], ["verify", "--all-words", "x"]]
+)
+def test_usage_errors_exit_invalid(argv, capsys):
+    # Exit code 2 is reserved for a verification mismatch.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_main_invocation_in_process(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,3 +186,20 @@ def test_enumeration_counts():
     assert [len(list(enumerate_goursat_words(k))) for k in range(1, 7)] == [
         1, 1, 2, 5, 13, 34,
     ]
+
+
+def test_enumeration_is_lexicographic():
+    for k in range(1, 9):
+        rvt = [w.symbols for w in enumerate_rvt_words(k)]
+        assert rvt == sorted(rvt)
+        goursat = [w.symbols for w in enumerate_goursat_words(k)]
+        assert goursat == [s for s in rvt if is_goursat(s)]
+
+
+def test_enumeration_is_lazy():
+    # There are about 10^24 Goursat words of length 60; the first one must
+    # come without generating the others.
+    start = time.perf_counter()
+    assert next(enumerate_goursat_words(60)).symbols == "R" * 60
+    assert next(enumerate_rvt_words(60)).symbols == "R" * 60
+    assert time.perf_counter() - start < 1.0

@@ -272,9 +272,6 @@ class TestBundle:
         assert b.puiseux == PuiseuxCharacteristic(1, ())
         assert b.mult_vector == ()
 
-    def test_provenance_notes_cover_routes(self):
-        assert "beta" in bundle("RR").provenance
-
 
 def test_first_all_zero_row_is_the_degree():
     for k in range(1, 9):
