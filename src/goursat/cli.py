@@ -399,11 +399,18 @@ def cmd_verify(args) -> int:
 
     tasks = [(str(w), args.depth, args.seed, args.symbolic) for w in words]
     if len(tasks) > 1:
-        # per-word checks are pure and independent; fan out across workers
+        # Per-word checks are pure and independent; fan out across workers.
+        # Cost grows with the degree of nonholonomy, so the deepest words
+        # start first and none is left to run alone at the end; results are
+        # still printed in word order.
         import concurrent.futures
 
+        by_depth = sorted(
+            range(len(words)), key=lambda i: -invariants.nonholonomy_degree(words[i])
+        )
         with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(_verify_task, tasks))
+            futures = {i: pool.submit(_verify_task, tasks[i]) for i in by_depth}
+            results = [futures[i].result() for i in range(len(tasks))]
     else:
         results = [_verify_task(tasks[0])]
 

@@ -471,7 +471,8 @@ def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None)
 
     For Goursat words m_0 = m_1; otherwise m_0 depends on the point and
     must be supplied (the CLI wires it from the focal-order oracle), and
-    it is at least m_1.
+    it exceeds m_1: the point lies on the divisor, where VO_2 = m_0 - m_1
+    is at least 1.
     """
     m1 = proximity.base_multiplicity(diagram)
     if is_goursat(w):
@@ -480,8 +481,10 @@ def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None)
         return m1
     if m0 is None:
         raise MissingM0()
-    if m0 < m1:
-        raise ValueError(f"m_0 = {m0} cannot be smaller than m_1 = {m1}")
+    if m0 <= m1:
+        raise ValueError(
+            f"m_0 = {m0} must exceed m_1 = {m1} for a word that is not a Goursat word"
+        )
     return m0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from . import invariants
@@ -166,35 +166,36 @@ class JetCurve:
 
 def _primitive(field: VField) -> VField:
     """Scale a field so its coefficient content is 1 with positive leading
-    coefficient; scalar multiples collapse to one representative."""
-    coeffs: list[Fraction] = []
+    coefficient; scalar multiples collapse to one representative.  The
+    coefficients of the result are ints."""
+    num = 0  # gcd of the numerators
+    den = 1  # lcm of the denominators
+    all_int = True
     for p in field.comps:
-        coeffs.extend(Fraction(c) for _, c in p.terms.items())
-    if not coeffs:
+        for c in p.terms.values():
+            if type(c) is int:
+                num = gcd(num, c)
+            else:
+                all_int = False
+                num = gcd(num, c.numerator)
+                den = lcm(den, c.denominator)
+    if not num:
         return field
-    num = 0
-    den = 1
-    for c in coeffs:
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    scale = Fraction(den, num) if num else Fraction(1)
-    lead = None
-    for p in field.comps:
-        if not p.is_zero:
-            lead = p.leading()[1]
-            break
-    if lead is not None and lead * scale < 0:
-        scale = -scale
-    if scale == 1:
+    lead = next(p for p in field.comps if p.terms).leading()[1]
+    sign = -1 if lead < 0 else 1
+    if all_int and num == 1 and sign == 1:
         return field
-    scaled = field * scale
+    # Every coefficient is (p/q) * sign * den/num with num | p and q | den.
+    num *= sign
     comps = []
-    for p in scaled.comps:
-        terms = {
-            m: c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
-            for m, c in p.terms.items()
-        }
-        comps.append(Poly(p.nvars, terms))
+    for p in field.comps:
+        terms = {}
+        for m, c in p.terms.items():
+            if type(c) is int:
+                terms[m] = c // num * den
+            else:
+                terms[m] = c.numerator // num * (den // c.denominator)
+        comps.append(Poly._wrap(p.nvars, terms))
     return VField(field.nvars, tuple(comps))
 
 

@@ -40,6 +40,15 @@ class Poly:
                     clean[tuple(mono)] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[Monomial, Coeff]) -> "Poly":
+        """Adopt a term dict that already has nvars-long monomials and only
+        nonzero coefficients, without copying or checking it."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -80,8 +89,12 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def key(self) -> tuple:
-        """Hashable canonical form (used for dedup of vector fields)."""
-        return tuple((m, Fraction(c)) for m, c in self.items())
+        """Hashable canonical form (used for dedup of vector fields).
+
+        Terms sorted by monomial; an int and the equal Fraction compare and
+        hash alike, so the key does not depend on the coefficient type.
+        """
+        return tuple(sorted(self.terms.items()))
 
     def leading(self) -> tuple[Monomial, Coeff]:
         if self.is_zero:
@@ -126,16 +139,10 @@ class Poly:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Poly._wrap(self.nvars, terms)
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", {m: -c for m, c in self.terms.items()})
-        return out
+        return Poly._wrap(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -144,11 +151,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.nvars)
-            terms = {m: c * other for m, c in self.terms.items()}
-            out = Poly.__new__(Poly)
-            object.__setattr__(out, "nvars", self.nvars)
-            object.__setattr__(out, "terms", terms)
-            return out
+            return Poly._wrap(self.nvars, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
@@ -161,10 +164,7 @@ class Poly:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "nvars", self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Poly._wrap(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -182,13 +182,15 @@ class Poly:
 
     def diff(self, var: int) -> "Poly":
         """Partial derivative with respect to variable ``var``."""
-        terms: dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            e = m[var]
-            if e:
-                lowered = m[:var] + (e - 1,) + m[var + 1 :]
-                terms[lowered] = terms.get(lowered, 0) + c * e
-        return Poly(self.nvars, terms)
+        # Lowering one exponent maps distinct monomials to distinct ones.
+        return Poly._wrap(
+            self.nvars,
+            {
+                m[:var] + (m[var] - 1,) + m[var + 1 :]: c * m[var]
+                for m, c in self.terms.items()
+                if m[var]
+            },
+        )
 
     def evaluate(self, values: Sequence[Coeff]) -> Coeff:
         if len(values) != self.nvars:

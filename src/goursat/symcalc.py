@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from .codeword import Chart
@@ -83,13 +84,9 @@ class VField:
         """Lie derivative of the function a along this field."""
         if a.nvars != self.nvars:
             raise VariableMismatch("function over wrong variable set")
-        out = Poly.zero(self.nvars)
-        for var, comp in enumerate(self.comps):
-            if not comp.is_zero:
-                d = a.diff(var)
-                if not d.is_zero:
-                    out = out + comp * d
-        return out
+        acc: dict = {}
+        _derive_into(acc, self.comps, a.terms, 1)
+        return _nonzero(self.nvars, acc)
 
     def evaluate(self, values: Sequence) -> tuple:
         return tuple(p.evaluate(values) for p in self.comps)
@@ -106,12 +103,41 @@ class VField:
         return " + ".join(parts) if parts else "0"
 
 
+def _derive_into(acc: dict, comps: tuple[Poly, ...], a_terms: dict, sign: int) -> None:
+    """Add sign * X(a) into the term dict acc, where X has components comps.
+
+    X(a) = sum over v of comps[v] * da/dx_v, expanded term by term with no
+    intermediate polynomial.  Coefficients that cancel are left as zeros.
+    """
+    for var, comp in enumerate(comps):
+        c_terms = comp.terms
+        if not c_terms:
+            continue
+        for ma, ca in a_terms.items():
+            e = ma[var]
+            if not e:
+                continue
+            lowered = ma[:var] + (e - 1,) + ma[var + 1 :]
+            factor = sign * e * ca
+            for mc, cc in c_terms.items():
+                m = tuple(map(add, mc, lowered))
+                acc[m] = acc.get(m, 0) + factor * cc
+
+
+def _nonzero(nvars: int, acc: dict) -> Poly:
+    return Poly._wrap(nvars, {m: c for m, c in acc.items() if c})
+
+
 def lie_bracket(x: VField, y: VField) -> VField:
     """[x, y], computed componentwise as x(y_c) - y(x_c)."""
     x._check(y)
-    return VField(
-        x.nvars, tuple(x.apply(yc) - y.apply(xc) for xc, yc in zip(x.comps, y.comps))
-    )
+    comps = []
+    for xc, yc in zip(x.comps, y.comps):
+        acc: dict = {}
+        _derive_into(acc, x.comps, yc.terms, 1)
+        _derive_into(acc, y.comps, xc.terms, -1)
+        comps.append(_nonzero(x.nvars, acc))
+    return VField(x.nvars, tuple(comps))
 
 
 class RankTracker:

@@ -18,6 +18,7 @@ from goursat.cli import (
     dumps_bundle,
     main,
     render_etable,
+    verify_word,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -236,6 +237,47 @@ class TestVerifyCommand:
         code, out, _ = run_cli("verify", "--all-words", "4")
         assert code == EXIT_OK
         assert out.count("three-route invariants agree") == 5
+
+    def test_all_words_printed_in_word_order(self):
+        expected = []
+        for w in enumerate_goursat_words(5):
+            expected += verify_word(w)[1]
+        code, out, _ = run_cli("verify", "--all-words", "5")
+        assert code == EXIT_OK
+        assert out.splitlines() == expected + ["PASS"]
+
+    def test_all_words_start_deepest_first(self, monkeypatch, capsys):
+        # An executor that runs each task when it is submitted completes the
+        # tasks in submission order, which is not word order.
+        import concurrent.futures
+
+        submitted = []
+
+        class Eager:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                submitted.append(task[0])
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Eager)
+        assert main(["verify", "--all-words", "5"]) == EXIT_OK
+        words = [str(w) for w in enumerate_goursat_words(5)]
+        degrees = [invariants.nonholonomy_degree(w) for w in submitted]
+        assert degrees == sorted(degrees, reverse=True)
+        assert submitted != words and sorted(submitted) == sorted(words)
+        printed = [
+            line.split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if "three-route" in line
+        ]
+        assert printed == words
 
     def test_symbolic_budget_guard(self):
         code, _, err = run_cli("verify", "RRVVVVV", "--symbolic")

@@ -3,8 +3,13 @@ import tracemalloc
 
 import pytest
 
-from goursat import invariants
-from goursat.codeword import enumerate_goursat_words
+from goursat import invariants, proximity
+from goursat.codeword import (
+    enumerate_goursat_words,
+    enumerate_rvt_words,
+    goursat_normalize,
+    is_goursat,
+)
 from goursat.errors import (
     InvalidPC,
     MissingM0,
@@ -264,6 +269,20 @@ class TestBundle:
     def test_non_goursat_requires_m0(self):
         with pytest.raises(MissingM0):
             bundle("RVV")
+
+    def test_non_goursat_refuses_m0_equal_m1(self):
+        # Off the Goursat locus VO_2 = m_0 - m_1 >= 1; bundle("RVR", m0=1)
+        # used to die with an IndexError in the Puiseux check.
+        for k in range(2, 7):
+            for w in enumerate_rvt_words(k):
+                if is_goursat(w):
+                    continue
+                m1 = proximity.base_multiplicity(
+                    proximity.build_diagram(goursat_normalize(w))
+                )
+                for fn in (bundle, puiseux_of_word):
+                    with pytest.raises(ValueError, match=f"m_0 = {m1} .*m_1 = {m1}"):
+                        fn(w, m0=m1)
 
     def test_trivial_word(self):
         b = bundle("R")

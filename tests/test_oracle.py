@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,65 @@ class TestGeneratorSet:
                 key = gen.key()
                 assert key not in seen
                 seen.add(key)
+
+
+    # Batch sizes per step, recorded from the Poly-based bracket and the
+    # Fraction-keyed dedup that preceded the fused kernel.
+    @pytest.mark.parametrize(
+        "word, sizes",
+        [
+            ("RRVTVV", [2, 1, 1, 1, 2, 2, 4, 7, 12, 22, 37, 72, 128, 244, 405, 568, 564, 2, 1]),
+            ("RRVVVV", [2, 1, 1, 1, 2, 2, 4, 7, 12, 23, 40, 79, 141, 281, 502, 957,
+                        1597, 2235, 2235, 2, 1]),
+        ],
+    )
+    def test_batch_sizes_pinned(self, word, sizes):
+        from goursat.oracle import GeneratorSet
+
+        gens = GeneratorSet(canonical_chart_point(word).chart)
+        for _ in sizes[1:]:
+            gens.grow()
+        assert [len(batch) for batch in gens.steps] == sizes
+
+
+class TestPrimitive:
+    def test_content_sign_idempotence(self):
+        import random
+
+        from goursat.oracle import _primitive
+        from goursat.symcalc import VField
+
+        rng = random.Random(11)
+        nv = 3
+        for _ in range(300):
+            comps = []
+            for _ in range(nv):
+                terms = {}
+                for _ in range(rng.randrange(0, 3)):
+                    mono = tuple(rng.randrange(0, 3) for _ in range(nv))
+                    c = rng.choice(
+                        [rng.randint(-12, 12), Fraction(rng.randint(-12, 12), rng.randint(1, 6))]
+                    )
+                    terms[mono] = c
+                comps.append(Poly(nv, terms))
+            field = VField(nv, tuple(comps))
+            prim = _primitive(field)
+            if field.is_zero:
+                assert prim == field
+                continue
+            coeffs = [c for p in prim.comps for c in p.terms.values()]
+            assert all(type(c) is int for c in coeffs)
+            content = 0
+            for c in coeffs:
+                content = math.gcd(content, c)
+            assert content == 1
+            assert next(p for p in prim.comps if p.terms).leading()[1] > 0
+            assert _primitive(prim) == prim
+            # prim is a scalar multiple of the input; read the scalar off a term.
+            var, p = next((i, p) for i, p in enumerate(field.comps) if p.terms)
+            m, c = next(iter(p.terms.items()))
+            assert prim == field * (Fraction(prim.comps[var].terms[m]) / c)
+            assert _primitive(field * Fraction(-7, 3)) == prim
 
 
 def test_oracle_equivalence_every_length_six_word():

@@ -49,6 +49,7 @@ class TestCanonicalForm:
     def test_int_and_fraction_coeffs_agree(self):
         x = p_var(0)
         assert (2 * x).key() == (Fraction(2) * x).key()
+        assert hash((2 * x).key()) == hash((Fraction(2) * x).key())
 
     def test_grlex_leading(self):
         x, y = p_var(0), p_var(1)

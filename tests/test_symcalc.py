@@ -217,3 +217,67 @@ class TestVerifyStructure:
             for bits in itertools.product("oi", repeat=k):
                 report = verify_structure(Chart("".join(bits)))
                 assert report.ok, (bits, report.failures())
+
+
+class TestKernelAgainstReference:
+    """lie_bracket and VField.apply against a reference made of Poly ops only."""
+
+    @staticmethod
+    def reference_apply(x, a):
+        out = Poly.zero(x.nvars)
+        for var, comp in enumerate(x.comps):
+            out = out + comp * a.diff(var)
+        return out
+
+    def reference_bracket(self, x, y):
+        return VField(
+            x.nvars,
+            tuple(
+                self.reference_apply(x, yc) - self.reference_apply(y, xc)
+                for xc, yc in zip(x.comps, y.comps)
+            ),
+        )
+
+    @staticmethod
+    def random_poly(rng, nv):
+        p = Poly.zero(nv)
+        for _ in range(rng.randrange(0, 4)):
+            exps = {u: rng.randrange(0, 3) for u in range(nv)}
+            c = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+            p = p + Poly.monomial(nv, exps, c)
+        return p
+
+    def random_field(self, rng, nv):
+        # About a third of the components are zero.
+        return VField(
+            nv,
+            tuple(
+                self.random_poly(rng, nv) if rng.random() < 0.66 else Poly.zero(nv)
+                for _ in range(nv)
+            ),
+        )
+
+    def test_random_fields(self):
+        rng = random.Random(20251018)
+        for nv in (2, 3, 5):
+            for _ in range(200):
+                x, y = self.random_field(rng, nv), self.random_field(rng, nv)
+                a = self.random_poly(rng, nv)
+                assert x.apply(a) == self.reference_apply(x, a)
+                assert lie_bracket(x, y) == self.reference_bracket(x, y)
+
+    def test_cancelling_terms_leave_no_zeros(self):
+        # A zero coefficient left in a term dict would break is_zero and ==.
+        rng = random.Random(5)
+        for _ in range(50):
+            x = self.random_field(rng, 4)
+            assert all(not p.terms for p in lie_bracket(x, x).comps)
+        x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+        image = VField(2, (x1, x0)).apply(x0 * x0 - x1 * x1)  # 2*x0*x1 - 2*x1*x0
+        assert image.terms == {}
+
+    def test_std_fields_brackets_match_reference(self):
+        fs, vs = std_fields(CHART)
+        for left in fs + vs:
+            for right in fs:
+                assert lie_bracket(left, right) == self.reference_bracket(left, right)
