@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -271,8 +272,6 @@ class TestGeneratorSet:
 
 class TestPrimitive:
     def test_content_sign_idempotence(self):
-        import random
-
         from goursat.oracle import _primitive
         from goursat.symcalc import VField
 
