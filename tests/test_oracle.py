@@ -250,9 +250,9 @@ class TestGeneratorSet:
                 assert key not in seen
                 seen.add(key)
 
-
-    # Batch sizes per step, recorded from the Poly-based bracket and the
-    # Fraction-keyed dedup that preceded the fused kernel.
+    # Batch sizes per step, recorded with brackets built from Poly
+    # operations and Fraction-keyed dedup: any bracket kernel or dedup key
+    # must admit exactly these generators.
     @pytest.mark.parametrize(
         "word, sizes",
         [
