@@ -13,7 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import add, mul
 from typing import Sequence
 
 from . import invariants
@@ -21,6 +23,7 @@ from .codeword import Chart, ChartPoint, rvt_of_chart_point
 from .errors import (
     IndexRange,
     OrderMismatch,
+    RouteMismatch,
     StepBudgetExceeded,
     TruncationTooSmall,
 )
@@ -393,6 +396,15 @@ def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
     return JetCurve(chart, tuple(series[v].truncate(prec_min) for v in range(chart.nvars)))
 
 
+@lru_cache(maxsize=1)
+def _generic_jets(p: ChartPoint, trials: int, prec: int, seed: int) -> tuple[JetCurve, ...]:
+    """The jets focal_order_generic_jet probes with; they do not depend on
+    the function probed, so the coordinates of one point share them."""
+    return tuple(
+        focal_jet(p, random.Random(f"jet:{seed}:{t}"), prec) for t in range(trials)
+    )
+
+
 def focal_order_generic_jet(
     p: ChartPoint,
     a: Poly,
@@ -410,9 +422,7 @@ def focal_order_generic_jet(
         word = rvt_of_chart_point(p)
         prec = invariants.nonholonomy_degree(word) + 5
     orders = []
-    for t in range(trials):
-        rng = random.Random(f"jet:{seed}:{t}")
-        jet = focal_jet(p, rng, prec)
+    for jet in _generic_jets(p, trials, prec, seed):
         o = jet.eval_poly(a).order()
         if o is not None:
             orders.append(o)
@@ -484,6 +494,45 @@ class PathwayRow:
         return f"{c}*{basis}"
 
 
+@lru_cache(maxsize=1)
+def _pathway_frame(
+    p: ChartPoint,
+) -> tuple[dict[int, int], tuple[int, ...], tuple[tuple[int, tuple[int, ...], int, int], ...]]:
+    """What every pathway column at p shares: the column sums S_i, the
+    focal orders of the coordinates, and one step per variable in candidate
+    order (n_k first, then by index).
+
+    The step on n_k is the bracket with g_1, which lowers the exponent of
+    n_k by one; the step on any other variable v is the bracket with g_0,
+    which lowers the exponent of v by one and multiplies by f_k's slot v.
+    Each step is (v, exponent change, coefficient factor, order change); the
+    order change is exact because focal order is linear in the exponents.
+    verify_word runs the columns of one point back to back, so one cached
+    frame serves them all.
+    """
+    chart = p.chart
+    k = chart.k
+    sums = invariants._column_sums(vo_at_point(p), k)
+    o_coord = focal_orders(p).o_coord
+    fk = std_fields(chart)[0][k]
+    nk_var = Chart.n_var(k)
+    steps = []
+    for var in (nk_var, *range(nk_var)):
+        change, factor = [0] * chart.nvars, 1
+        if var != nk_var:
+            slot = fk.comps[var]
+            if not slot.is_monomial():
+                raise RouteMismatch(
+                    f"slot {var_names(k)[var]} of f_{k} is not a monomial: "
+                    f"{slot.render(var_names(k))}"
+                )
+            (mono, factor), = slot.terms.items()
+            change = list(mono)
+        change[var] -= 1
+        steps.append((var, tuple(change), factor, sum(map(mul, change, o_coord))))
+    return sums, o_coord, tuple(steps)
+
+
 def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     """Track one coefficient through the pathway producing f_{h,i}.
 
@@ -491,86 +540,83 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     f_{hh} is the closed-form monomial times g_h.  Phase two extends with
     h = i..b_i: bracket with g_1 when the tracked coefficient contains the
     top coordinate n_k (the tracked term differentiates by n_k), else with
-    g_0 (the tracked term differentiates by its lowest variable and picks
+    g_0 (the tracked term differentiates by one of its variables and picks
     up the matching focal-frame coefficient).  At every step the tracked
     coefficient's focal order must equal the e-table entry; OrderMismatch
     would falsify the sharpness of the section bounds.
+
+    The tracked coefficient is always a monomial: the diagonal terms are,
+    and every slot of f_k but the n_k slot (which is zero) is a monomial
+    with coefficient 1 by the recursion in std_fields, so a derivative
+    times a slot is again one term.  The search therefore runs on exponent
+    tuples with int coefficients, each candidate's order is its parent's
+    plus the step's order change, and only the returned rows become Polys.
     """
     chart = p.chart
     k = chart.k
     if not 3 <= i <= k + 1:
         raise IndexRange("pathway column", i, 3, k + 1)
-    vo = vo_at_point(p)
-    sums = invariants._column_sums(vo, k)
-    fo = focal_orders(p)
-    fs, _ = std_fields(chart)
-    fk = fs[k]
+    sums, o_coord, steps = _pathway_frame(p)
     nv = chart.nvars
-    nk_var = Chart.n_var(k)
-
-    def mono_order(poly: Poly) -> int:
-        mono, _ = poly.leading()
-        return sum(e * fo.o_coord[v] for v, e in enumerate(mono))
-
-    def diagonal_term(h: int) -> Poly:
-        exps = {}
-        for j in range(max(k - h + 4, 1), k + 1):
-            if j in chart.ip:
-                exps[Chart.n_var(j)] = h + j - k - 3
-        return Poly.monomial(nv, exps)
 
     def e_entry(h: int, col: int) -> int:
         return max(0, col - h + sums[col])
 
     rows = []
     for h in range(3, i + 1):
-        term = diagonal_term(h)
-        order = mono_order(term)
+        exps = [0] * nv
+        for j in range(max(k - h + 4, 1), k + 1):
+            if j in chart.ip:
+                exps[Chart.n_var(j)] = h + j - k - 3
+        order = sum(map(mul, exps, o_coord))
         if order != e_entry(h, h):
             raise OrderMismatch(
                 f"diagonal term at h={h} has order {order}, expected {e_entry(h, h)}"
             )
-        rows.append(PathwayRow(h, term, h, order))
+        rows.append(PathwayRow(h, Poly._wrap(nv, {tuple(exps): 1}), h, order))
 
     b_i = i + sums[i]
+    # expected[d] is the e-table entry that row i + d must reach.
+    expected = [e_entry(h, i) for h in range(i, b_i + 1)]
 
-    def candidates(coeff: Poly) -> list[Poly]:
-        # Bracketing with g_1 tracks the n_k-derivative of the coefficient;
-        # bracketing with g_0 tracks one term of the focal image, one per
-        # variable of the monomial (the focal frame has no d/dn_k slot).
-        out = []
-        if coeff.has_var(nk_var):
-            out.append(coeff.diff(nk_var))
-        mono, _ = coeff.leading()
-        for var, e in enumerate(mono):
-            if e and var != nk_var:
-                out.append(fk.comps[var] * coeff.diff(var))
-        return out
+    def candidates(exps: tuple[int, ...], coeff: int, order: int, target: int):
+        # The steps whose variable occurs in the monomial, in candidate
+        # order, keeping those that reach the target order; each term is
+        # built only when the search asks for it.
+        for var, change, factor, d_order in steps:
+            e = exps[var]
+            if e and order + d_order == target:
+                yield tuple(map(add, exps, change)), coeff * e * factor
 
     # Depth-first search for a chain of candidates that reaches the next
     # e-table value at every step down to row b_i.  At points where some
     # coordinates do not vanish, not every candidate drops the order, so
-    # the search backtracks; pending[d] iterates the candidates for row
-    # i + d + 1.  The stack is explicit because a chain has one step per
-    # row, and b_i grows like Fibonacci in k.
-    tail: list[PathwayRow] = []
-    pending = [iter(candidates(rows[-1].coeff))] if i < b_i else []
+    # the search backtracks; pending[d - 1] yields the candidates for row
+    # i + d.  The stack is explicit because a chain has one step per row,
+    # and b_i grows like Fibonacci in k.
+    tail: list[tuple[tuple[int, ...], int]] = []
+    pending = []
+    if i < b_i:
+        mono, coeff = rows[-1].coeff.leading()
+        pending.append(candidates(mono, coeff, expected[0], expected[1]))
     while pending:
-        h = i + len(pending)
-        expected = e_entry(h, i)
-        cand = next((c for c in pending[-1] if mono_order(c) == expected), None)
+        d = len(pending)
+        cand = next(pending[-1], None)
         if cand is None:
             pending.pop()
             if tail:
                 tail.pop()
             continue
-        tail.append(PathwayRow(h, cand, i, expected))
-        if h == b_i:
+        tail.append(cand)
+        if d == b_i - i:
             break
-        pending.append(iter(candidates(cand)))
+        pending.append(candidates(*cand, expected[d], expected[d + 1]))
     if i < b_i and not pending:
         raise OrderMismatch(
             f"no pathway from column {i} tracks orders down to zero at h={b_i}"
         )
-    rows.extend(tail)
+    rows.extend(
+        PathwayRow(i + d, Poly._wrap(nv, {exps: coeff}), i, expected[d])
+        for d, (exps, coeff) in enumerate(tail, start=1)
+    )
     return tuple(rows)

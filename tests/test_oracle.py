@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from goursat import invariants
-from goursat.codeword import Chart, ChartPoint, canonical_chart_point
+from goursat import cli, invariants, oracle
+from goursat.codeword import (
+    Chart,
+    ChartPoint,
+    canonical_chart_point,
+    enumerate_goursat_words,
+    parse_word,
+)
 from goursat.errors import IndexRange, StepBudgetExceeded, TruncationTooSmall
 from goursat.invariants import PuiseuxCharacteristic
 from goursat.oracle import (
@@ -117,9 +123,38 @@ class TestGenericJet:
         with pytest.raises(TruncationTooSmall):
             focal_order_generic_jet(p, a, trials=2, prec=3)
 
-    def test_jet_satisfies_defining_relations(self):
-        import random
+    def test_one_set_of_jets_per_verified_word(self, monkeypatch):
+        # The jets do not depend on the function probed, so verify_word
+        # builds `trials` of them per word, not `trials` per coordinate.
+        built = []
 
+        def counting_focal_jet(p, rng, prec):
+            built.append(prec)
+            return focal_jet(p, rng, prec)
+
+        monkeypatch.setattr(oracle, "focal_jet", counting_focal_jet)
+        oracle._generic_jets.cache_clear()
+        for w in ("RRVT", "RVTV", "RRRVV"):
+            built.clear()
+            ok, _ = cli.verify_word(parse_word(w), symbolic=True)
+            assert ok and len(built) == 3, (w, len(built))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_shared_jets_give_the_orders_of_fresh_jets(self, seed):
+        for k in range(1, 6):
+            for w in enumerate_goursat_words(k):
+                p = canonical_chart_point(w)
+                prec = invariants.nonholonomy_degree(w) + 5
+                fresh = [
+                    focal_jet(p, random.Random(f"jet:{seed}:{t}"), prec) for t in range(3)
+                ]
+                for var in range(p.chart.nvars):
+                    a = Poly.variable(p.chart.nvars, var)
+                    orders = [jet.eval_poly(a).order() for jet in fresh]
+                    want = min(o for o in orders if o is not None)
+                    assert focal_order_generic_jet(p, a, seed=seed) == want, (str(w), var)
+
+    def test_jet_satisfies_defining_relations(self):
         p = canonical_chart_point("RRVTVV")
         jet = focal_jet(p, random.Random(3), 10)
         chart = p.chart

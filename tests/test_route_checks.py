@@ -9,13 +9,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Each case makes one route check fail and names the error it must raise.
+# Each case makes one route check fail and names the error it must raise,
+# with a part of its message ("" when any message will do).
 SCRIPT = textwrap.dedent(
     """
+    from contextlib import contextmanager
     from fractions import Fraction
 
     from goursat import invariants, oracle, proximity
-    from goursat.errors import RouteMismatch, TruncationTooSmall
+    from goursat.codeword import canonical_chart_point
+    from goursat.errors import OrderMismatch, RouteMismatch, TruncationTooSmall
+    from goursat.polynomial import Poly
+    from goursat.symcalc import VField
 
     assert False, "asserts are live: the script must run under -O"
 
@@ -29,24 +34,78 @@ SCRIPT = textwrap.dedent(
         invariants.e_table((0, 5, 0, 1, 1), 6)
 
 
+    @contextmanager
+    def patched(owner, name, make):
+        original = getattr(owner, name)
+        setattr(owner, name, make(original))
+        try:
+            yield
+        finally:
+            setattr(owner, name, original)
+
+
+    # The pathway search caches one frame per point, so each case below
+    # uses its own word.
+    def pathway_with_a_raised_column_sum():
+        def raise_s5(column_sums):
+            def sums(vo, k):
+                out = column_sums(vo, k)
+                out[5] += 1
+                return out
+            return sums
+
+        with patched(invariants, "_column_sums", raise_s5):
+            oracle.pathway_sections(canonical_chart_point("RRVTVV"), 5)
+
+
+    def pathway_with_a_scaled_focal_field():
+        def scale_top_field(std_fields):
+            def fields(chart):
+                fs, vs = std_fields(chart)
+                nk = Poly.variable(chart.nvars, chart.k + 1)
+                top = VField(chart.nvars, tuple(nk * c for c in fs[-1].comps))
+                return fs[:-1] + (top,), vs
+            return fields
+
+        with patched(oracle, "std_fields", scale_top_field):
+            oracle.pathway_sections(canonical_chart_point("RRVVVV"), 5)
+
+
     cases = {
         # m_0 = 2 differs from m_1 = 1 on this diagram
         "proximity._multiplicities": (
             RouteMismatch,
             lambda: proximity._multiplicities(frozenset({(0, 1), (1, 2), (0, 2)}), 2),
+            "",
         ),
         "oracle.Series.shift_out": (
             TruncationTooSmall,
             lambda: oracle.Series((Fraction(1), Fraction(0))).shift_out(1),
+            "",
         ),
-        "invariants.e_table": (RouteMismatch, table_whose_columns_vanish_at_once),
+        "invariants.e_table": (RouteMismatch, table_whose_columns_vanish_at_once, ""),
+        # S_5 one too large: the diagonal term n5*n6^2 has order 3, not 4
+        "oracle.pathway_sections diagonal": (
+            OrderMismatch,
+            pathway_with_a_raised_column_sum,
+            "diagonal term at h=5 has order 3, expected 4",
+        ),
+        # f_6 times n_6: each g_0 step lowers the order by o(n_6) less, so no
+        # chain from column 5 reaches zero
+        "oracle.pathway_sections chain": (
+            OrderMismatch,
+            pathway_with_a_scaled_focal_field,
+            "no pathway from column 5 tracks orders down to zero at h=8",
+        ),
     }
     failures = 0
-    for name, (error, call) in cases.items():
+    for name, (error, call, message) in cases.items():
         try:
             call()
-        except error:
-            continue
+        except error as exc:
+            if message in str(exc):
+                continue
+            print(f"{name}: raised {exc!r}, expected the message {message!r}")
         except Exception as exc:
             print(f"{name}: raised {type(exc).__name__}, expected {error.__name__}")
         else:
