@@ -23,7 +23,9 @@ from .codeword import (
 )
 from .errors import (
     GoursatError,
+    InvalidM0,
     LevelLimitExceeded,
+    RouteMismatch,
     StepBudgetExceeded,
     TruncationTooSmall,
     WordError,
@@ -38,7 +40,7 @@ EXIT_BUDGET = 3
 
 # Brute-force small growth is exponential in the worst case; past this many
 # levels the symbolic verification refuses to run rather than hang.
-SYMBOLIC_LEVEL_LIMIT = 6
+SYMBOLIC_LEVEL_LIMIT = 7
 # The number of Goursat words of length N grows like 2.6^N; past this length
 # verify --all-words refuses rather than run for hours.
 ALL_WORDS_LEVEL_LIMIT = 12
@@ -215,13 +217,19 @@ def render_bracket_table(table: symcalc.BracketTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _wired_m0(word: RvtWord) -> int | None:
-    """For non-Goursat words, m_0 = m_1 + VO_2 with VO_2 from the oracle."""
-    if is_goursat(word):
-        return None
-    vo2 = oracle.vo_at_point(canonical_chart_point(word))[0]
-    gw = invariants.goursat_normalize(word)
-    return proximity.base_multiplicity(proximity.build_diagram(gw)) + vo2
+def _wired(fn, word: RvtWord):
+    """fn(word, m0=...) with m_0 wired for a word that is not a Goursat word:
+    m_0 = m_1 + VO_2, with VO_2 from the oracle.  The wired m_0 is a route
+    of its own, so one that does not fit the word is a failed route check."""
+    m0 = None
+    if not is_goursat(word):
+        vo2 = oracle.vo_at_point(canonical_chart_point(word))[0]
+        gw = invariants.goursat_normalize(word)
+        m0 = proximity.base_multiplicity(proximity.build_diagram(gw)) + vo2
+    try:
+        return fn(word, m0=m0)
+    except InvalidM0 as exc:
+        raise RouteMismatch(f"oracle-wired {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +245,7 @@ def verify_word(
     """Run the cross-checks for one word; returns (ok, report lines)."""
     lines = []
     ok = True
-    bundle = invariants.bundle(word, m0=_wired_m0(word))
+    bundle = _wired(invariants.bundle, word)
     lines.append(f"{word}: three-route invariants agree (beta ends {bundle.beta[-1]})")
 
     point = canonical_chart_point(word)
@@ -264,7 +272,8 @@ def verify_word(
     if symbolic:
         if word.k > SYMBOLIC_LEVEL_LIMIT:
             raise LevelLimitExceeded(
-                f"symbolic verification is limited to k <= {SYMBOLIC_LEVEL_LIMIT}"
+                f"symbolic verification is limited to k <= SYMBOLIC_LEVEL_LIMIT = "
+                f"{SYMBOLIC_LEVEL_LIMIT}, got {word.k}"
             )
         max_steps = depth if depth is not None else bundle.nonholonomy_degree + 2
         sg = oracle.small_growth_bruteforce(point, max_steps)
@@ -308,7 +317,7 @@ def verify_word(
 
 def cmd_invariants(args) -> int:
     word = parse_word(args.word)
-    bundle = invariants.bundle(word, m0=_wired_m0(word))
+    bundle = _wired(invariants.bundle, word)
     if args.json:
         print(dumps_bundle(bundle))
     else:
@@ -318,7 +327,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_etable(args) -> int:
     word = parse_word(args.word)
-    bundle = invariants.bundle(word, m0=_wired_m0(word))
+    bundle = _wired(invariants.bundle, word)
     print(render_etable(bundle.e_table), end="")
     return EXIT_OK
 
@@ -343,7 +352,7 @@ def cmd_lift(args) -> int:
 
 def cmd_puiseux(args) -> int:
     word = parse_word(args.word)
-    pc = invariants.puiseux_of_word(word, m0=_wired_m0(word))
+    pc = _wired(invariants.puiseux_of_word, word)
     print(str(pc))
     return EXIT_OK
 

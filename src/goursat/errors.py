@@ -63,6 +63,10 @@ class MissingM0(GoursatError):
         )
 
 
+class InvalidM0(GoursatError, ValueError):
+    """A supplied base multiplicity m_0 does not fit the word."""
+
+
 class RouteMismatch(GoursatError):
     """Two independent computation routes disagreed.  Always a bug."""
 

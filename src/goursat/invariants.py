@@ -33,6 +33,7 @@ from .codeword import (
     is_goursat,
 )
 from .errors import (
+    InvalidM0,
     InvalidPC,
     MissingM0,
     NonMonotone,
@@ -477,20 +478,27 @@ def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None)
     m1 = proximity.base_multiplicity(diagram)
     if is_goursat(w):
         if m0 is not None and m0 != m1:
-            raise ValueError(f"Goursat word has m_0 = m_1 = {m1}, got m0={m0}")
+            raise InvalidM0(f"Goursat word has m_0 = m_1 = {m1}, got m0={m0}")
         return m1
     if m0 is None:
         raise MissingM0()
     if m0 <= m1:
-        raise ValueError(
+        raise InvalidM0(
             f"m_0 = {m0} must exceed m_1 = {m1} for a word that is not a Goursat word"
         )
     return m0
 
 
-def _puiseux(m0: int, mv: tuple[int, ...]) -> PuiseuxCharacteristic:
-    # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1).
-    return pc_from_multseq((m0,) + tuple(reversed(mv)) + (1,))
+def _puiseux(w: RvtWord, m0: int, mv: tuple[int, ...]) -> PuiseuxCharacteristic:
+    # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1).  Off the
+    # Goursat locus m_0 comes from the caller, so a sequence that no
+    # characteristic yields means that m_0 does not fit the word.
+    try:
+        return pc_from_multseq((m0,) + tuple(reversed(mv)) + (1,))
+    except NotRealizable as exc:
+        if is_goursat(w):
+            raise
+        raise InvalidM0(f"m_0 = {m0} does not fit {w}: {exc}") from exc
 
 
 def puiseux_of_word(
@@ -503,7 +511,7 @@ def puiseux_of_word(
     """
     w = _as_word(w)
     diagram = proximity.build_diagram(goursat_normalize(w))
-    return _puiseux(_resolve_m0(w, diagram, m0), proximity.multiplicity_vector(diagram))
+    return _puiseux(w, _resolve_m0(w, diagram, m0), proximity.multiplicity_vector(diagram))
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +585,20 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
     sg = sg_from_beta(beta_be)
     _require(table.sg == sg[1:], "sg", table.sg, sg[1:])
 
-    pc = _puiseux(m0, mv)
+    pc = _puiseux(w, m0, mv)
     if any(s in CRITICAL for s in w.symbols):
         trailing_r = len(w.symbols) - len(w.symbols.rstrip("R"))
         lam_last = pc.exponents[-1]
-        _require(
-            lam_last + trailing_r == beta_be[-1],
-            "puiseux vs nonholonomy",
-            (lam_last, trailing_r),
-            beta_be[-1],
-        )
+        fits = lam_last + trailing_r == beta_be[-1]
+        # Off the Goursat locus m0 comes from the caller, so a miss here is
+        # an m0 that does not fit the word rather than a failed route.
+        if not fits and not is_goursat(w):
+            raise InvalidM0(
+                f"m_0 = {m0} does not fit {w}: its Puiseux characteristic {pc} "
+                f"gives lambda_g + {trailing_r} trailing R = {lam_last + trailing_r}, "
+                f"not the nonholonomy degree {beta_be[-1]}"
+            )
+        _require(fits, "puiseux vs nonholonomy", (lam_last, trailing_r), beta_be[-1])
 
     return InvariantBundle(
         word=w,

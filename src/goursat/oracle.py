@@ -29,7 +29,7 @@ from .errors import (
 )
 from .invariants import PuiseuxCharacteristic
 from .polynomial import Poly, var_names
-from .symcalc import RankTracker, VField, lie_bracket, std_fields
+from .symcalc import RankTracker, VField, lie_bracket, point_row, std_fields
 
 # ---------------------------------------------------------------------------
 # Truncated power series in one parameter
@@ -206,32 +206,35 @@ class GeneratorSet:
     """Module generators of the small-growth sheaves, one batch per step.
 
     Step 1 is the focal pair (f_k, v_k); step j adds the brackets of the
-    two focal generators against everything new at step j-1, deduplicated
-    by canonical form up to scalar multiples.  Module-level redundancy is
-    deliberately not detected; extra generators cost speed, never
-    correctness.
+    two focal generators against the batch of step j-1, keeping a bracket
+    only if it is linearly independent over Q of every generator kept so
+    far.  Dropping the others is exact: if g = sum c_i g_i with constant
+    c_i, then [z, g] = sum c_i [z, g_i] and g(p) = sum c_i g_i(p), so
+    neither a rank at a point nor a later step changes.
     """
 
     def __init__(self, chart: Chart):
         fs, vs = std_fields(chart)
         self.focal_pair = (fs[chart.k], vs[chart.k])
-        self._index: set[tuple] = set()
+        self._basis = RankTracker()
         self.steps: list[list[VField]] = []
         self._admit([_primitive(g) for g in self.focal_pair])
 
     def _admit(self, candidates: list[VField]) -> list[VField]:
-        batch = []
-        for gen in candidates:
-            key = gen.key()
-            if key not in self._index:
-                self._index.add(key)
-                batch.append(gen)
+        # A generator's row is keyed by (component, monomial).
+        batch = [
+            gen
+            for gen in candidates
+            if self._basis.add(
+                {(i, m): c for i, p in enumerate(gen.comps) for m, c in p.terms.items()}
+            )
+        ]
         self.steps.append(batch)
         return batch
 
     def grow(self) -> list[VField]:
         """Bracket the newest batch against the focal pair; returns the
-        generators new to this step."""
+        generators kept at this step."""
         candidates = []
         for y in self.steps[-1]:
             for z in self.focal_pair:
@@ -244,20 +247,23 @@ class GeneratorSet:
 def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
     """Small growth ranks from first principles.
 
-    Grows the generator sets step by step and takes the exact rational
-    rank of the generators evaluated at the point; stops once the rank
-    reaches k+2 (or raises when the step budget runs out first).
+    Grows the generator sets step by step and takes the exact rank of the
+    generators evaluated at the point; stops once the rank reaches k+2 (or
+    raises when the step budget runs out first).
     """
     if max_steps < 1:
         raise StepBudgetExceeded("max_steps must be at least 1")
     full_rank = p.chart.nvars
     gens = GeneratorSet(p.chart)
+    # The point's coordinates over one common denominator, in ints.
+    den = lcm(*(x.denominator for x in p.coords))
+    nums = [int(x * den) for x in p.coords]
     tracker = RankTracker()
     sg: list[int] = []
     batch = gens.steps[0]
     while True:
         for gen in batch:
-            tracker.add(gen.evaluate(p.coords))
+            tracker.add(point_row(gen, nums, den))
         sg.append(tracker.rank)
         if tracker.rank == full_rank:
             return tuple(sg)

@@ -89,7 +89,7 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def key(self) -> tuple:
-        """Hashable canonical form (used for dedup of vector fields).
+        """Hashable canonical form (the basis of the hash).
 
         Terms sorted by monomial; an int and the equal Fraction compare and
         hash alike, so the key does not depend on the coefficient type.
@@ -101,10 +101,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self.terms, key=_grlex)
         return mono, self.terms[mono]
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1

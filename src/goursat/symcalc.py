@@ -15,8 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import add
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .codeword import Chart
 from .errors import IndexRange, NonExactDivision, RouteMismatch, VariableMismatch
@@ -91,9 +93,6 @@ class VField:
     def evaluate(self, values: Sequence) -> tuple:
         return tuple(p.evaluate(values) for p in self.comps)
 
-    def key(self) -> tuple:
-        return tuple(p.key() for p in self.comps)
-
     def render(self, names: Sequence[str]) -> str:
         parts = [
             f"({p.render(names)})*d/d{name}"
@@ -141,29 +140,87 @@ def lie_bracket(x: VField, y: VField) -> VField:
 
 
 class RankTracker:
-    """Incremental exact rank of a growing set of rational vectors."""
+    """Incremental exact rank over Q of sparse integer rows.
+
+    A row maps sortable keys (a column index, or a (component, monomial)
+    pair) to int coefficients; absent keys are zero.  Elimination is
+    fraction-free: every kept row is stored primitive under its pivot, its
+    least key, and a new row is cleared of pivots from its least key upward,
+    so each step only brings in keys above the one it removes.
+    """
 
     def __init__(self):
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: Sequence) -> bool:
-        """Add a vector; True iff it raised the rank."""
-        row = [Fraction(x) for x in vec]
-        for pivot_row, col in zip(self.rows, self.pivots):
-            if row[col]:
-                factor = row[col] / pivot_row[col]
-                row = [a - factor * b for a, b in zip(row, pivot_row)]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is None:
-            return False
-        self.rows.append(row)
-        self.pivots.append(col)
-        return True
+        self._rows: dict = {}  # pivot key -> the kept row it leads
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    def add(self, row: Mapping) -> bool:
+        """Add a row; True iff it is independent of the rows kept so far."""
+        rows = self._rows
+        row = {key: c for key, c in row.items() if c}
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            key = heappop(heap)
+            a = row.get(key)
+            if a is None:  # cancelled, or a stale heap entry
+                continue
+            pivot_row = rows.get(key)
+            if pivot_row is None:
+                # The least key left is no pivot: the row is independent.
+                content = 0
+                for c in row.values():
+                    content = gcd(content, c)
+                if a < 0:
+                    content = -content
+                rows[key] = {k: c // content for k, c in row.items()}
+                return True
+            # row <- (b*row - a*pivot_row) / gcd(a, b), which clears key.
+            b = pivot_row[key]
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            if b != 1:
+                for k in row:
+                    row[k] *= b
+            for k, c in pivot_row.items():
+                old = row.get(k)
+                if old is None:
+                    row[k] = -a * c
+                    heappush(heap, k)
+                else:
+                    new = old - a * c
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
+        return False
+
+
+def point_row(field: VField, nums: Sequence[int], den: int = 1) -> dict[int, int]:
+    """A positive multiple of field(nums / den) as a sparse integer row keyed
+    by component, for RankTracker; the field's coefficients must be ints.
+
+    A term of degree e is scaled by den^(D - e) for the field's top degree
+    D, so the row is den^D * field(nums / den), computed in ints.
+    """
+    top = max((sum(m) for p in field.comps for m in p.terms), default=0)
+    row = {}
+    for index, p in enumerate(field.comps):
+        total = 0
+        for m, c in p.terms.items():
+            term = c * den ** (top - sum(m))
+            for x, e in zip(nums, m):
+                if e:
+                    term *= x**e
+                    if not term:
+                        break
+            total += term
+        if total:
+            row[index] = total
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +558,10 @@ def verify_structure(chart: Chart) -> StructureReport:
                 if not annihilator_check(chart, gb.fields[m], k - i + 1):
                     raise RouteMismatch(f"g_{m} is not a section at depth {i}")
         # Independence at a generic rational point (all coordinates nonzero).
-        point = [Fraction(v + 2) for v in range(nv)]
+        point = [v + 2 for v in range(nv)]
         tracker = RankTracker()
         for f in gb.fields:
-            tracker.add(f.evaluate(point))
+            tracker.add(point_row(f, point))
         if tracker.rank != nv:
             raise RouteMismatch("g fields are not independent at a generic point")
         return ""

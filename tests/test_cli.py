@@ -74,6 +74,14 @@ class TestInvariantsCommand:
         assert data["m0"] == 6
         assert data["puiseux"] == {"exponents": [8, 9], "lambda0": 6}
 
+    def test_wired_m0_that_does_not_fit_is_a_route_mismatch(self, monkeypatch, capsys):
+        from goursat import oracle
+
+        real = oracle.vo_at_point
+        monkeypatch.setattr(oracle, "vo_at_point", lambda p: (real(p)[0] + 1,) + real(p)[1:])
+        assert main(["invariants", "RVV"]) == EXIT_MISMATCH
+        assert "oracle-wired m_0 = 4 does not fit RVV" in capsys.readouterr().err
+
 
 class TestJsonRoundTrip:
     def test_round_trip_identity(self):
@@ -86,6 +94,12 @@ class TestJsonRoundTrip:
         data = bundle_to_json(invariants.bundle("RRVTVV"))
         data["e_table"]["rows"][5][5] = 99
         with pytest.raises(ValueError):
+            bundle_from_json(data)
+
+    def test_forged_m0_rejected(self):
+        data = bundle_to_json(invariants.bundle("RVV", m0=3))
+        data["m0"] = 4
+        with pytest.raises(ValueError, match="m_0 = 4 does not fit RVV"):
             bundle_from_json(data)
 
     def test_forged_invariants_rejected(self):
@@ -280,8 +294,16 @@ class TestVerifyCommand:
         assert printed == words
 
     def test_symbolic_budget_guard(self):
-        code, _, err = run_cli("verify", "RRVVVVV", "--symbolic")
+        code, _, err = run_cli("verify", "RRVVVVVV", "--symbolic")
         assert code == EXIT_BUDGET
+        assert "SYMBOLIC_LEVEL_LIMIT" in err
+
+    def test_symbolic_at_the_level_limit(self):
+        # RRVVVVV is the slowest word with k = 7.
+        code, out, err = run_cli("verify", "RRVVVVV", "--symbolic")
+        assert code == EXIT_OK, err
+        assert "brute-force small growth agrees" in out
+        assert out.endswith("PASS\n")
 
     def test_verify_deep_word(self):
         # The pathway search takes one step per e-table row; at k = 16 a

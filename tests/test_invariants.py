@@ -284,6 +284,25 @@ class TestBundle:
                     with pytest.raises(ValueError, match=f"m_0 = {m1} .*m_1 = {m1}"):
                         fn(w, m0=m1)
 
+    def test_non_goursat_m0_that_does_not_fit_is_a_value_error(self):
+        # A caller's m0 that does not fit is bad input, not a failed route
+        # check, so it must never surface as RouteMismatch.
+        refused = 0
+        for k in range(2, 7):
+            for w in enumerate_rvt_words(k):
+                if is_goursat(w):
+                    continue
+                for m0 in (1, 2, 3, 5, 8, 13, 40):
+                    try:
+                        assert bundle(w, m0=m0).m0 == m0
+                    except ValueError as exc:
+                        assert f"m_0 = {m0}" in str(exc), (str(w), m0, exc)
+                        refused += 1
+        assert refused
+        for m0 in (3, 5):
+            with pytest.raises(ValueError, match=f"m_0 = {m0} does not fit RVR"):
+                bundle("RVR", m0=m0)
+
     def test_trivial_word(self):
         b = bundle("R")
         assert b.beta == (1, 2)
