@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -298,24 +298,7 @@ def e_table(vo: tuple[int, ...], k: int) -> ETable:
     vo = _check_vo(vo, k)
     sums = tuple(_column_sums(vo, k).values())
     b = tuple(i + s for i, s in enumerate(sums, start=2))
-    table = ETable(k=k, vo=vo, b=b, sums=sums)
-    scanned = _b_by_scan(table)
-    if scanned != b:
-        raise RouteMismatch(f"b: first-zero scan {scanned} vs closed form {b}")
-    return table
-
-
-def _b_by_scan(table: ETable) -> tuple[int, ...]:
-    # Entries never grow down a column, so its first zero is found by
-    # bisection over the rows: O(log H) entries per column.
-    out = []
-    for i in range(2, table.k + 2):
-        rows = range(i, table.height + 1)
-        first = bisect_left(rows, True, key=lambda h: table.entry(h, i) == 0)
-        if first == len(rows):
-            raise RouteMismatch(f"e-table column {i} never reaches zero")
-        out.append(rows[first])
-    return tuple(out)
+    return ETable(k=k, vo=vo, b=b, sums=sums)
 
 
 def b_vector(vo: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -551,7 +534,7 @@ def _require(cond: bool, name: str, *routes) -> None:
 
 def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
     """Assemble all invariants of a word, computing beta three independent
-    ways and asserting exact agreement (RouteMismatch signals a bug)."""
+    ways and checking exact agreement (RouteMismatch signals a bug)."""
     w = _as_word(w)
     gw = goursat_normalize(w)
     k = gw.k
@@ -583,7 +566,6 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
     _require(beta_b == beta_be, "beta from b", beta_b, beta_be)
 
     sg = sg_from_beta(beta_be)
-    _require(table.sg == sg[1:], "sg", table.sg, sg[1:])
 
     pc = _puiseux(w, m0, mv)
     if any(s in CRITICAL for s in w.symbols):

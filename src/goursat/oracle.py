@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import invariants
 from .codeword import Chart, ChartPoint, rvt_of_chart_point
@@ -87,16 +87,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Series":
-        result = Series.from_terms(self.prec, {0: Fraction(1)})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def deriv(self) -> "Series":
         return Series(tuple((i + 1) * c for i, c in enumerate(self.coeffs[1:])))
 
@@ -153,13 +143,14 @@ class JetCurve:
 
     def eval_poly(self, a: Poly) -> Series:
         prec = self.prec
+        one = Series.from_terms(prec, {0: Fraction(1)})
         out = Series.from_terms(prec, {})
         for mono, c in a.terms.items():
-            term = Series.from_terms(prec, {0: Fraction(c)})
+            term = one
             for var, e in enumerate(mono):
-                if e:
-                    term = term * self.series[var] ** e
-            out = out + term
+                for _ in range(e):
+                    term = term * self.series[var]
+            out = out + term * c
         return out
 
 
@@ -481,17 +472,19 @@ def blowup_multseq(pc: PuiseuxCharacteristic, prec: int | None = None) -> tuple[
 # Pathway sections
 
 
-@dataclass(frozen=True)
-class PathwayRow:
-    """One step of a calculation pathway: the tracked term of f_{h,i}."""
+class PathwayRow(NamedTuple):
+    """One step of a calculation pathway: the tracked term
+    coeff * x^mono * g_{g_index} of f_{h,i}, whose coefficient has the
+    given focal order."""
 
     h: int
-    coeff: Poly  # a single monomial
+    mono: tuple[int, ...]  # exponents of the chart coordinates
+    coeff: int
     g_index: int
     order: int
 
     def render(self, names: Sequence[str]) -> str:
-        c = self.coeff.render(names)
+        c = Poly._wrap(len(self.mono), {self.mono: self.coeff}).render(names)
         basis = f"g{self.g_index}"
         if c == "1":
             return basis
@@ -556,7 +549,8 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     with coefficient 1 by the recursion in std_fields, so a derivative
     times a slot is again one term.  The search therefore runs on exponent
     tuples with int coefficients, each candidate's order is its parent's
-    plus the step's order change, and only the returned rows become Polys.
+    plus the step's order change, and the rows keep the tuples: a row
+    builds a Poly only when it is rendered.
     """
     chart = p.chart
     k = chart.k
@@ -579,7 +573,7 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
             raise OrderMismatch(
                 f"diagonal term at h={h} has order {order}, expected {e_entry(h, h)}"
             )
-        rows.append(PathwayRow(h, Poly._wrap(nv, {tuple(exps): 1}), h, order))
+        rows.append(PathwayRow(h, tuple(exps), 1, h, order))
 
     b_i = i + sums[i]
     # expected[d] is the e-table entry that row i + d must reach.
@@ -603,8 +597,7 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     tail: list[tuple[tuple[int, ...], int]] = []
     pending = []
     if i < b_i:
-        mono, coeff = rows[-1].coeff.leading()
-        pending.append(candidates(mono, coeff, expected[0], expected[1]))
+        pending.append(candidates(rows[-1].mono, rows[-1].coeff, expected[0], expected[1]))
     while pending:
         d = len(pending)
         cand = next(pending[-1], None)
@@ -622,7 +615,7 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
             f"no pathway from column {i} tracks orders down to zero at h={b_i}"
         )
     rows.extend(
-        PathwayRow(i + d, Poly._wrap(nv, {exps: coeff}), i, expected[d])
+        PathwayRow(i + d, exps, coeff, i, expected[d])
         for d, (exps, coeff) in enumerate(tail, start=1)
     )
     return tuple(rows)

@@ -39,10 +39,13 @@ class ProximityDiagram:
 
 
 def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
+    targets: list[list[int]] = [[] for _ in range(k + 1)]
+    for i, j in edges:
+        targets[i].append(j)
     m = [0] * (k + 1)
     m[k] = 1
     for i in range(k - 1, -1, -1):
-        m[i] = sum(m[j] for (a, j) in edges if a == i)
+        m[i] = sum(m[j] for j in targets[i])
     for i in range(k):
         if m[i] < m[i + 1]:
             raise RouteMismatch(
@@ -54,18 +57,24 @@ def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
 
 
 def build_diagram(w: GoursatWord | str) -> ProximityDiagram:
-    """Build the proximity diagram by recursion on the lifted word."""
-    edges: frozenset[Edge] = frozenset()
-    for word in lift_chain(w):
-        shifted = {(i + 1, j + 1) for (i, j) in edges}
-        shifted.add((0, 1))
-        # Vertices whose labels change under lifting: the critical block
-        # starting at position 3.
-        for v in critical_block(word.symbols, 3):
-            shifted.add((1, v))
-        edges = frozenset(shifted)
-        diagram = ProximityDiagram(word, edges, _multiplicities(edges, word.k))
-    return diagram
+    """Build the proximity diagram by recursion on the lifted word.
+
+    The lift of length L sits at vertices k-L..k of the diagram of w: its
+    base edge (0, 1) and its long edges (1, v), for v in the critical block
+    starting at its position 3 (the labels that change under lifting),
+    are edges of the diagram of w shifted by k - L.  So one pass over the
+    lift chain collects every edge, and the multiplicities are computed
+    once, on the final edges.
+    """
+    chain = lift_chain(w)
+    word = chain[-1]
+    edges = set()
+    for lifted in chain:
+        base = word.k - lifted.k
+        edges.add((base, base + 1))
+        edges.update((base + 1, base + v) for v in critical_block(lifted.symbols, 3))
+    edges = frozenset(edges)
+    return ProximityDiagram(word, edges, _multiplicities(edges, word.k))
 
 
 def multiplicity_vector(d: ProximityDiagram) -> tuple[int, ...]:

@@ -263,18 +263,12 @@ def _a_full(chart: Chart, j: int) -> Poly:
 
 
 def b_coeff(chart: Chart, i: int, j: int) -> Poly:
-    """The monomial b_{ij} = f_j(n_i); checked against the Lie derivative."""
+    """The monomial b_{ij} = f_j(n_i), in closed form."""
     if not 0 <= i < j <= chart.k:
         raise IndexRange("b_coeff needs 0 <= i < j <= k", (i, j), 0, chart.k)
     b = a_coeff(chart, i + 1, j)
     if i + 1 not in chart.ip:
         b = b * Poly.variable(chart.nvars, Chart.n_var(i + 1))
-    fs, _ = std_fields(chart)
-    derived = fs[j].apply(Poly.variable(chart.nvars, Chart.n_var(i)))
-    if derived != b:
-        raise RouteMismatch(
-            f"b_{{{i}{j}}} disagrees with the Lie derivative f_{j}(n_{i})"
-        )
     return b
 
 
@@ -410,12 +404,10 @@ def g_basis(chart: Chart) -> GBasis:
         div = _g_divisor(chart, i)
         bracket = lie_bracket(fields[0], fields[i])
         mono, c = div.leading()
-        nxt = VField(
-            chart.nvars, tuple(p.divide_monomial(mono, c) for p in bracket.comps)
+        # divide_monomial raises NonExactDivision unless every term divides.
+        fields.append(
+            VField(chart.nvars, tuple(p.divide_monomial(mono, c) for p in bracket.comps))
         )
-        if nxt * div != bracket:
-            raise NonExactDivision(f"[g_0, g_{i}] is not divisible by {div!r}")
-        fields.append(nxt)
         divisors.append(div)
 
     idents = []
@@ -459,134 +451,78 @@ def delta_basis(chart: Chart, i: int) -> tuple[VField, ...]:
     return (fs[m],) + tuple(vs[m : chart.k + 1])
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+def _bracket_closed_forms(chart: Chart) -> None:
+    bracket_table(chart)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    chart: Chart
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def _random_monomial(rng: random.Random, nvars: int) -> Poly:
-    exps = {v: rng.randrange(0, 4) for v in range(nvars)}
-    return Poly.monomial(nvars, exps)
-
-
-def verify_structure(chart: Chart) -> StructureReport:
-    """Machine-check every structure lemma on one chart.
-
-    Returns a report instead of raising; any failure is an implementation
-    bug, never an expected outcome.
-    """
-    checks: list[CheckResult] = []
-
-    def run(name: str, fn) -> None:
-        try:
-            detail = fn()
-            checks.append(CheckResult(name, True, detail or ""))
-        except Exception as exc:  # noqa: BLE001 - report, never raise
-            checks.append(CheckResult(name, False, repr(exc)))
-
+def _f_expansion(chart: Chart) -> None:
     fs, vs = std_fields(chart)
+    for j in range(1, chart.k + 1):
+        expansion = _a_full(chart, j) * fs[0]
+        for i in range(j):
+            expansion = expansion + b_coeff(chart, i, j) * vs[i]
+        if expansion != fs[j]:
+            raise RouteMismatch(f"f_{j} expansion mismatch")
+
+
+def _g_basis(chart: Chart) -> None:
+    gb = g_basis(chart)
+    for i in range(1, chart.k + 1):
+        if not lie_bracket(gb.fields[1], gb.fields[i]).is_zero:
+            raise RouteMismatch(f"[g_1, g_{i}] does not vanish")
+
+
+def _g_membership(chart: Chart) -> None:
     k = chart.k
-    nv = chart.nvars
+    gb = g_basis(chart)
+    for i in range(1, k + 2):
+        for m in range(i + 1):
+            if not annihilator_check(chart, gb.fields[m], k - i + 1):
+                raise RouteMismatch(f"g_{m} is not a section at depth {i}")
+    # Independence at a generic rational point (all coordinates nonzero).
+    point = [v + 2 for v in range(chart.nvars)]
+    tracker = RankTracker()
+    for f in gb.fields:
+        tracker.add(point_row(f, point))
+    if tracker.rank != chart.nvars:
+        raise RouteMismatch("g fields are not independent at a generic point")
 
-    def check_bracket_closed_forms():
-        bracket_table(chart)
-        return f"{2 * (k + 1) ** 2} brackets match"
 
-    run("bracket_closed_forms", check_bracket_closed_forms)
+def _delta_annihilators(chart: Chart) -> None:
+    for i in range(1, chart.k + 2):
+        for field in delta_basis(chart, i):
+            if not annihilator_check(chart, field, chart.k - i + 1):
+                raise RouteMismatch(f"standard basis of depth {i} fails pairing")
 
-    def check_f_expansion():
-        for j in range(1, k + 1):
-            expansion = _a_full(chart, j) * fs[0]
-            for i in range(j):
-                expansion = expansion + b_coeff(chart, i, j) * vs[i]
-            if expansion != fs[j]:
-                raise RouteMismatch(f"f_{j} expansion mismatch")
-        return f"{k} expansions match"
 
-    run("f_expansion", check_f_expansion)
+def _monomial_positivity(chart: Chart) -> None:
+    fs, vs = std_fields(chart)
+    rng = random.Random(f"positivity:{chart.choices}")
+    for _ in range(50):
+        a = Poly.monomial(chart.nvars, {v: rng.randrange(0, 4) for v in range(chart.nvars)})
+        for field in (fs[chart.k], vs[chart.k]):
+            if any(c <= 0 for c in field.apply(a).terms.values()):
+                raise RouteMismatch(f"negative coefficient in image of {a!r}")
 
-    def check_altbasis():
-        dets = []
-        for i in range(2, k + 2):
-            m = k - i + 2
-            nm = Poly.variable(nv, Chart.n_var(m))
-            if m in chart.ip:
-                if fs[m] != nm * fs[m - 1] + vs[m - 1]:
-                    raise RouteMismatch(f"inverted exchange at level {m}")
-                dets.append(-1)
-            else:
-                if fs[m] != fs[m - 1] + nm * vs[m - 1]:
-                    raise RouteMismatch(f"ordinary exchange at level {m}")
-                dets.append(1)
-        return f"change-of-basis determinants {dets}"
 
-    run("altbasis_exchange", check_altbasis)
+def verify_structure(chart: Chart) -> None:
+    """Machine-check every structure lemma on one chart, in order.
 
-    def check_g_basis():
-        gb = g_basis(chart)
-        if gb.fields[0] != fs[k] or gb.fields[1] != vs[k]:
-            raise RouteMismatch("g_0, g_1 are not the focal/vertical fields")
-        for i in range(1, k + 1):
-            lhs = lie_bracket(gb.fields[0], gb.fields[i])
-            if lhs != gb.fields[i + 1] * gb.divisors[i - 1]:
-                raise RouteMismatch(f"[g_0, g_{i}] misses its principal multiple")
-            if not lie_bracket(gb.fields[1], gb.fields[i]).is_zero:
-                raise RouteMismatch(f"[g_1, g_{i}] does not vanish")
-        return f"idents {[f'{s:+d}{kind}{idx}' for s, kind, idx in gb.idents]}"
-
-    run("g_basis", check_g_basis)
-
-    def check_g_membership():
-        gb = g_basis(chart)
-        for i in range(1, k + 2):
-            for m in range(i + 1):
-                if not annihilator_check(chart, gb.fields[m], k - i + 1):
-                    raise RouteMismatch(f"g_{m} is not a section at depth {i}")
-        # Independence at a generic rational point (all coordinates nonzero).
-        point = [v + 2 for v in range(nv)]
-        tracker = RankTracker()
-        for f in gb.fields:
-            tracker.add(point_row(f, point))
-        if tracker.rank != nv:
-            raise RouteMismatch("g fields are not independent at a generic point")
-        return ""
-
-    run("g_membership", check_g_membership)
-
-    def check_delta_annihilators():
-        for i in range(1, k + 2):
-            for field in delta_basis(chart, i):
-                if not annihilator_check(chart, field, k - i + 1):
-                    raise RouteMismatch(f"standard basis of depth {i} fails pairing")
-        return ""
-
-    run("delta_annihilators", check_delta_annihilators)
-
-    def check_monomial_positivity():
-        rng = random.Random(f"positivity:{chart.choices}")
-        for _ in range(50):
-            a = _random_monomial(rng, nv)
-            for field in (fs[k], vs[k]):
-                image = field.apply(a)
-                if any(c <= 0 for _, c in image.terms.items()):
-                    raise RouteMismatch(f"negative coefficient in image of {a!r}")
-        return "50 monomials"
-
-    run("monomial_positivity", check_monomial_positivity)
-
-    return StructureReport(chart, tuple(checks))
+    A failed lemma raises RouteMismatch (NonExactDivision from the g-basis)
+    naming the lemma and the chart; any failure is an implementation bug.
+    """
+    for lemma in (
+        _bracket_closed_forms,
+        _f_expansion,
+        _g_basis,
+        _g_membership,
+        _delta_annihilators,
+        _monomial_positivity,
+    ):
+        try:
+            lemma(chart)
+        except (RouteMismatch, NonExactDivision) as exc:
+            name = lemma.__name__.lstrip("_")
+            raise type(exc)(
+                f"structure lemma {name} fails on chart {chart.choices}: {exc}"
+            ) from exc

@@ -1,12 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from goursat import invariants
-from goursat.codeword import MAX_LEVELS, enumerate_goursat_words
+from goursat import invariants, symcalc
+from goursat.codeword import MAX_LEVELS, canonical_chart_point, enumerate_goursat_words
 from goursat.cli import (
     ALL_WORDS_LEVEL_LIMIT,
     EXIT_BUDGET,
@@ -20,6 +22,7 @@ from goursat.cli import (
     render_etable,
     verify_word,
 )
+from goursat.errors import RouteMismatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -298,6 +301,34 @@ class TestVerifyCommand:
         assert code == EXIT_BUDGET
         assert "SYMBOLIC_LEVEL_LIMIT" in err
 
+    def test_symbolic_budget_checked_before_any_work(self):
+        start = time.perf_counter()
+        code, _, err = run_cli("verify", "--all-words", "12", "--symbolic")
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_BUDGET
+        assert "SYMBOLIC_LEVEL_LIMIT" in err
+
+    def test_broken_structure_lemma_fails_verify(self, monkeypatch, capsys):
+        word = "RRVTV"
+        chart = canonical_chart_point(word).chart
+        std_fields = symcalc.std_fields
+
+        def doubled_top_field(chart):
+            fs, vs = std_fields(chart)
+            return fs[:-1] + (2 * fs[-1],), vs
+
+        monkeypatch.setattr(symcalc, "std_fields", doubled_top_field)
+        symcalc.g_basis.cache_clear()
+        try:
+            with pytest.raises(
+                RouteMismatch, match=f"bracket_closed_forms fails on chart {chart.choices}"
+            ):
+                symcalc.verify_structure(chart)
+            assert main(["verify", word, "--symbolic"]) == EXIT_MISMATCH
+        finally:
+            symcalc.g_basis.cache_clear()
+        assert "structure lemma bracket_closed_forms" in capsys.readouterr().err
+
     def test_symbolic_at_the_level_limit(self):
         # RRVVVVV is the slowest word with k = 7.
         code, out, err = run_cli("verify", "RRVVVVV", "--symbolic")
@@ -326,6 +357,27 @@ class TestVerifyCommand:
     def test_word_and_all_words_refused(self, capsys):
         assert main(["verify", "RR", "--all-words", "3"]) == EXIT_INVALID
         assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--all-words", "5"], ["invariants", "--json", "RR" + "V" * 20]]
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # The reading end is closed before the command writes, as when
+    # `| head` has exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "goursat.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(

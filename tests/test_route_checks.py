@@ -25,15 +25,6 @@ SCRIPT = textwrap.dedent(
     assert False, "asserts are live: the script must run under -O"
 
 
-    def zero_entry(table, h, i):
-        return 0
-
-
-    def table_whose_columns_vanish_at_once():
-        invariants.ETable.entry = zero_entry
-        invariants.e_table((0, 5, 0, 1, 1), 6)
-
-
     @contextmanager
     def patched(owner, name, make):
         original = getattr(owner, name)
@@ -83,7 +74,6 @@ SCRIPT = textwrap.dedent(
             lambda: oracle.Series((Fraction(1), Fraction(0))).shift_out(1),
             "",
         ),
-        "invariants.e_table": (RouteMismatch, table_whose_columns_vanish_at_once, ""),
         # S_5 one too large: the diagonal term n5*n6^2 has order 3, not 4
         "oracle.pathway_sections diagonal": (
             OrderMismatch,

