@@ -46,6 +46,8 @@ def corpus_commands() -> list[tuple[str, ...]]:
             ("prox", w), ("puiseux", w), ("verify", w),
         ]
     commands.append(("verify", "RRVTVV", "--symbolic"))
+    for k in range(1, 7):
+        commands += [("bracket-table", "".join(c)) for c in itertools.product("oi", repeat=k)]
     return list(dict.fromkeys(commands))
 
 
