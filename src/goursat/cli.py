@@ -221,13 +221,13 @@ def render_bracket_table(table: symcalc.BracketTable) -> str:
 
 def _wired(fn, word: RvtWord):
     """fn(word, m0=...) with m_0 wired for a word that is not a Goursat word:
-    m_0 = m_1 + VO_2, with VO_2 from the oracle.  The wired m_0 is a route
-    of its own, so one that does not fit the word is a failed route check."""
+    m_0 is the oracle's base multiplicity at the canonical chart point, the
+    minimum of the base focal orders.  The wired m_0 is a route of its own,
+    so one that does not fit the word is a failed route check, and the
+    bundle's VO_2 = m_0 - m_1 is checked against the oracle's in verify."""
     m0 = None
     if not is_goursat(word):
-        vo2 = oracle.vo_at_point(canonical_chart_point(word))[0]
-        gw = invariants.goursat_normalize(word)
-        m0 = proximity.base_multiplicity(proximity.build_diagram(gw)) + vo2
+        m0 = oracle.base_multiplicity_at_point(canonical_chart_point(word))
     try:
         return fn(word, m0=m0)
     except InvalidM0 as exc:

@@ -119,19 +119,6 @@ def vo_from_mult(mv: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mult_from_vo(vo: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Multiplicity vector (m_{k-1}, ..., m_1) by accumulation:
-    m_i = 1 + VO_{i+2} + ... + VO_k."""
-    vo = _check_vo(vo, k)
-    out = []
-    total = 1  # m_{k-1}
-    for i in range(k - 1, 0, -1):
-        out.append(total)
-        if i >= 2:
-            total += vo[(i + 1) - 2]  # step from m_i to m_{i-1} adds VO_{i+1}
-    return tuple(out)
-
-
 def _check_vo(vo: tuple[int, ...], k: int) -> tuple[int, ...]:
     vo = tuple(vo)
     if len(vo) != max(k - 1, 0):
@@ -299,11 +286,6 @@ def e_table(vo: tuple[int, ...], k: int) -> ETable:
     sums = tuple(_column_sums(vo, k).values())
     b = tuple(i + s for i, s in enumerate(sums, start=2))
     return ETable(k=k, vo=vo, b=b, sums=sums)
-
-
-def b_vector(vo: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """The b vector (b_2, ..., b_{k+1}): first row where each column vanishes."""
-    return e_table(vo, k).b
 
 
 def beta_from_b(b: tuple[int, ...]) -> tuple[int, ...]:

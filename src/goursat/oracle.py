@@ -160,8 +160,8 @@ class JetCurve:
 
 def _primitive(field: VField) -> VField:
     """Scale a field so its coefficient content is 1 with positive leading
-    coefficient; scalar multiples collapse to one representative.  The
-    coefficients of the result are ints."""
+    coefficient.  The coefficients of the result are ints, as the integer
+    rank routine and point_row need."""
     num = 0  # gcd of the numerators
     den = 1  # lcm of the denominators
     all_int = True
@@ -559,9 +559,8 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     sums, o_coord, steps = _pathway_frame(p)
     nv = chart.nvars
 
-    def e_entry(h: int, col: int) -> int:
-        return max(0, col - h + sums[col])
-
+    # The e-table entries come from the column sums: e_{h,h} = S_h on the
+    # diagonal, and e_{i+d,i} = S_i - d down to row b_i = i + S_i.
     rows = []
     for h in range(3, i + 1):
         exps = [0] * nv
@@ -569,15 +568,15 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
             if j in chart.ip:
                 exps[Chart.n_var(j)] = h + j - k - 3
         order = sum(map(mul, exps, o_coord))
-        if order != e_entry(h, h):
+        if order != sums[h]:
             raise OrderMismatch(
-                f"diagonal term at h={h} has order {order}, expected {e_entry(h, h)}"
+                f"diagonal term at h={h} has order {order}, expected {sums[h]}"
             )
         rows.append(PathwayRow(h, tuple(exps), 1, h, order))
 
     b_i = i + sums[i]
     # expected[d] is the e-table entry that row i + d must reach.
-    expected = [e_entry(h, i) for h in range(i, b_i + 1)]
+    expected = range(sums[i], -1, -1)
 
     def candidates(exps: tuple[int, ...], coeff: int, order: int, target: int):
         # The steps whose variable occurs in the monomial, in candidate

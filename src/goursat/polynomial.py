@@ -105,9 +105,6 @@ class Poly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def has_var(self, var: int) -> bool:
-        return any(m[var] for m in self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -164,18 +161,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Poly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def diff(self, var: int) -> "Poly":
         """Partial derivative with respect to variable ``var``."""
         # Lowering one exponent maps distinct monomials to distinct ones.
@@ -187,20 +172,6 @@ class Poly:
                 if m[var]
             },
         )
-
-    def evaluate(self, values: Sequence[Coeff]) -> Coeff:
-        if len(values) != self.nvars:
-            raise VariableMismatch(
-                f"expected {self.nvars} values, got {len(values)}"
-            )
-        total: Coeff = 0
-        for m, c in self.terms.items():
-            term = c
-            for v, e in zip(values, m):
-                if e:
-                    term *= v**e
-            total += term
-        return total
 
     def divide_monomial(self, exps: Monomial, c: Coeff = 1) -> "Poly":
         """Exact division by a monomial; NonExactDivision if any term fails."""

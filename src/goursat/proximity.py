@@ -34,9 +34,6 @@ class ProximityDiagram:
         """Symbol at vertex v; the base vertex 0 is unlabeled."""
         return "" if v == 0 else self.word.letter(v)
 
-    def neighbors_right(self, v: int) -> list[int]:
-        return sorted(j for (i, j) in self.edges if i == v)
-
 
 def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
     targets: list[list[int]] = [[] for _ in range(k + 1)]

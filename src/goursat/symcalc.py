@@ -41,11 +41,6 @@ class VField:
             raise VariableMismatch("component polynomial over wrong variable set")
 
     @classmethod
-    def zero(cls, nvars: int) -> "VField":
-        z = Poly.zero(nvars)
-        return cls(nvars, (z,) * nvars)
-
-    @classmethod
     def frame(cls, nvars: int, var: int) -> "VField":
         comps = [Poly.zero(nvars)] * nvars
         comps[var] = Poly.const(nvars, 1)
@@ -89,9 +84,6 @@ class VField:
         acc: dict = {}
         _derive_into(acc, self.comps, a.terms, 1)
         return _nonzero(self.nvars, acc)
-
-    def evaluate(self, values: Sequence) -> tuple:
-        return tuple(p.evaluate(values) for p in self.comps)
 
     def render(self, names: Sequence[str]) -> str:
         parts = [
@@ -246,20 +238,16 @@ def std_fields(chart: Chart) -> tuple[tuple[VField, ...], tuple[VField, ...]]:
     return tuple(fs), vs
 
 
+def _inverted_product(chart: Chart, levels: range) -> Poly:
+    """The monomial product of n_h over the inverted levels h in levels."""
+    return Poly.monomial(chart.nvars, {Chart.n_var(h): 1 for h in levels if h in chart.ip})
+
+
 def a_coeff(chart: Chart, i: int, j: int) -> Poly:
     """The monomial a_{ij}: product of n_h over inverted levels h in (i, j]."""
     if not 1 <= i <= j <= chart.k:
         raise IndexRange("a_coeff needs 1 <= i <= j <= k", (i, j), 1, chart.k)
-    exps = {Chart.n_var(h): 1 for h in range(i + 1, j + 1) if h in chart.ip}
-    return Poly.monomial(chart.nvars, exps)
-
-
-def _a_full(chart: Chart, j: int) -> Poly:
-    """Coefficient of f_0 in the expansion of f_j: product of n_h over ALL
-    inverted levels h <= j.  Differs from a_coeff(chart, 1, j) only on
-    charts inverted at level 1, which no code word reaches."""
-    exps = {Chart.n_var(h): 1 for h in range(1, j + 1) if h in chart.ip}
-    return Poly.monomial(chart.nvars, exps)
+    return _inverted_product(chart, range(i + 1, j + 1))
 
 
 def b_coeff(chart: Chart, i: int, j: int) -> Poly:
@@ -295,13 +283,6 @@ class BracketEntry:
             return "-" + basis
         return f"{c}*{basis}"
 
-    def to_field(self, chart: Chart) -> VField:
-        if self.kind is None:
-            return VField.zero(chart.nvars)
-        fs, vs = std_fields(chart)
-        base = fs[self.index] if self.kind == "f" else vs[self.index]
-        return self.coeff * base
-
 
 def _zero_entry(nv: int) -> BracketEntry:
     return BracketEntry(Poly.zero(nv), None, None)
@@ -330,7 +311,7 @@ def predicted_ff(chart: Chart, i: int, j: int) -> BracketEntry:
 
 @dataclass(frozen=True)
 class BracketTable:
-    """All [v_i, f_j] and [f_i, f_j], verified against the closed forms."""
+    """All [v_i, f_j] and [f_i, f_j], in closed form."""
 
     chart: Chart
     entries: dict[tuple[str, int, int], BracketEntry]
@@ -343,20 +324,28 @@ class BracketTable:
 
 
 def bracket_table(chart: Chart) -> BracketTable:
-    """Compute every bracket symbolically and express it back in the frames.
+    """The closed form of every bracket, checked against lie_bracket.
 
-    Raises RouteMismatch if any computed bracket deviates from its closed
+    Every [v_i, f_j] is computed, and [f_i, f_j] for i < j only: the
+    mirrors i > j and the zeros i == j follow from the antisymmetry of the
+    bracket, so computing them would only re-check lie_bracket itself.
+    Raises RouteMismatch if a computed bracket deviates from its closed
     form -- that would falsify the bracket lemmas and always means a bug.
     """
     fs, vs = std_fields(chart)
+
+    def agrees(bracket: VField, entry: BracketEntry) -> bool:
+        if entry.kind is None:
+            return bracket.is_zero
+        return bracket == entry.coeff * (fs if entry.kind == "f" else vs)[entry.index]
+
     entries: dict[tuple[str, int, int], BracketEntry] = {}
     for i in range(chart.k + 1):
         for j in range(chart.k + 1):
             for kind, left, predicted in (("v", vs, predicted_vf), ("f", fs, predicted_ff)):
-                entry = predicted(chart, i, j)
-                if lie_bracket(left[i], fs[j]) != entry.to_field(chart):
+                entry = entries[(kind, i, j)] = predicted(chart, i, j)
+                if (kind == "v" or i < j) and not agrees(lie_bracket(left[i], fs[j]), entry):
                     raise RouteMismatch(f"[{kind}_{i}, f_{j}] deviates from its closed form")
-                entries[(kind, i, j)] = entry
     return BracketTable(chart, entries)
 
 
@@ -378,15 +367,6 @@ class GBasis:
     idents: tuple[tuple[int, str, int], ...]
 
 
-def _g_divisor(chart: Chart, i: int) -> Poly:
-    exps = {
-        Chart.n_var(h): 1
-        for h in range(max(chart.k - i + 3, 1), chart.k + 1)
-        if h in chart.ip
-    }
-    return Poly.monomial(chart.nvars, exps)
-
-
 @lru_cache(maxsize=None)
 def g_basis(chart: Chart) -> GBasis:
     """Build g_0 = f_k, g_1 = v_k, and g_{i+1} = divisor^{-1} [g_0, g_i].
@@ -401,7 +381,7 @@ def g_basis(chart: Chart) -> GBasis:
     fields = [fs[chart.k], vs[chart.k]]
     divisors = []
     for i in range(1, chart.k + 1):
-        div = _g_divisor(chart, i)
+        div = _inverted_product(chart, range(max(chart.k - i + 3, 1), chart.k + 1))
         bracket = lie_bracket(fields[0], fields[i])
         mono, c = div.leading()
         # divide_monomial raises NonExactDivision unless every term divides.
@@ -458,7 +438,8 @@ def _bracket_closed_forms(chart: Chart) -> None:
 def _f_expansion(chart: Chart) -> None:
     fs, vs = std_fields(chart)
     for j in range(1, chart.k + 1):
-        expansion = _a_full(chart, j) * fs[0]
+        # f_0's coefficient takes n_h over every inverted level h <= j.
+        expansion = _inverted_product(chart, range(1, j + 1)) * fs[0]
         for i in range(j):
             expansion = expansion + b_coeff(chart, i, j) * vs[i]
         if expansion != fs[j]:
@@ -505,11 +486,14 @@ def _monomial_positivity(chart: Chart) -> None:
                 raise RouteMismatch(f"negative coefficient in image of {a!r}")
 
 
+@lru_cache(maxsize=None)
 def verify_structure(chart: Chart) -> None:
     """Machine-check every structure lemma on one chart, in order.
 
     A failed lemma raises RouteMismatch (NonExactDivision from the g-basis)
     naming the lemma and the chart; any failure is an implementation bug.
+    The lemmas depend on the chart alone, so the sweep runs once per chart;
+    a raise is not cached, so a failure is raised on every call.
     """
     for lemma in (
         _bracket_closed_forms,

@@ -136,7 +136,7 @@ def test_criterion_7_pathway_verification():
         for k in range(2, 7):
             for w in enumerate_goursat_words(k):
                 p = canonical_chart_point(w)
-                b = invariants.b_vector(oracle.vo_at_point(p), k)
+                b = invariants.e_table(oracle.vo_at_point(p), k).b
                 for i in range(3, k + 2):
                     rows = oracle.pathway_sections(p, i)
                     assert rows[0].h == 3
@@ -211,4 +211,4 @@ def test_criterion_10_property_suites():
             assert der_fe == der
             mv = proximity.multiplicity_vector(proximity.build_diagram(w))
             vo = invariants.vo_from_mult(mv, w.k)
-            assert invariants.beta_from_b(invariants.b_vector(vo, w.k)) == beta
+            assert invariants.beta_from_b(invariants.e_table(vo, w.k).b) == beta

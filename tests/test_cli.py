@@ -27,6 +27,31 @@ from goursat.errors import RouteMismatch
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class EagerPool:
+    """Stands in for ProcessPoolExecutor: runs each task in this process
+    when it is submitted, and records the words submitted."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def __call__(self):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        import concurrent.futures
+
+        self.submitted.append(task[0])
+        future = concurrent.futures.Future()
+        future.set_result(fn(task))
+        return future
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "goursat.cli", *argv],
@@ -80,8 +105,8 @@ class TestInvariantsCommand:
     def test_wired_m0_that_does_not_fit_is_a_route_mismatch(self, monkeypatch, capsys):
         from goursat import oracle
 
-        real = oracle.vo_at_point
-        monkeypatch.setattr(oracle, "vo_at_point", lambda p: (real(p)[0] + 1,) + real(p)[1:])
+        real = oracle.base_multiplicity_at_point
+        monkeypatch.setattr(oracle, "base_multiplicity_at_point", lambda p: real(p) + 1)
         assert main(["invariants", "RVV"]) == EXIT_MISMATCH
         assert "oracle-wired m_0 = 4 does not fit RVV" in capsys.readouterr().err
 
@@ -250,6 +275,16 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "brute-force small growth agrees" in out
 
+    def test_vo2_mismatch_is_reported(self, monkeypatch, capsys):
+        # The bundle's VO_2 = m_0 - m_1 takes m_0 from the base focal orders,
+        # so an oracle VO_2 off by one is a mismatch.
+        from goursat import oracle
+
+        real = oracle.vo_at_point
+        monkeypatch.setattr(oracle, "vo_at_point", lambda p: (real(p)[0] + 1,) + real(p)[1:])
+        assert main(["verify", "RVV"]) == EXIT_MISMATCH
+        assert "RVV: MISMATCH VO_2 oracle=2 bundle=1" in capsys.readouterr().out
+
     def test_verify_all_words(self):
         code, out, _ = run_cli("verify", "--all-words", "4")
         assert code == EXIT_OK
@@ -268,33 +303,42 @@ class TestVerifyCommand:
         # tasks in submission order, which is not word order.
         import concurrent.futures
 
-        submitted = []
-
-        class Eager:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, task):
-                submitted.append(task[0])
-                future = concurrent.futures.Future()
-                future.set_result(fn(task))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Eager)
+        pool = EagerPool()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         assert main(["verify", "--all-words", "5"]) == EXIT_OK
         words = [str(w) for w in enumerate_goursat_words(5)]
-        degrees = [invariants.nonholonomy_degree(w) for w in submitted]
+        degrees = [invariants.nonholonomy_degree(w) for w in pool.submitted]
         assert degrees == sorted(degrees, reverse=True)
-        assert submitted != words and sorted(submitted) == sorted(words)
+        assert pool.submitted != words and sorted(pool.submitted) == sorted(words)
         printed = [
             line.split(":")[0]
             for line in capsys.readouterr().out.splitlines()
             if "three-route" in line
         ]
         assert printed == words
+
+    def test_structure_lemmas_run_once_per_chart(self, monkeypatch, capsys):
+        # verify --all-words 6 --symbolic, in this process and serially: the
+        # 34 words share 16 charts, and each chart's bracket table is built
+        # once.
+        import concurrent.futures
+
+        charts = []
+        bracket_table = symcalc.bracket_table
+
+        def counted(chart):
+            charts.append(chart)
+            return bracket_table(chart)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EagerPool())
+        monkeypatch.setattr(symcalc, "bracket_table", counted)
+        symcalc.verify_structure.cache_clear()
+        assert main(["verify", "--all-words", "6", "--symbolic"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("PASS\n")
+        words = list(enumerate_goursat_words(6))
+        distinct = {canonical_chart_point(w).chart for w in words}
+        assert (len(words), len(distinct)) == (34, 16)
+        assert len(charts) == len(distinct) and set(charts) == distinct
 
     def test_symbolic_budget_guard(self):
         code, _, err = run_cli("verify", "RRVVVVVV", "--symbolic")
@@ -319,6 +363,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(symcalc, "std_fields", doubled_top_field)
         symcalc.g_basis.cache_clear()
+        symcalc.verify_structure.cache_clear()
         try:
             with pytest.raises(
                 RouteMismatch, match=f"bracket_closed_forms fails on chart {chart.choices}"
@@ -327,6 +372,7 @@ class TestVerifyCommand:
             assert main(["verify", word, "--symbolic"]) == EXIT_MISMATCH
         finally:
             symcalc.g_basis.cache_clear()
+            symcalc.verify_structure.cache_clear()
         assert "structure lemma bracket_closed_forms" in capsys.readouterr().err
 
     def test_symbolic_at_the_level_limit(self):

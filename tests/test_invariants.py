@@ -19,14 +19,12 @@ from goursat.errors import (
 from goursat.invariants import (
     ETable,
     PuiseuxCharacteristic,
-    b_vector,
     beta_backend,
     beta_from_b,
     bundle,
     der2_backend,
     der_backend,
     e_table,
-    mult_from_vo,
     multseq_from_pc,
     nonholonomy_degree,
     pc_from_multseq,
@@ -97,6 +95,12 @@ class TestGrowthVectorExample:
         assert beta == self.BETA
 
 
+def mult_from_vo(vo, k):
+    """Multiplicity vector (m_{k-1}, ..., m_1) by accumulation:
+    m_i = 1 + VO_{i+2} + ... + VO_k, where vo = (VO_2, ..., VO_k)."""
+    return tuple(1 + sum(vo[i:]) for i in range(k - 1, 0, -1))
+
+
 class TestConversions:
     def test_vo_from_mult_worked(self):
         vo = vo_from_mult((1, 2, 3, 3, 8), 6)
@@ -152,10 +156,10 @@ class TestETable:
         assert table.b == (2, 3, 4, 5)
 
     def test_b_vector(self):
-        assert b_vector((0, 5, 0, 1, 1), 6) == (2, 3, 5, 8, 11, 19)
-        assert b_vector((0, 0, 1, 1), 5) == (2, 3, 5, 8, 11)
+        assert e_table((0, 5, 0, 1, 1), 6).b == (2, 3, 5, 8, 11, 19)
+        assert e_table((0, 0, 1, 1), 5).b == (2, 3, 5, 8, 11)
         # b_7 = 7 + VO_3 + 2 VO_4 + 3 VO_5 + 4 VO_6
-        assert b_vector((0, 5, 0, 1, 1), 6)[-1] == 7 + 5 + 0 + 3 + 4
+        assert e_table((0, 5, 0, 1, 1), 6).b[-1] == 7 + 5 + 0 + 3 + 4
 
 
 class TestPuiseuxCharacteristic:

@@ -214,7 +214,7 @@ class TestPathway:
 
     def test_chain_lengths_cover_b_columns(self):
         p = canonical_chart_point("RRVTVV")
-        b = invariants.b_vector(vo_at_point(p), 6)
+        b = invariants.e_table(vo_at_point(p), 6).b
         for i in range(3, 8):
             rows = pathway_sections(p, i)
             assert rows[-1].h == b[i - 2]

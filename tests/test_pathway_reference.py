@@ -52,7 +52,7 @@ def reference_pathway(p, i):
 
     def candidates(coeff):
         out = []
-        if coeff.has_var(nk_var):
+        if any(m[nk_var] for m in coeff.terms):
             out.append(coeff.diff(nk_var))
         mono, _ = coeff.leading()
         for var, e in enumerate(mono):

@@ -17,7 +17,6 @@ from goursat.invariants import (
     PuiseuxCharacteristic,
     beta_backend,
     beta_from_b,
-    b_vector,
     der2_backend,
     der_backend,
     e_table,
@@ -169,7 +168,7 @@ def test_three_route_beta_agreement_exhaustive():
             for d in der:
                 via_frontend += (via_frontend[-1] + d,)
             mv = proximity.multiplicity_vector(proximity.build_diagram(w))
-            via_etable = beta_from_b(b_vector(vo_from_mult(mv, k), k))
+            via_etable = beta_from_b(e_table(vo_from_mult(mv, k), k).b)
             assert via_backend == via_frontend == via_etable, w
 
 

@@ -134,4 +134,4 @@ class TestDot:
 
 def test_figure_word_vertex_one_fans_out_to_three():
     d = build_diagram("RRVTVVR")
-    assert d.neighbors_right(1) == [2, 3, 4]
+    assert sorted(j for i, j in d.edges if i == 1) == [2, 3, 4]

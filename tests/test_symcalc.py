@@ -24,7 +24,7 @@ from goursat.symcalc import (
 CHART = Chart("ooioii")
 NAMES = var_names(6)
 
-from worked_fixtures import BRACKETS_OOIOII
+from worked_fixtures import BRACKETS_OOIOII, evaluate
 
 
 def monomial(exps, c=1):
@@ -131,7 +131,7 @@ class TestLieBracket:
         x, y = fs[5], fs[6]
         xy = lie_bracket(x, y)
         yx = lie_bracket(y, x)
-        summed = tuple(a + b for a, b in zip(xy.evaluate(point), yx.evaluate(point)))
+        summed = tuple(a + b for a, b in zip(evaluate(xy, point), evaluate(yx, point)))
         assert all(v == 0 for v in summed)
 
 
@@ -149,6 +149,20 @@ class TestBracketTable:
             for i in range(chart.k + 1):
                 for j in range(i):
                     assert table.render_entry("v", i, j) == "0"
+
+    def test_one_lie_bracket_per_pair(self, monkeypatch):
+        # Every [v_i, f_j], and [f_i, f_j] for i < j only.
+        from goursat import symcalc
+
+        calls = []
+        monkeypatch.setattr(
+            symcalc, "lie_bracket", lambda x, y: calls.append(1) or lie_bracket(x, y)
+        )
+        for k in range(1, 7):
+            for bits in itertools.product("oi", repeat=k):
+                calls.clear()
+                bracket_table(Chart("".join(bits)))
+                assert len(calls) == (k + 1) ** 2 + k * (k + 1) // 2
 
     def test_v0_f0_rows_vanish(self):
         table = bracket_table(CHART)

@@ -1,9 +1,25 @@
-"""Frozen expected values shared by the unit and acceptance suites.
+"""Frozen expected values shared by the unit and acceptance suites, and
+the plain Fraction evaluator that the reference computations use.
 
 Sources: hand-checked worked examples for these invariants, plus this
 package's independent oracles (brute-force enumeration and blowup
 simulation), as noted per fixture.
 """
+
+
+def evaluate(field, point):
+    """The components of a vector field at a point, term by term in the
+    point's own number type (Fractions for a rational point)."""
+    values = []
+    for p in field.comps:
+        total = 0
+        for mono, c in p.terms.items():
+            for x, e in zip(point, mono):
+                c *= x**e
+            total += c
+        values.append(total)
+    return tuple(values)
+
 
 # e-tables with their SG columns, {h: (row, SG_h)}
 ETABLE_RRVTVV = {
