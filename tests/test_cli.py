@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -44,8 +45,6 @@ class EagerPool:
         return False
 
     def submit(self, fn, task):
-        import concurrent.futures
-
         self.submitted.append(task[0])
         future = concurrent.futures.Future()
         future.set_result(fn(task))
@@ -301,8 +300,6 @@ class TestVerifyCommand:
     def test_all_words_start_deepest_first(self, monkeypatch, capsys):
         # An executor that runs each task when it is submitted completes the
         # tasks in submission order, which is not word order.
-        import concurrent.futures
-
         pool = EagerPool()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         assert main(["verify", "--all-words", "5"]) == EXIT_OK
@@ -321,8 +318,6 @@ class TestVerifyCommand:
         # verify --all-words 6 --symbolic, in this process and serially: the
         # 34 words share 16 charts, and each chart's bracket table is built
         # once.
-        import concurrent.futures
-
         charts = []
         bracket_table = symcalc.bracket_table
 
