@@ -21,8 +21,8 @@ from goursat.errors import WordError
 DIGESTS = Path(__file__).parent / "golden" / "cli_corpus.json"
 
 
-def _words(max_k: int, goursat: bool):
-    for k in range(1, max_k + 1):
+def _words(max_k: int, goursat: bool, min_k: int = 1):
+    for k in range(min_k, max_k + 1):
         for letters in itertools.product("RTV", repeat=k):
             try:
                 word = RvtWord("".join(letters))
@@ -45,6 +45,10 @@ def corpus_commands() -> list[tuple[str, ...]]:
             ("invariants", w), ("invariants", w, "--json"), ("etable", w),
             ("prox", w), ("puiseux", w), ("verify", w),
         ]
+    for w in _words(7, goursat=False, min_k=7):
+        commands += [("puiseux", w), ("chart", w)]
+    for w in _words(5, goursat=False):
+        commands.append(("verify", w, "--symbolic"))
     commands.append(("verify", "RRVTVV", "--symbolic"))
     for k in range(1, 7):
         commands += [("bracket-table", "".join(c)) for c in itertools.product("oi", repeat=k)]
