@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -76,6 +77,15 @@ class TestFocalOrders:
             assert fo.o_diff[Chart.n_var(p.k)] == 1
             assert fo.o_diff[p.chart.retained_var(p.k)] == 1
 
+    def test_base_chart(self):
+        # At k = 0 the active pair is (n_0, r_0) = (n_var(0), retained_var(0)),
+        # so no level relation runs and each order is read off the point.
+        chart = Chart("")
+        origin = focal_orders(ChartPoint(chart, (Fraction(0), Fraction(0))))
+        assert origin.o_coord == origin.o_diff == (1, 1)
+        off = focal_orders(ChartPoint(chart, (Fraction(3), Fraction(0))))
+        assert off.o_coord == (0, 1) and off.o_diff == (1, 1)
+
 
 class TestVerticalOrders:
     def test_rrvrvv(self):
@@ -153,6 +163,11 @@ class TestGenericJet:
                     orders = [jet.eval_poly(a).order() for jet in fresh]
                     want = min(o for o in orders if o is not None)
                     assert focal_order_generic_jet(p, a, seed=seed) == want, (str(w), var)
+
+    def test_base_chart_jet(self):
+        p = ChartPoint(Chart(""), (Fraction(0), Fraction(0)))
+        jet = focal_jet(p, random.Random(5), 8)
+        assert [s.order() for s in jet.series] == [1, 1]
 
     def test_jet_satisfies_defining_relations(self):
         p = canonical_chart_point("RRVTVV")
@@ -293,6 +308,26 @@ class TestGeneratorSet:
         assert [len(batch) for batch in gens.steps] == sizes
 
 
+    def test_generators_have_int_coefficients(self):
+        # _primitive scales by an int content only: every frame and every
+        # bracket of int fields has int coefficients.
+        from goursat.oracle import GeneratorSet
+        from goursat.symcalc import std_fields
+
+        def int_coeffs(fields):
+            return all(type(c) is int for g in fields for p in g.comps for c in p.terms.values())
+
+        for k in range(6):
+            for bits in itertools.product("oi", repeat=k):
+                chart = Chart("".join(bits))
+                fs, vs = std_fields(chart)
+                assert int_coeffs(fs + vs), chart
+                gens = GeneratorSet(chart)
+                while gens.steps[-1]:
+                    assert int_coeffs(gens.grow()), chart
+                assert int_coeffs(gens.steps[0]), chart
+
+
 class TestPrimitive:
     def test_content_sign_idempotence(self):
         from goursat.oracle import _primitive
@@ -306,10 +341,7 @@ class TestPrimitive:
                 terms = {}
                 for _ in range(rng.randrange(0, 3)):
                     mono = tuple(rng.randrange(0, 3) for _ in range(nv))
-                    c = rng.choice(
-                        [rng.randint(-12, 12), Fraction(rng.randint(-12, 12), rng.randint(1, 6))]
-                    )
-                    terms[mono] = c
+                    terms[mono] = rng.randint(-12, 12)
                 comps.append(Poly(nv, terms))
             field = VField(nv, tuple(comps))
             prim = _primitive(field)
@@ -328,7 +360,7 @@ class TestPrimitive:
             var, p = next((i, p) for i, p in enumerate(field.comps) if p.terms)
             m, c = next(iter(p.terms.items()))
             assert prim == field * (Fraction(prim.comps[var].terms[m]) / c)
-            assert _primitive(field * Fraction(-7, 3)) == prim
+            assert _primitive(field * -7) == prim
 
 
 def test_oracle_equivalence_every_length_six_word():
