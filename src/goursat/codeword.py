@@ -18,6 +18,10 @@ the corresponding tower level.  A chart is named by a choice word over
 * inverted at level j:  ``n_j = d r_{j-1} / d n_{j-1}``, retain ``n_{j-1}``,
   deactivate ``r_{j-1}``.
 
+Both read ``d(d_j) = n_j d(r_j)`` with ``d_j`` the deactivated and ``r_j`` the
+retained coordinate, as :meth:`Chart.deactivated_var` and
+:meth:`Chart.retained_var` give them.
+
 Positions and levels are 1-indexed throughout, matching the usual
 convention for these towers.
 """
@@ -240,8 +244,8 @@ class Chart:
         """Coordinate names in the x/y naming scheme (x = r_0, y = n_0)."""
         fam = {0: ("x", 0), 1: ("y", 0)}
         for j in range(1, self.k + 1):
-            src = self.n_var(j - 1) if self.choice(j) == "o" else self._retained[j - 1]
-            base, order = fam[src]
+            # n_j = d d_j / d r_j is one derivative more than d_j.
+            base, order = fam[self.deactivated_var(j)]
             fam[self.n_var(j)] = (base, order + 1)
 
         def render(base, order):

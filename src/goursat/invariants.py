@@ -186,9 +186,9 @@ class LazySequence(Sequence):
 class StepSequence(LazySequence):
     """base + #{p in points : p <= first + index} for index = 0..length-1.
 
-    A step function held by its sorted breakpoints: it is built, sliced
-    and compared with another step sequence in O(len(points)), and
-    iterated in O(length + len(points)).
+    A step function held by its sorted breakpoints: it is built in
+    O(len(points)), read at an index by bisection and iterated in
+    O(length + len(points)).
     """
 
     __slots__ = ("_first", "_base", "_points")
@@ -202,14 +202,6 @@ class StepSequence(LazySequence):
     def _value(self, index: int) -> int:
         return self._base + bisect_right(self._points, self._first + index)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._len)
-            if step == 1:
-                length = max(0, stop - start)
-                return StepSequence(self._first + start, length, self._base, self._points)
-        return super().__getitem__(index)
-
     def __iter__(self) -> Iterator[int]:
         start = self._first
         stop = start + self._len
@@ -220,38 +212,26 @@ class StepSequence(LazySequence):
                 value, start = value + 1, p
         yield from repeat(value, stop - start)
 
-    def _jumps(self) -> tuple:
-        first, stop = self._first, self._first + self._len
-        head = self[0] if self._len else None
-        return self._len, head, tuple(p - first for p in self._points if first < p < stop)
-
-    def __eq__(self, other):
-        if isinstance(other, StepSequence):
-            return self._jumps() == other._jumps()
-        return super().__eq__(other)
-
-    __hash__ = LazySequence.__hash__
-
 
 @dataclass(frozen=True)
 class ETable:
     """The table of coefficient-order bounds e_{hi}, rows h = 2..H.
 
-    Row h holds e_{h,i} = max(0, i - h + S_i) for i = 2..min(h, k+1); its
+    Row h holds e_{h,i} = max(0, b_i - h) for i = 2..min(h, k+1), where
+    b_i = i + S_i and S_i is the column sum of the vertical orders; its
     number of zero entries plus two is the small-growth rank SG_h.  H is
     b_{k+1}, past which every row is all zeros.
 
-    Only k, the vertical orders, b and the column sums S are stored: O(k)
-    numbers, while the table has H - 1 rows and H grows like Fibonacci in
-    k.  Entries and rows are computed on demand, and ``rows`` and ``sg``
-    are read-only sequences that compare equal to the tuples they stand
-    for.  Column i first vanishes at row b_i, so SG_h = 2 + #{i : b_i <= h}.
+    Only k, the vertical orders and b are stored: O(k) numbers, while the
+    table has H - 1 rows and H grows like Fibonacci in k.  Entries and
+    rows are computed on demand, and ``rows`` and ``sg`` are read-only
+    sequences that compare equal to the tuples they stand for.  Column i
+    first vanishes at row b_i, so SG_h = 2 + #{i : b_i <= h}.
     """
 
     k: int
     vo: tuple[int, ...]
     b: tuple[int, ...]  # (b_2, ..., b_{k+1})
-    sums: tuple[int, ...]  # (S_2, ..., S_{k+1})
 
     @property
     def height(self) -> int:
@@ -260,13 +240,12 @@ class ETable:
     def entry(self, h: int, i: int) -> int:
         if not (2 <= i <= min(h, self.k + 1) and h <= self.height):
             raise IndexError(f"e_({h},{i}) lies outside the e-table")
-        return max(0, i - h + self.sums[i - 2])
+        return max(0, self.b[i - 2] - h)
 
     def row(self, h: int) -> tuple[int, ...]:
         """(e_{h,2}, ..., e_{h,min(h,k+1)})."""
         if not 2 <= h <= self.height:
             raise IndexError(f"row {h} lies outside the e-table (h = 2..{self.height})")
-        # i - h + S_i = b_i - h, since b_i = i + S_i.
         return tuple([x - h if x > h else 0 for x in self.b[: min(h, self.k + 1) - 1]])
 
     @property
@@ -283,9 +262,7 @@ class ETable:
 def e_table(vo: tuple[int, ...], k: int) -> ETable:
     """The e-table of the vertical orders (VO_2 .. VO_k), in O(k^2)."""
     vo = _check_vo(vo, k)
-    sums = tuple(_column_sums(vo, k).values())
-    b = tuple(i + s for i, s in enumerate(sums, start=2))
-    return ETable(k=k, vo=vo, b=b, sums=sums)
+    return ETable(k=k, vo=vo, b=tuple(i + s for i, s in _column_sums(vo, k).items()))
 
 
 def beta_from_b(b: tuple[int, ...]) -> tuple[int, ...]:
@@ -395,8 +372,8 @@ def pc_from_multseq(ms: tuple[int, ...]) -> PuiseuxCharacteristic:
     Parses the sequence as a concatenation of Euclidean expansions, one
     block per exponent.  A block expands (d, e) with d = q*e + r and
     0 < r < e, so it opens with q copies of e followed by r: the block's
-    leading run gives q and the entry after it gives r.  The result is
-    verified by the forward map.
+    leading run gives q and the entry after it gives r.  Only these two
+    are read; the forward map then checks the whole sequence.
     """
     target = _normalize_multseq(ms)
     if target == (1,):
@@ -418,14 +395,9 @@ def pc_from_multseq(ms: tuple[int, ...]) -> PuiseuxCharacteristic:
         # the first block expands (lambda_1, lambda_0) itself, later blocks
         # the gap (lambda_i - lambda_{i-1}, e)
         d = run * e + r
-        expansion = _euclid_multiset(d, e)
-        if any(value_at(pos + t) != v for t, v in enumerate(expansion)):
-            raise NotRealizable(f"no Puiseux characteristic yields {target}")
         exponents.append((exponents[-1] if exponents else 0) + d)
-        pos += len(expansion)
+        pos += len(_euclid_multiset(d, e))
         e = math.gcd(e, exponents[-1])
-    if pos < len(target):
-        raise NotRealizable(f"no Puiseux characteristic yields {target}")
     pc = PuiseuxCharacteristic(lam0, tuple(exponents))
     if multseq_from_pc(pc) != target:
         raise NotRealizable(f"no Puiseux characteristic yields {target}")
@@ -454,29 +426,16 @@ def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None)
     return m0
 
 
-def _puiseux(w: RvtWord, m0: int, mv: tuple[int, ...]) -> PuiseuxCharacteristic:
-    # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1).  Off the
-    # Goursat locus m_0 comes from the caller, so a sequence that no
-    # characteristic yields means that m_0 does not fit the word.
-    try:
-        return pc_from_multseq((m0,) + tuple(reversed(mv)) + (1,))
-    except NotRealizable as exc:
-        if is_goursat(w):
-            raise
-        raise InvalidM0(f"m_0 = {m0} does not fit {w}: {exc}") from exc
-
-
 def puiseux_of_word(
     w: RvtWord | str, m0: int | None = None
 ) -> PuiseuxCharacteristic:
     """Puiseux characteristic of the curve germ realizing the word.
 
-    m_0 is resolved as in :func:`bundle`: it equals m_1 for Goursat words
-    and must be supplied otherwise.
+    The characteristic of :func:`bundle`, so an m_0 is accepted exactly
+    when the bundle accepts it: it equals m_1 for Goursat words and must
+    be supplied otherwise.
     """
-    w = _as_word(w)
-    diagram = proximity.build_diagram(goursat_normalize(w))
-    return _puiseux(w, _resolve_m0(w, diagram, m0), proximity.multiplicity_vector(diagram))
+    return bundle(w, m0).puiseux
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +508,15 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
 
     sg = sg_from_beta(beta_be)
 
-    pc = _puiseux(w, m0, mv)
+    # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1).  Off the
+    # Goursat locus m_0 comes from the caller, so a sequence that no
+    # characteristic yields means that m_0 does not fit the word.
+    try:
+        pc = pc_from_multseq((m0,) + tuple(reversed(mv)) + (1,))
+    except NotRealizable as exc:
+        if is_goursat(w):
+            raise
+        raise InvalidM0(f"m_0 = {m0} does not fit {w}: {exc}") from exc
     if any(s in CRITICAL for s in w.symbols):
         trailing_r = len(w.symbols) - len(w.symbols.rstrip("R"))
         lam_last = pc.exponents[-1]

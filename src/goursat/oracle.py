@@ -67,10 +67,6 @@ class Series:
         prec = min(self.prec, other.prec)
         return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[:prec])
 
-    def __sub__(self, other: "Series") -> "Series":
-        prec = min(self.prec, other.prec)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs))[:prec])
-
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
             return Series(tuple(c * other for c in self.coeffs))
@@ -84,8 +80,6 @@ class Series:
                 if b:
                     out[i + j] += a * b
         return Series(tuple(out))
-
-    __rmul__ = __mul__
 
     def deriv(self) -> "Series":
         return Series(tuple((i + 1) * c for i, c in enumerate(self.coeffs[1:])))
@@ -159,38 +153,25 @@ class JetCurve:
 
 
 def _primitive(field: VField) -> VField:
-    """Scale a field so its coefficient content is 1 with positive leading
-    coefficient.  The coefficients of the result are ints, as the integer
-    rank routine and point_row need."""
-    num = 0  # gcd of the numerators
-    den = 1  # lcm of the denominators
-    all_int = True
+    """Divide a field with int coefficients by its content, signed so that
+    the leading coefficient is positive.  Every frame of std_fields has int
+    coefficients, and so has every bracket of two such fields."""
+    content = 0
     for p in field.comps:
-        for c in p.terms.values():
-            if type(c) is int:
-                num = gcd(num, c)
-            else:
-                all_int = False
-                num = gcd(num, c.numerator)
-                den = lcm(den, c.denominator)
-    if not num:
+        content = gcd(content, *p.terms.values())
+    if not content:
         return field
-    lead = next(p for p in field.comps if p.terms).leading()[1]
-    sign = -1 if lead < 0 else 1
-    if all_int and num == 1 and sign == 1:
+    if next(p for p in field.comps if p.terms).leading()[1] < 0:
+        content = -content
+    if content == 1:
         return field
-    # Every coefficient is (p/q) * sign * den/num with num | p and q | den.
-    num *= sign
-    comps = []
-    for p in field.comps:
-        terms = {}
-        for m, c in p.terms.items():
-            if type(c) is int:
-                terms[m] = c // num * den
-            else:
-                terms[m] = c.numerator // num * (den // c.denominator)
-        comps.append(Poly._wrap(p.nvars, terms))
-    return VField(field.nvars, tuple(comps))
+    return VField(
+        field.nvars,
+        tuple(
+            Poly._wrap(p.nvars, {m: c // content for m, c in p.terms.items()})
+            for p in field.comps
+        ),
+    )
 
 
 class GeneratorSet:
@@ -300,25 +281,16 @@ def focal_orders(p: ChartPoint) -> FocalOrders:
     inherits the order of its differential (otherwise its order is 0)."""
     chart = p.chart
     k = chart.k
-    o_diff: dict[int, int] = {}
-    if k == 0:
-        o_diff[0] = 1
-        o_diff[1] = 1
-    else:
-        o_diff[Chart.n_var(k)] = 1
-        o_diff[chart.retained_var(k)] = 1
+    o_diff = {Chart.n_var(k): 1, chart.retained_var(k): 1}
 
     def o_coord_of(var: int) -> int:
         return o_diff[var] if p.coords[var] == 0 else 0
 
     for j in range(k, 0, -1):
-        nj = Chart.n_var(j)
-        if chart.choice(j) == "o":
-            # n_j = d n_{j-1} / d r_{j-1} with r_{j-1} still active
-            o_diff[Chart.n_var(j - 1)] = o_coord_of(nj) + o_diff[chart.retained_var(j)]
-        else:
-            # n_j = d r_{j-1} / d n_{j-1} with n_{j-1} retained upwards
-            o_diff[chart.retained_var(j - 1)] = o_coord_of(nj) + o_diff[Chart.n_var(j - 1)]
+        # d(d_j) = n_j d(r_j)
+        o_diff[chart.deactivated_var(j)] = (
+            o_coord_of(Chart.n_var(j)) + o_diff[chart.retained_var(j)]
+        )
     o_coord = tuple(o_coord_of(v) for v in range(chart.nvars))
     diffs = tuple(o_diff[v] for v in range(chart.nvars))
     return FocalOrders(p, o_coord, diffs)
@@ -372,21 +344,11 @@ def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
             terms[m] = Fraction(c)
         return Series.from_terms(prec, terms)
 
-    series: dict[int, Series] = {}
-    top_n = Chart.n_var(k) if k else 1
-    top_r = chart.retained_var(k) if k else 0
-    series[top_n] = free_series(p.coords[top_n])
-    series[top_r] = free_series(p.coords[top_r])
-
+    series = {v: free_series(p.coords[v]) for v in (Chart.n_var(k), chart.retained_var(k))}
     for j in range(k, 0, -1):
-        nj = series[Chart.n_var(j)]
-        if chart.choice(j) == "o":
-            target = Chart.n_var(j - 1)
-            base = series[chart.retained_var(j)]
-        else:
-            target = chart.retained_var(j - 1)
-            base = series[Chart.n_var(j - 1)]
-        integrand = nj * base.deriv()
+        # d(d_j) = n_j d(r_j)
+        target = chart.deactivated_var(j)
+        integrand = series[Chart.n_var(j)] * series[chart.retained_var(j)].deriv()
         series[target] = integrand.integrate(p.coords[target])
 
     prec_min = min(s.prec for s in series.values())
@@ -464,7 +426,7 @@ def blowup_multseq(pc: PuiseuxCharacteristic, prec: int | None = None) -> tuple[
         else:
             keep, quot = y, series_div(x, y)
         if quot.order() == 0:
-            quot = quot - Series.from_terms(quot.prec, {0: quot.coeffs[0]})
+            quot = Series((Fraction(0),) + quot.coeffs[1:])
         x, y = keep.truncate(quot.prec), quot
 
 

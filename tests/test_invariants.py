@@ -236,6 +236,23 @@ class TestPuiseuxOfWord:
         with pytest.raises(MissingM0):
             puiseux_of_word("RVTRV")
 
+    def test_accepts_m0_exactly_when_bundle_does(self):
+        # RV with m0 = 3 once gave [3;4] here while bundle refused it.
+        def outcome(fn, w, m0):
+            try:
+                return fn(w, m0=m0)
+            except ValueError:
+                return None
+
+        for k in range(2, 7):
+            for w in enumerate_rvt_words(k):
+                if is_goursat(w):
+                    continue
+                for m0 in range(1, 30):
+                    b = outcome(bundle, w, m0)
+                    pc = outcome(puiseux_of_word, w, m0)
+                    assert pc == (None if b is None else b.puiseux), (str(w), m0, pc)
+
 
 class TestNonholonomyDegree:
     def test_worked_example(self):
