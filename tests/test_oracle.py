@@ -307,7 +307,6 @@ class TestGeneratorSet:
             gens.grow()
         assert [len(batch) for batch in gens.steps] == sizes
 
-
     def test_generators_have_int_coefficients(self):
         # _primitive scales by an int content only: every frame and every
         # bracket of int fields has int coefficients.
@@ -323,9 +322,9 @@ class TestGeneratorSet:
                 fs, vs = std_fields(chart)
                 assert int_coeffs(fs + vs), chart
                 gens = GeneratorSet(chart)
+                assert int_coeffs(gens.steps[0]), chart
                 while gens.steps[-1]:
                     assert int_coeffs(gens.grow()), chart
-                assert int_coeffs(gens.steps[0]), chart
 
 
 class TestPrimitive:
