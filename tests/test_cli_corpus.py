@@ -49,7 +49,8 @@ def corpus_commands() -> list[tuple[str, ...]]:
         commands += [("puiseux", w), ("chart", w)]
     for w in _words(5, goursat=False):
         commands.append(("verify", w, "--symbolic"))
-    commands.append(("verify", "RRVTVV", "--symbolic"))
+    for w in _words(6, goursat=True, min_k=6):
+        commands.append(("verify", w, "--symbolic"))
     for k in range(1, 7):
         commands += [("bracket-table", "".join(c)) for c in itertools.product("oi", repeat=k)]
     return list(dict.fromkeys(commands))
