@@ -73,17 +73,9 @@ def _bundle_fields(b: InvariantBundle) -> dict:
     }
 
 
-def _plain(value):
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (str, int)):
-        return value
-    return [_plain(item) for item in value]
-
-
 def bundle_to_json(b: InvariantBundle) -> dict:
     """The bundle as plain JSON data: dicts, lists, strs and ints."""
-    return _plain(_bundle_fields(b))
+    return json.loads(dumps_bundle(b))
 
 
 def bundle_from_json(data: dict) -> InvariantBundle:
@@ -126,8 +118,8 @@ def _dumps(value, indent: str) -> str:
 
 
 def dumps_bundle(b: InvariantBundle) -> str:
-    """Deterministic JSON text: json.dumps(bundle_to_json(b),
-    sort_keys=True, indent=2), written without building the plain lists."""
+    """Deterministic JSON text: what json.dumps(..., sort_keys=True,
+    indent=2) writes for the bundle's fields, without building plain lists."""
     return _dumps(_bundle_fields(b), "")
 
 
@@ -296,9 +288,10 @@ def verify_word(
         lines.append(f"{word}: structure lemmas verified on chart {point.chart.choices}")
 
         fo = oracle.focal_orders(point)
+        prec = bundle.nonholonomy_degree + 5
         for var in range(point.chart.nvars):
             a = Poly.variable(point.chart.nvars, var)
-            jet_order = oracle.focal_order_generic_jet(a=a, p=point, seed=seed)
+            jet_order = oracle.focal_order_generic_jet(point, a, prec, seed=seed)
             if jet_order != fo.o_coord[var]:
                 ok = False
                 lines.append(

@@ -508,28 +508,25 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
 
     sg = sg_from_beta(beta_be)
 
-    # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1).  Off the
-    # Goursat locus m_0 comes from the caller, so a sequence that no
-    # characteristic yields means that m_0 does not fit the word.
+    # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1), and the
+    # Puiseux characteristic it yields must end at the nonholonomy degree.
+    # On the Goursat locus m_0 = m_1 comes from the diagram, so a miss is a
+    # failed route; off it m_0 comes from the caller, so a miss means that
+    # m_0 does not fit the word.
+    misfit = RouteMismatch if is_goursat(w) else InvalidM0
     try:
         pc = pc_from_multseq((m0,) + tuple(reversed(mv)) + (1,))
     except NotRealizable as exc:
-        if is_goursat(w):
-            raise
-        raise InvalidM0(f"m_0 = {m0} does not fit {w}: {exc}") from exc
+        raise misfit(f"m_0 = {m0} does not fit {w}: {exc}") from exc
     if any(s in CRITICAL for s in w.symbols):
         trailing_r = len(w.symbols) - len(w.symbols.rstrip("R"))
         lam_last = pc.exponents[-1]
-        fits = lam_last + trailing_r == beta_be[-1]
-        # Off the Goursat locus m0 comes from the caller, so a miss here is
-        # an m0 that does not fit the word rather than a failed route.
-        if not fits and not is_goursat(w):
-            raise InvalidM0(
+        if lam_last + trailing_r != beta_be[-1]:
+            raise misfit(
                 f"m_0 = {m0} does not fit {w}: its Puiseux characteristic {pc} "
                 f"gives lambda_g + {trailing_r} trailing R = {lam_last + trailing_r}, "
                 f"not the nonholonomy degree {beta_be[-1]}"
             )
-        _require(fits, "puiseux vs nonholonomy", (lam_last, trailing_r), beta_be[-1])
 
     return InvariantBundle(
         word=w,

@@ -14,12 +14,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from . import invariants
-from .codeword import Chart, ChartPoint, rvt_of_chart_point
+from .codeword import Chart, ChartPoint
 from .errors import (
     IndexRange,
     OrderMismatch,
@@ -152,28 +152,6 @@ class JetCurve:
 # Small growth by brute force
 
 
-def _primitive(field: VField) -> VField:
-    """Divide a field with int coefficients by its content, signed so that
-    the leading coefficient is positive.  Every frame of std_fields has int
-    coefficients, and so has every bracket of two such fields."""
-    content = 0
-    for p in field.comps:
-        content = gcd(content, *p.terms.values())
-    if not content:
-        return field
-    if next(p for p in field.comps if p.terms).leading()[1] < 0:
-        content = -content
-    if content == 1:
-        return field
-    return VField(
-        field.nvars,
-        tuple(
-            Poly._wrap(p.nvars, {m: c // content for m, c in p.terms.items()})
-            for p in field.comps
-        ),
-    )
-
-
 class GeneratorSet:
     """Module generators of the small-growth sheaves, one batch per step.
 
@@ -182,7 +160,9 @@ class GeneratorSet:
     only if it is linearly independent over Q of every generator kept so
     far.  Dropping the others is exact: if g = sum c_i g_i with constant
     c_i, then [z, g] = sum c_i [z, g_i] and g(p) = sum c_i g_i(p), so
-    neither a rank at a point nor a later step changes.
+    neither a rank at a point nor a later step changes.  Generators are
+    kept as the brackets come, unscaled: scaling changes neither
+    independence nor rank, and RankTracker normalizes the rows it keeps.
     """
 
     def __init__(self, chart: Chart):
@@ -190,7 +170,7 @@ class GeneratorSet:
         self.focal_pair = (fs[chart.k], vs[chart.k])
         self._basis = RankTracker()
         self.steps: list[list[VField]] = []
-        self._admit([_primitive(g) for g in self.focal_pair])
+        self._admit(list(self.focal_pair))
 
     def _admit(self, candidates: list[VField]) -> list[VField]:
         # A generator's row is keyed by (component, monomial).
@@ -207,13 +187,10 @@ class GeneratorSet:
     def grow(self) -> list[VField]:
         """Bracket the newest batch against the focal pair; returns the
         generators kept at this step."""
-        candidates = []
-        for y in self.steps[-1]:
-            for z in self.focal_pair:
-                bracket = lie_bracket(z, y)
-                if not bracket.is_zero:
-                    candidates.append(_primitive(bracket))
-        return self._admit(candidates)
+        # A zero bracket has an empty row, which RankTracker never keeps.
+        return self._admit(
+            [lie_bracket(z, y) for y in self.steps[-1] for z in self.focal_pair]
+        )
 
 
 def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
@@ -365,21 +342,17 @@ def _generic_jets(p: ChartPoint, trials: int, prec: int, seed: int) -> tuple[Jet
 
 
 def focal_order_generic_jet(
-    p: ChartPoint,
-    a: Poly,
-    trials: int = 3,
-    prec: int | None = None,
-    seed: int = 0,
+    p: ChartPoint, a: Poly, prec: int, trials: int = 3, seed: int = 0
 ) -> int:
     """Focal order of a function by probing with random focal jets.
 
     Returns the minimum vanishing order of a along `trials` random focal
-    curves through p; with the default precision this equals the true
-    focal order with overwhelming probability.
+    curves through p, each known modulo t^prec; when prec exceeds the true
+    focal order this equals it with overwhelming probability.  prec has no
+    default: the budget follows from the word, which the caller holds
+    (verify_word passes the nonholonomy degree + 5), while reading the word
+    back from p works only at points of the canonical letter map.
     """
-    if prec is None:
-        word = rvt_of_chart_point(p)
-        prec = invariants.nonholonomy_degree(word) + 5
     orders = []
     for jet in _generic_jets(p, trials, prec, seed):
         o = jet.eval_poly(a).order()
@@ -446,13 +419,8 @@ class PathwayRow(NamedTuple):
     order: int
 
     def render(self, names: Sequence[str]) -> str:
-        c = Poly._wrap(len(self.mono), {self.mono: self.coeff}).render(names)
-        basis = f"g{self.g_index}"
-        if c == "1":
-            return basis
-        if c == "-1":
-            return "-" + basis
-        return f"{c}*{basis}"
+        coeff = Poly._wrap(len(self.mono), {self.mono: self.coeff})
+        return coeff.render_times(f"g{self.g_index}", names)
 
 
 @lru_cache(maxsize=1)

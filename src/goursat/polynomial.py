@@ -81,9 +81,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def items(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in descending graded-lex order (canonical)."""
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
@@ -191,7 +188,7 @@ class Poly:
     # -- rendering ----------------------------------------------------------
 
     def render(self, names: Sequence[str]) -> str:
-        """Deterministic text form, e.g. ``-n4*n5^2*f2`` minus the field part."""
+        """Deterministic text form, e.g. ``-n4*n5^2``."""
         if self.is_zero:
             return "0"
         parts = []
@@ -218,6 +215,15 @@ class Poly:
             else:
                 out += " + " + term
         return out
+
+    def render_times(self, basis: str, names: Sequence[str]) -> str:
+        """This polynomial times a named field, e.g. ``-n4*n5^2*f2``."""
+        c = self.render(names)
+        if c == "1":
+            return basis
+        if c == "-1":
+            return "-" + basis
+        return f"{c}*{basis}"
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.nvars)]

@@ -60,10 +60,6 @@ class VField:
         self._check(other)
         return VField(self.nvars, tuple(a + b for a, b in zip(self.comps, other.comps)))
 
-    def __sub__(self, other: "VField") -> "VField":
-        self._check(other)
-        return VField(self.nvars, tuple(a - b for a, b in zip(self.comps, other.comps)))
-
     def __neg__(self) -> "VField":
         return VField(self.nvars, tuple(-p for p in self.comps))
 
@@ -84,14 +80,6 @@ class VField:
         acc: dict = {}
         _derive_into(acc, self.comps, a.terms, 1)
         return _nonzero(self.nvars, acc)
-
-    def render(self, names: Sequence[str]) -> str:
-        parts = [
-            f"({p.render(names)})*d/d{name}"
-            for p, name in zip(self.comps, names)
-            if not p.is_zero
-        ]
-        return " + ".join(parts) if parts else "0"
 
 
 def _derive_into(acc: dict, comps: tuple[Poly, ...], a_terms: dict, sign: int) -> None:
@@ -138,7 +126,8 @@ class RankTracker:
     pair) to int coefficients; absent keys are zero.  Elimination is
     fraction-free: every kept row is stored primitive under its pivot, its
     least key, and a new row is cleared of pivots from its least key upward,
-    so each step only brings in keys above the one it removes.
+    so each step only brings in keys above the one it removes.  This is the
+    one place rows are normalized: callers pass them unscaled.
     """
 
     def __init__(self):
@@ -275,13 +264,7 @@ class BracketEntry:
     def render(self, names: Sequence[str]) -> str:
         if self.kind is None:
             return "0"
-        basis = f"{self.kind}{self.index}"
-        c = self.coeff.render(names)
-        if c == "1":
-            return basis
-        if c == "-1":
-            return "-" + basis
-        return f"{c}*{basis}"
+        return self.coeff.render_times(f"{self.kind}{self.index}", names)
 
 
 def _zero_entry(nv: int) -> BracketEntry:

@@ -23,7 +23,7 @@ from goursat.cli import (
     render_etable,
     verify_word,
 )
-from goursat.errors import RouteMismatch
+from goursat.errors import NotRealizable, RouteMismatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,6 +108,17 @@ class TestInvariantsCommand:
         monkeypatch.setattr(oracle, "base_multiplicity_at_point", lambda p: real(p) + 1)
         assert main(["invariants", "RVV"]) == EXIT_MISMATCH
         assert "oracle-wired m_0 = 4 does not fit RVV" in capsys.readouterr().err
+
+
+    def test_goursat_word_whose_multiplicities_no_characteristic_yields(
+        self, monkeypatch, capsys
+    ):
+        def unrealizable(ms):
+            raise NotRealizable(f"no Puiseux characteristic yields {ms}")
+
+        monkeypatch.setattr(invariants, "pc_from_multseq", unrealizable)
+        assert main(["invariants", "RRVTVV"]) == EXIT_MISMATCH
+        assert "does not fit RRVTVV" in capsys.readouterr().err
 
 
 class TestJsonRoundTrip:

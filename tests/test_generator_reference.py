@@ -52,6 +52,23 @@ def generator_row(gen):
     return {(i, m): c for i, p in enumerate(gen.comps) for m, c in p.terms.items()}
 
 
+def primitive(field):
+    """The field divided by the content of its int coefficients, signed so
+    that the leading coefficient is positive: the canonical form of its
+    scalar multiples."""
+    content = 0
+    for p in field.comps:
+        content = math.gcd(content, *p.terms.values())
+    if not content:
+        return field
+    if next(p for p in field.comps if p.terms).leading()[1] < 0:
+        content = -content
+    return VField(
+        field.nvars,
+        tuple(Poly(p.nvars, {m: c // content for m, c in p.terms.items()}) for p in field.comps),
+    )
+
+
 def reference_steps(chart, nsteps):
     """The first nsteps batches, deduplicated by canonical form up to
     scalar multiples."""
@@ -68,14 +85,14 @@ def reference_steps(chart, nsteps):
                 batch.append(gen)
         return batch
 
-    steps = [admit([oracle._primitive(g) for g in focal_pair])]
+    steps = [admit([primitive(g) for g in focal_pair])]
     while len(steps) < nsteps:
         candidates = []
         for y in steps[-1]:
             for z in focal_pair:
                 bracket = lie_bracket(z, y)
                 if not bracket.is_zero:
-                    candidates.append(oracle._primitive(bracket))
+                    candidates.append(primitive(bracket))
         steps.append(admit(candidates))
     return steps
 

@@ -1,5 +1,5 @@
+import inspect
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -116,10 +116,11 @@ class TestGenericJet:
         for w in ("RRVRVV", "RRVTVV"):
             p = canonical_chart_point(w)
             fo = focal_orders(p)
+            prec = invariants.nonholonomy_degree(w) + 5
             for var in range(p.chart.nvars):
                 a = Poly.variable(p.chart.nvars, var)
                 assert (
-                    focal_order_generic_jet(p, a, trials=3, seed=11)
+                    focal_order_generic_jet(p, a, prec, trials=3, seed=11)
                     == fo.o_coord[var]
                 ), (w, var)
 
@@ -149,6 +150,23 @@ class TestGenericJet:
             ok, _ = cli.verify_word(parse_word(w), symbolic=True)
             assert ok and len(built) == 3, (w, len(built))
 
+    def test_verify_word_sets_the_jet_precision(self, monkeypatch):
+        # The jet budget is the nonholonomy degree + 5, passed on every call.
+        word = parse_word("RRVTVV")
+        want = invariants.nonholonomy_degree(word) + 5
+        real = oracle.focal_order_generic_jet
+        precs = []
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            precs.append(bound.arguments["prec"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "focal_order_generic_jet", recording)
+        ok, _ = cli.verify_word(word, symbolic=True)
+        assert ok and precs == [want] * canonical_chart_point(word).chart.nvars
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_shared_jets_give_the_orders_of_fresh_jets(self, seed):
         for k in range(1, 6):
@@ -162,7 +180,7 @@ class TestGenericJet:
                     a = Poly.variable(p.chart.nvars, var)
                     orders = [jet.eval_poly(a).order() for jet in fresh]
                     want = min(o for o in orders if o is not None)
-                    assert focal_order_generic_jet(p, a, seed=seed) == want, (str(w), var)
+                    assert focal_order_generic_jet(p, a, prec, seed=seed) == want, (str(w), var)
 
     def test_base_chart_jet(self):
         p = ChartPoint(Chart(""), (Fraction(0), Fraction(0)))
@@ -308,8 +326,8 @@ class TestGeneratorSet:
         assert [len(batch) for batch in gens.steps] == sizes
 
     def test_generators_have_int_coefficients(self):
-        # _primitive scales by an int content only: every frame and every
-        # bracket of int fields has int coefficients.
+        # Generators are kept as bracketed: every frame and every bracket of
+        # int fields has int coefficients.
         from goursat.oracle import GeneratorSet
         from goursat.symcalc import std_fields
 
@@ -325,41 +343,6 @@ class TestGeneratorSet:
                 assert int_coeffs(gens.steps[0]), chart
                 while gens.steps[-1]:
                     assert int_coeffs(gens.grow()), chart
-
-
-class TestPrimitive:
-    def test_content_sign_idempotence(self):
-        from goursat.oracle import _primitive
-        from goursat.symcalc import VField
-
-        rng = random.Random(11)
-        nv = 3
-        for _ in range(300):
-            comps = []
-            for _ in range(nv):
-                terms = {}
-                for _ in range(rng.randrange(0, 3)):
-                    mono = tuple(rng.randrange(0, 3) for _ in range(nv))
-                    terms[mono] = rng.randint(-12, 12)
-                comps.append(Poly(nv, terms))
-            field = VField(nv, tuple(comps))
-            prim = _primitive(field)
-            if field.is_zero:
-                assert prim == field
-                continue
-            coeffs = [c for p in prim.comps for c in p.terms.values()]
-            assert all(type(c) is int for c in coeffs)
-            content = 0
-            for c in coeffs:
-                content = math.gcd(content, c)
-            assert content == 1
-            assert next(p for p in prim.comps if p.terms).leading()[1] > 0
-            assert _primitive(prim) == prim
-            # prim is a scalar multiple of the input; read the scalar off a term.
-            var, p = next((i, p) for i, p in enumerate(field.comps) if p.terms)
-            m, c = next(iter(p.terms.items()))
-            assert prim == field * (Fraction(prim.comps[var].terms[m]) / c)
-            assert _primitive(field * -7) == prim
 
 
 def test_oracle_equivalence_every_length_six_word():

@@ -1,8 +1,11 @@
-"""Every private helper in the package is still used somewhere in it.
+"""Every helper in the package is still used.
 
 A private function or class (a name with one leading underscore, not a
 dunder) that nothing in ``src/goursat`` refers to beyond its own
-definition is dead code: its only callers were deleted.
+definition is dead code: its only callers were deleted.  A public
+top-level function or class must be referred to in ``src/goursat`` or in
+the tests.  Methods are left out: names such as ``render`` are shared by
+several classes, so a reference cannot be told apart from another's.
 """
 
 import ast
@@ -11,24 +14,57 @@ from pathlib import Path
 import goursat
 
 PACKAGE = Path(goursat.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(paths) -> set[str]:
+    """Names read in the files, leaving out a top-level function's or
+    class's references to itself."""
+    used: set[str] = set()
+    for path in paths:
+        for statement in _parse(path).body:
+            own = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return used
+
+
 def test_every_private_helper_is_referenced():
     defined: dict[str, str] = {}
-    used: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_parse(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if _is_private(node.name):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
     assert defined, "no private helpers found; is the package path right?"
+    used = _used_names(PACKAGE.glob("*.py"))
     stale = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
     assert not stale, f"private helpers with no reference in the package: {stale}"
+
+
+def test_every_public_top_level_name_is_referenced():
+    defined: dict[str, str] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    assert defined, "no public names found; is the package path right?"
+    used = _used_names([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
+    stale = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+    assert not stale, f"public names with no reference in the package or tests: {stale}"
