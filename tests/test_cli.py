@@ -109,16 +109,19 @@ class TestInvariantsCommand:
         assert main(["invariants", "RVV"]) == EXIT_MISMATCH
         assert "oracle-wired m_0 = 4 does not fit RVV" in capsys.readouterr().err
 
-
     def test_goursat_word_whose_multiplicities_no_characteristic_yields(
         self, monkeypatch, capsys
     ):
+        # On the Goursat locus m_0 comes from the diagram, so an unrealizable
+        # multiplicity sequence is a failed route, not invalid input.
         def unrealizable(ms):
             raise NotRealizable(f"no Puiseux characteristic yields {ms}")
 
         monkeypatch.setattr(invariants, "pc_from_multseq", unrealizable)
+        with pytest.raises(RouteMismatch, match="m_0 = 8 does not fit RRVTVV"):
+            invariants.bundle("RRVTVV")
         assert main(["invariants", "RRVTVV"]) == EXIT_MISMATCH
-        assert "does not fit RRVTVV" in capsys.readouterr().err
+        assert "m_0 = 8 does not fit RRVTVV" in capsys.readouterr().err
 
 
 class TestJsonRoundTrip:

@@ -15,7 +15,6 @@ from goursat.errors import (
     MissingM0,
     NonMonotone,
     NotRealizable,
-    RouteMismatch,
 )
 from goursat.invariants import (
     ETable,
@@ -324,16 +323,6 @@ class TestBundle:
         for m0 in (3, 5):
             with pytest.raises(ValueError, match=f"m_0 = {m0} does not fit RVR"):
                 bundle("RVR", m0=m0)
-
-    def test_goursat_word_whose_multiplicities_no_characteristic_yields(self, monkeypatch):
-        # On the Goursat locus m_0 comes from the diagram, so an unrealizable
-        # multiplicity sequence is a failed route, not invalid input.
-        def unrealizable(ms):
-            raise NotRealizable(f"no Puiseux characteristic yields {ms}")
-
-        monkeypatch.setattr(invariants, "pc_from_multseq", unrealizable)
-        with pytest.raises(RouteMismatch, match="m_0 = 8 does not fit RRVTVV"):
-            bundle("RRVTVV")
 
     def test_trivial_word(self):
         b = bundle("R")
