@@ -51,6 +51,7 @@ def corpus_commands() -> list[tuple[str, ...]]:
         commands.append(("verify", w, "--symbolic"))
     for w in _words(6, goursat=True, min_k=6):
         commands.append(("verify", w, "--symbolic"))
+    commands.append(("verify", "--all-words", "6", "--symbolic", "--seed", "7"))
     for k in range(1, 7):
         commands += [("bracket-table", "".join(c)) for c in itertools.product("oi", repeat=k)]
     return list(dict.fromkeys(commands))
