@@ -32,25 +32,41 @@ from .polynomial import Poly, var_names
 from .symcalc import RankTracker, VField, lie_bracket, point_row, std_fields
 
 # ---------------------------------------------------------------------------
-# Truncated power series in one parameter
+# Truncated power series in one parameter, over a prime field
+
+# The jets run over F_p for this Mersenne prime: integration divides, and
+# Fractions would make every coefficient product a gcd.
+PRIME = 2**61 - 1
+
+
+def _to_field(x: Fraction | int) -> int:
+    """The rational n/d as n * d^-1 mod PRIME."""
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
 
 
 @dataclass(frozen=True)
 class Series:
-    """A power series in t known modulo t^prec; never reads past prec."""
+    """A power series in t over F_p, p = PRIME = 2^61 - 1, known modulo
+    t^prec; never reads past prec.
 
-    coeffs: tuple[Fraction, ...]
+    Coefficients are ints in [0, p); a rational n/d enters as n * d^-1.
+    focal_jet draws its free coefficients uniformly from [1, p).  The error
+    is one-sided: reducing mod p can cancel a coefficient but not create
+    one, so an order over F_p can only overestimate the order over Q.
+    """
+
+    coeffs: tuple[int, ...]
 
     @property
     def prec(self) -> int:
         return len(self.coeffs)
 
     @classmethod
-    def from_terms(cls, prec: int, terms: dict[int, Fraction]) -> "Series":
-        coeffs = [Fraction(0)] * prec
+    def from_terms(cls, prec: int, terms: dict[int, Fraction | int]) -> "Series":
+        coeffs = [0] * prec
         for e, c in terms.items():
             if e < prec:
-                coeffs[e] = Fraction(c)
+                coeffs[e] = _to_field(c)
         return cls(tuple(coeffs))
 
     def order(self) -> int | None:
@@ -64,34 +80,30 @@ class Series:
         return Series(self.coeffs[:prec])
 
     def __add__(self, other: "Series") -> "Series":
-        prec = min(self.prec, other.prec)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[:prec])
+        return Series(tuple((a + b) % PRIME for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction)):
-            return Series(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, Series):
+            c = _to_field(other)
+            return Series(tuple(a * c % PRIME for a in self.coeffs))
         prec = min(self.prec, other.prec)
-        out = [Fraction(0)] * prec
-        for i, a in enumerate(self.coeffs[:prec]):
-            if not a:
-                continue
-            for j in range(prec - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(tuple(out))
+        a, b = self.coeffs, other.coeffs[prec - 1 :: -1]
+        # Coefficient n is a[0..n] against b reversed, reduced once.
+        return Series(
+            tuple(sum(map(mul, a[: n + 1], b[prec - 1 - n :])) % PRIME for n in range(prec))
+        )
 
     def deriv(self) -> "Series":
-        return Series(tuple((i + 1) * c for i, c in enumerate(self.coeffs[1:])))
+        return Series(tuple((i + 1) * c % PRIME for i, c in enumerate(self.coeffs[1:])))
 
-    def integrate(self, constant: Fraction) -> "Series":
-        out = [Fraction(constant)]
-        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
+    def integrate(self, constant: Fraction | int) -> "Series":
+        out = [_to_field(constant)]
+        out.extend(c * pow(i + 1, -1, PRIME) % PRIME for i, c in enumerate(self.coeffs))
         return Series(tuple(out))
 
     def shift_out(self, e: int) -> "Series":
         """Divide by t^e; the leading e coefficients must vanish."""
-        if any(c != 0 for c in self.coeffs[:e]):
+        if any(self.coeffs[:e]):
             raise TruncationTooSmall(f"cannot divide by t^{e}: a leading coefficient is nonzero")
         return Series(self.coeffs[e:])
 
@@ -100,12 +112,11 @@ class Series:
         c0 = self.coeffs[0]
         if not c0:
             raise TruncationTooSmall("cannot invert a series with zero constant term")
-        inv = [Fraction(1) / c0]
+        c0_inv = pow(c0, -1, PRIME)
+        inv = [c0_inv]
         for n in range(1, self.prec):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                acc += self.coeffs[i] * inv[n - i]
-            inv.append(-acc / c0)
+            acc = sum(map(mul, self.coeffs[1 : n + 1], inv[::-1]))
+            inv.append(-acc * c0_inv % PRIME)
         return Series(tuple(inv))
 
 
@@ -119,7 +130,7 @@ def series_div(num: Series, den: Series) -> Series:
     d = den.order()
     if d is None:
         raise TruncationTooSmall("division by a series that vanishes to precision")
-    if any(c != 0 for c in num.coeffs[:d]):
+    if any(num.coeffs[:d]):
         raise TruncationTooSmall("quotient is not a power series")
     return num.shift_out(d) * den.shift_out(d).invert_unit()
 
@@ -136,14 +147,16 @@ class JetCurve:
         return min(s.prec for s in self.series)
 
     def eval_poly(self, a: Poly) -> Series:
+        """a along the curve; each coefficient n/d enters as n * d^-1 mod p."""
         prec = self.prec
-        one = Series.from_terms(prec, {0: Fraction(1)})
         out = Series.from_terms(prec, {})
         for mono, c in a.terms.items():
-            term = one
-            for var, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * self.series[var]
+            factors = (self.series[var] for var, e in enumerate(mono) for _ in range(e))
+            term = next(factors, None)
+            if term is None:
+                term = Series.from_terms(prec, {0: 1})
+            for f in factors:
+                term = term * f
             out = out + term * c
         return out
 
@@ -302,24 +315,21 @@ def base_multiplicity_at_point(p: ChartPoint) -> int:
 
 
 def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
-    """A random focal curve germ through p, as truncated series.
+    """A random focal curve germ through p, as truncated series over F_p.
 
-    The two active coordinates at the top level get free series with
-    nonzero random integer coefficients; every lower coordinate is then
-    recovered by integrating its defining relation, so the curve is
-    tangent to the focal distribution by construction.
+    The two active coordinates at the top level get free series whose
+    coefficients past the point's value are drawn uniformly from [1, p),
+    p = PRIME; every lower coordinate is then recovered by integrating its
+    defining relation, so the curve is tangent to the focal distribution
+    by construction.  It is the reduction mod p of a jet over Q, so a
+    function's order along it can only overestimate the order over Q.
     """
     chart = p.chart
     k = chart.k
 
     def free_series(value: Fraction) -> Series:
-        terms = {0: value}
-        for m in range(1, prec):
-            c = 0
-            while c == 0:
-                c = rng.randint(-9, 9)
-            terms[m] = Fraction(c)
-        return Series.from_terms(prec, terms)
+        terms = {m: rng.randrange(1, PRIME) for m in range(1, prec)}
+        return Series.from_terms(prec, {0: value, **terms})
 
     series = {v: free_series(p.coords[v]) for v in (Chart.n_var(k), chart.retained_var(k))}
     for j in range(k, 0, -1):
@@ -347,8 +357,11 @@ def focal_order_generic_jet(
     """Focal order of a function by probing with random focal jets.
 
     Returns the minimum vanishing order of a along `trials` random focal
-    curves through p, each known modulo t^prec; when prec exceeds the true
-    focal order this equals it with overwhelming probability.  prec has no
+    curves through p, each a focal_jet over F_p (p = 2^61 - 1, free
+    coefficients drawn uniformly from [1, p)) known modulo t^prec.  Over
+    F_p, as over Q, a trial can only overestimate the order, so the minimum
+    is kept; when prec exceeds the true focal order it equals it with
+    overwhelming probability.  prec has no
     default: the budget follows from the word, which the caller holds
     (verify_word passes the nonholonomy degree + 5), while reading the word
     back from p works only at points of the canonical letter map.
@@ -380,8 +393,8 @@ def blowup_multseq(pc: PuiseuxCharacteristic, prec: int | None = None) -> tuple[
         prec = 2 * lam_last + 2
     if prec < 2 * lam_last:
         raise TruncationTooSmall(f"precision {prec} < 2*lambda_g = {2 * lam_last}")
-    x = Series.from_terms(prec, {pc.lambda0: Fraction(1)})
-    y = Series.from_terms(prec, {e: Fraction(1) for e in pc.exponents})
+    x = Series.from_terms(prec, {pc.lambda0: 1})
+    y = Series.from_terms(prec, {e: 1 for e in pc.exponents})
     out = []
     while True:
         ox, oy = x.order(), y.order()
@@ -399,7 +412,7 @@ def blowup_multseq(pc: PuiseuxCharacteristic, prec: int | None = None) -> tuple[
         else:
             keep, quot = y, series_div(x, y)
         if quot.order() == 0:
-            quot = Series((Fraction(0),) + quot.coeffs[1:])
+            quot = Series((0,) + quot.coeffs[1:])
         x, y = keep.truncate(quot.prec), quot
 
 

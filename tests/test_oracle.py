@@ -11,11 +11,13 @@ from goursat.codeword import (
     ChartPoint,
     canonical_chart_point,
     enumerate_goursat_words,
+    enumerate_rvt_words,
     parse_word,
 )
 from goursat.errors import IndexRange, StepBudgetExceeded, TruncationTooSmall
 from goursat.invariants import PuiseuxCharacteristic
 from goursat.oracle import (
+    PRIME,
     Series,
     base_multiplicity_at_point,
     base_orders,
@@ -123,6 +125,19 @@ class TestGenericJet:
                     focal_order_generic_jet(p, a, prec, trials=3, seed=11)
                     == fo.o_coord[var]
                 ), (w, var)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_rvt_word_up_to_k7_matches_procedural_orders(self, seed):
+        # Goursat words and the others alike, at the precision verify uses.
+        for k in range(1, 8):
+            for w in enumerate_rvt_words(k):
+                p = canonical_chart_point(w)
+                fo = focal_orders(p)
+                prec = invariants.nonholonomy_degree(w) + 5
+                for var in range(p.chart.nvars):
+                    a = Poly.variable(p.chart.nvars, var)
+                    got = focal_order_generic_jet(p, a, prec, seed=seed)
+                    assert got == fo.o_coord[var], (str(w), var)
 
     def test_constant_has_order_zero(self):
         p = canonical_chart_point("RRV")
@@ -255,18 +270,28 @@ class TestPathway:
 
 
 class TestSeries:
+    # Coefficients are ints mod PRIME.
     def test_mul_precision(self):
-        a = Series((Fraction(1), Fraction(2)))
-        b = Series((Fraction(0), Fraction(1), Fraction(5)))
+        a = Series((1, 2))
+        b = Series((0, 1, 5))
         assert (a * b).prec == 2
 
     def test_invert_unit(self):
-        s = Series.from_terms(8, {0: Fraction(1), 1: Fraction(1)})
+        s = Series.from_terms(8, {0: 1, 1: 1})
         inv = s.invert_unit()
-        assert (s * inv).coeffs == (Fraction(1),) + (Fraction(0),) * 7
+        assert (s * inv).coeffs == (1,) + (0,) * 7
 
     def test_order_none_when_zero(self):
         assert Series.from_terms(4, {}).order() is None
+
+    def test_integrate_then_deriv_is_identity(self):
+        # integrate divides by 1..prec through modular inverses
+        s = Series.from_terms(9, {0: 3, 2: Fraction(1, 7), 5: -2, 8: PRIME - 1})
+        assert s.integrate(Fraction(2, 3)).deriv() == s
+
+    def test_rational_coefficients_map_into_the_field(self):
+        s = Series.from_terms(4, {0: Fraction(-1, 15)}) * 15
+        assert s.coeffs == (PRIME - 1, 0, 0, 0)
 
 
 class TestNormalizationGermEquivalence:

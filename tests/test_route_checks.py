@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = textwrap.dedent(
     """
     from contextlib import contextmanager
-    from fractions import Fraction
 
     from goursat import invariants, oracle, proximity
     from goursat.codeword import canonical_chart_point
@@ -71,7 +70,7 @@ SCRIPT = textwrap.dedent(
         ),
         "oracle.Series.shift_out": (
             TruncationTooSmall,
-            lambda: oracle.Series((Fraction(1), Fraction(0))).shift_out(1),
+            lambda: oracle.Series((1, 0)).shift_out(1),
             "",
         ),
         # S_5 one too large: the diagonal term n5*n6^2 has order 3, not 4
