@@ -52,6 +52,7 @@ def corpus_commands() -> list[tuple[str, ...]]:
     for w in _words(6, goursat=True, min_k=6):
         commands.append(("verify", w, "--symbolic"))
     commands.append(("verify", "--all-words", "6", "--symbolic", "--seed", "7"))
+    commands.append(("verify", "--all-words", "8"))
     for k in range(1, 7):
         commands += [("bracket-table", "".join(c)) for c in itertools.product("oi", repeat=k)]
     return list(dict.fromkeys(commands))
