@@ -405,15 +405,31 @@ def cmd_verify(args) -> int:
         # Per-word checks are pure and independent; fan out across workers.
         # Cost grows with the degree of nonholonomy, so the deepest words
         # start first and none is left to run alone at the end; results are
-        # still printed in word order.
+        # still printed in word order.  The words go out in chunks, about
+        # 16 per worker, so that dispatch is paid per chunk, not per word.
         import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
 
         by_depth = sorted(
             range(len(words)), key=lambda i: -invariants.nonholonomy_degree(words[i])
         )
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            futures = {i: pool.submit(_verify_task, tasks[i]) for i in by_depth}
-            results = [futures[i].result() for i in range(len(tasks))]
+        workers = os.cpu_count() or 1
+        chunksize = max(1, len(tasks) // (16 * workers))
+        results = [None] * len(tasks)
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                done = pool.map(_verify_task, [tasks[i] for i in by_depth], chunksize=chunksize)
+                for i, result in zip(by_depth, done):
+                    results[i] = result
+        except BrokenProcessPool:
+            # A worker was killed (by a signal, or out of memory); the words
+            # it held have no report, so none is printed.
+            print(
+                "verify: a worker process ended abruptly (BrokenProcessPool: killed "
+                "by a signal or out of memory); no report was printed",
+                file=sys.stderr,
+            )
+            return EXIT_BUDGET
     else:
         results = [_verify_task(tasks[0])]
 

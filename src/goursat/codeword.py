@@ -269,6 +269,19 @@ class ChartPoint:
                 f"expected {self.chart.nvars} coordinates, got {len(self.coords)}"
             )
 
+    # The oracle's per-point caches look a point up once per column or
+    # coordinate, so its hash over k + 2 Fractions is computed once.  A
+    # str hash is salted per process, so a pickle carries only the fields.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.chart, self.coords))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ChartPoint, (self.chart, self.coords)
+
     @property
     def k(self) -> int:
         return self.chart.k

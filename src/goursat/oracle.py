@@ -44,6 +44,12 @@ def _to_field(x: Fraction | int) -> int:
     return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
 
 
+@lru_cache(maxsize=None)
+def _inverses(n: int) -> tuple[int, ...]:
+    """The inverses of 1..n mod PRIME; integration divides by each."""
+    return tuple(pow(i, -1, PRIME) for i in range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class Series:
     """A power series in t over F_p, p = PRIME = 2^61 - 1, known modulo
@@ -98,7 +104,7 @@ class Series:
 
     def integrate(self, constant: Fraction | int) -> "Series":
         out = [_to_field(constant)]
-        out.extend(c * pow(i + 1, -1, PRIME) % PRIME for i, c in enumerate(self.coeffs))
+        out.extend(c * inv % PRIME for c, inv in zip(self.coeffs, _inverses(self.prec)))
         return Series(tuple(out))
 
     def shift_out(self, e: int) -> "Series":
@@ -439,23 +445,40 @@ class PathwayRow(NamedTuple):
 @lru_cache(maxsize=1)
 def _pathway_frame(
     p: ChartPoint,
-) -> tuple[dict[int, int], tuple[int, ...], tuple[tuple[int, tuple[int, ...], int, int], ...]]:
+) -> tuple[dict[int, int], tuple[PathwayRow, ...], tuple[tuple[int, tuple[int, ...], int], ...]]:
     """What every pathway column at p shares: the column sums S_i, the
-    focal orders of the coordinates, and one step per variable in candidate
-    order (n_k first, then by index).
+    diagonal rows h = 3..k+1, and the steps that lower the focal order by
+    one, in candidate order (n_k first, then by index).
+
+    The tracked term of f_{hh} is the monomial prod n_j^{h+j-k-3} over
+    j in IP, j >= k-h+4, times g_h; its order must be e_{h,h} = S_h.
 
     The step on n_k is the bracket with g_1, which lowers the exponent of
     n_k by one; the step on any other variable v is the bracket with g_0,
     which lowers the exponent of v by one and multiplies by f_k's slot v.
-    Each step is (v, exponent change, coefficient factor, order change); the
-    order change is exact because focal order is linear in the exponents.
-    verify_word runs the columns of one point back to back, so one cached
-    frame serves them all.
+    The order change is exact because focal order is linear in the
+    exponents.  Below the diagonal the e-table drops by exactly one per
+    row, so only steps of order change -1 can ever extend a pathway; each
+    kept step is (v, exponent change, coefficient factor).  verify_word
+    runs the columns of one point back to back, so one cached frame serves
+    them all.
     """
     chart = p.chart
     k = chart.k
     sums = invariants._column_sums(vo_at_point(p), k)
     o_coord = focal_orders(p).o_coord
+    diagonal = []
+    for h in range(3, k + 2):
+        exps = [0] * chart.nvars
+        for j in range(max(k - h + 4, 1), k + 1):
+            if j in chart.ip:
+                exps[Chart.n_var(j)] = h + j - k - 3
+        order = sum(map(mul, exps, o_coord))
+        if order != sums[h]:
+            raise OrderMismatch(
+                f"diagonal term at h={h} has order {order}, expected {sums[h]}"
+            )
+        diagonal.append(PathwayRow(h, tuple(exps), 1, h, order))
     fk = std_fields(chart)[0][k]
     nk_var = Chart.n_var(k)
     steps = []
@@ -471,8 +494,9 @@ def _pathway_frame(
             (mono, factor), = slot.terms.items()
             change = list(mono)
         change[var] -= 1
-        steps.append((var, tuple(change), factor, sum(map(mul, change, o_coord))))
-    return sums, o_coord, tuple(steps)
+        if sum(map(mul, change, o_coord)) == -1:
+            steps.append((var, tuple(change), factor))
+    return sums, tuple(diagonal), tuple(steps)
 
 
 def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
@@ -491,55 +515,39 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     and every slot of f_k but the n_k slot (which is zero) is a monomial
     with coefficient 1 by the recursion in std_fields, so a derivative
     times a slot is again one term.  The search therefore runs on exponent
-    tuples with int coefficients, each candidate's order is its parent's
-    plus the step's order change, and the rows keep the tuples: a row
-    builds a Poly only when it is rendered.
+    tuples with int coefficients, and the rows keep the tuples: a row
+    builds a Poly only when it is rendered.  Every step the frame keeps
+    lowers the order by one, as the e-table does below the diagonal, so a
+    candidate's order is never recomputed.
     """
     chart = p.chart
     k = chart.k
     if not 3 <= i <= k + 1:
         raise IndexRange("pathway column", i, 3, k + 1)
-    sums, o_coord, steps = _pathway_frame(p)
-    nv = chart.nvars
-
+    sums, diagonal, steps = _pathway_frame(p)
     # The e-table entries come from the column sums: e_{h,h} = S_h on the
     # diagonal, and e_{i+d,i} = S_i - d down to row b_i = i + S_i.
-    rows = []
-    for h in range(3, i + 1):
-        exps = [0] * nv
-        for j in range(max(k - h + 4, 1), k + 1):
-            if j in chart.ip:
-                exps[Chart.n_var(j)] = h + j - k - 3
-        order = sum(map(mul, exps, o_coord))
-        if order != sums[h]:
-            raise OrderMismatch(
-                f"diagonal term at h={h} has order {order}, expected {sums[h]}"
-            )
-        rows.append(PathwayRow(h, tuple(exps), 1, h, order))
-
+    rows = list(diagonal[: i - 2])
     b_i = i + sums[i]
-    # expected[d] is the e-table entry that row i + d must reach.
-    expected = range(sums[i], -1, -1)
 
-    def candidates(exps: tuple[int, ...], coeff: int, order: int, target: int):
+    def candidates(exps: tuple[int, ...], coeff: int):
         # The steps whose variable occurs in the monomial, in candidate
-        # order, keeping those that reach the target order; each term is
-        # built only when the search asks for it.
-        for var, change, factor, d_order in steps:
+        # order; every step lowers the order by one, as each row must.
+        # Each term is built only when the search asks for it.
+        for var, change, factor in steps:
             e = exps[var]
-            if e and order + d_order == target:
+            if e:
                 yield tuple(map(add, exps, change)), coeff * e * factor
 
-    # Depth-first search for a chain of candidates that reaches the next
-    # e-table value at every step down to row b_i.  At points where some
-    # coordinates do not vanish, not every candidate drops the order, so
-    # the search backtracks; pending[d - 1] yields the candidates for row
-    # i + d.  The stack is explicit because a chain has one step per row,
+    # Depth-first search for a chain of candidates down to row b_i.  A
+    # monomial can run out of the variables that the kept steps lower, so
+    # the search backtracks out of such dead ends; pending[d - 1] yields
+    # the candidates for row i + d.  The stack is explicit because a chain has one step per row,
     # and b_i grows like Fibonacci in k.
     tail: list[tuple[tuple[int, ...], int]] = []
     pending = []
     if i < b_i:
-        pending.append(candidates(rows[-1].mono, rows[-1].coeff, expected[0], expected[1]))
+        pending.append(candidates(rows[-1].mono, rows[-1].coeff))
     while pending:
         d = len(pending)
         cand = next(pending[-1], None)
@@ -551,13 +559,13 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
         tail.append(cand)
         if d == b_i - i:
             break
-        pending.append(candidates(*cand, expected[d], expected[d + 1]))
+        pending.append(candidates(*cand))
     if i < b_i and not pending:
         raise OrderMismatch(
             f"no pathway from column {i} tracks orders down to zero at h={b_i}"
         )
     rows.extend(
-        PathwayRow(i + d, exps, coeff, i, expected[d])
+        PathwayRow(i + d, exps, coeff, i, sums[i] - d)
         for d, (exps, coeff) in enumerate(tail, start=1)
     )
     return tuple(rows)

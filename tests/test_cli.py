@@ -29,13 +29,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class EagerPool:
-    """Stands in for ProcessPoolExecutor: runs each task in this process
-    when it is submitted, and records the words submitted."""
+    """Stands in for ProcessPoolExecutor: map runs the tasks in this process,
+    chunk by chunk in submission order, and records each chunk's words."""
 
     def __init__(self):
-        self.submitted = []
+        self.workers = None
+        self.chunks = []
 
-    def __call__(self):
+    def __call__(self, max_workers):
+        self.workers = max_workers
         return self
 
     def __enter__(self):
@@ -44,11 +46,18 @@ class EagerPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, task):
-        self.submitted.append(task[0])
-        future = concurrent.futures.Future()
-        future.set_result(fn(task))
-        return future
+    @property
+    def submitted(self):
+        return [word for chunk in self.chunks for word in chunk]
+
+    def map(self, fn, iterable, chunksize=1):
+        tasks = list(iterable)
+        results = []
+        for start in range(0, len(tasks), chunksize):
+            chunk = tasks[start : start + chunksize]
+            self.chunks.append([task[0] for task in chunk])
+            results.extend(map(fn, chunk))
+        return iter(results)
 
 
 def run_cli(*argv):
@@ -327,6 +336,48 @@ class TestVerifyCommand:
             if "three-route" in line
         ]
         assert printed == words
+
+    def test_all_words_go_out_in_chunks(self, monkeypatch, capsys):
+        # One CPU: the 89 words of length 7 go out in chunks of 89 // 16 = 5,
+        # the deepest first, and the report still comes back in word order.
+        pool = EagerPool()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(["verify", "--all-words", "7"]) == EXIT_OK
+        words = [str(w) for w in enumerate_goursat_words(7)]
+        assert pool.workers == 1 and len(words) == 89
+        assert [len(chunk) for chunk in pool.chunks] == [5] * 17 + [4]
+        degrees = [invariants.nonholonomy_degree(w) for w in pool.submitted]
+        assert degrees == sorted(degrees, reverse=True)
+        assert sorted(pool.submitted) == sorted(words)
+        printed = [
+            line.split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if "three-route" in line
+        ]
+        assert printed == words
+
+    def test_dead_worker_exits_with_budget_code(self):
+        # A worker that exits abruptly (as an OOM kill would end it) breaks
+        # the pool; verify names the cause and exits 3, without a traceback.
+        script = (
+            "import os, sys\n"
+            "from goursat import cli\n"
+            "real = cli._verify_task\n"
+            "def dying(task):\n"
+            "    if task[0] == 'RRVV':\n"
+            "        os._exit(9)\n"
+            "    return real(task)\n"
+            "cli._verify_task = dying\n"
+            "sys.exit(cli.main(['verify', '--all-words', '4']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_BUDGET
+        assert "BrokenProcessPool" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_structure_lemmas_run_once_per_chart(self, monkeypatch, capsys):
         # verify --all-words 6 --symbolic, in this process and serially: the
