@@ -405,8 +405,8 @@ def cmd_verify(args) -> int:
         # Per-word checks are pure and independent; fan out across workers.
         # Cost grows with the degree of nonholonomy, so the deepest words
         # start first and none is left to run alone at the end; results are
-        # still printed in word order.  The words go out in chunks, about
-        # 16 per worker, so that dispatch is paid per chunk, not per word.
+        # still printed in word order.  The words go out in about 16 chunks
+        # per worker, so that dispatch is paid per chunk, not per word.
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 

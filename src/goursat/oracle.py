@@ -542,8 +542,8 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     # Depth-first search for a chain of candidates down to row b_i.  A
     # monomial can run out of the variables that the kept steps lower, so
     # the search backtracks out of such dead ends; pending[d - 1] yields
-    # the candidates for row i + d.  The stack is explicit because a chain has one step per row,
-    # and b_i grows like Fibonacci in k.
+    # the candidates for row i + d.  The stack is explicit because a chain
+    # has one step per row, and b_i grows like Fibonacci in k.
     tail: list[tuple[tuple[int, ...], int]] = []
     pending = []
     if i < b_i:
