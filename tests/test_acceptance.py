@@ -26,7 +26,7 @@ from worked_fixtures import (
     VO_RVVVRVT,
 )
 
-from goursat import invariants, oracle, proximity, symcalc
+from goursat import cli, invariants, oracle, proximity, symcalc
 from goursat.codeword import (
     CRITICAL,
     Chart,
@@ -148,8 +148,8 @@ def test_criterion_7_pathway_verification():
 
 
 def test_criterion_8_structure_lemma_sweep():
-    with budget(8, "structure lemmas on all charts up to 6 levels", 300.0):
-        for k in range(1, 7):
+    with budget(8, "structure lemmas on all charts up to 7 levels", 300.0):
+        for k in range(1, cli.SYMBOLIC_LEVEL_LIMIT + 1):
             for bits in itertools.product("oi", repeat=k):
                 symcalc.verify_structure(Chart("".join(bits)))
 
