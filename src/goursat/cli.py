@@ -79,8 +79,14 @@ def bundle_to_json(b: InvariantBundle) -> dict:
 
 
 def bundle_from_json(data: dict) -> InvariantBundle:
-    """Re-derive the bundle from its word and m_0 and require every
-    serialized field to agree with the re-derivation (ValueError if not)."""
+    """Re-derive the bundle from its str word and int m0 and require every
+    serialized field to agree with the re-derivation; ValueError if not, or
+    if data is not a dict with such a word and m0."""
+    if not isinstance(data, dict):
+        raise ValueError(f"serialized bundle must be a JSON object, got {type(data).__name__}")
+    for key, kind in (("word", str), ("m0", int)):
+        if not isinstance(data.get(key), kind) or isinstance(data.get(key), bool):
+            raise ValueError(f"serialized bundle needs a {kind.__name__} {key}: {data.get(key)!r}")
     rebuilt = invariants.bundle(parse_word(data["word"]), m0=data["m0"])
     expected = bundle_to_json(rebuilt)
     wrong = sorted(

@@ -412,6 +412,8 @@ def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None)
     it exceeds m_1: the point lies on the divisor, where VO_2 = m_0 - m_1
     is at least 1.
     """
+    if m0 is not None and (isinstance(m0, bool) or not isinstance(m0, int)):
+        raise InvalidM0(f"m_0 must be an int, got {m0!r}")
     m1 = proximity.base_multiplicity(diagram)
     if is_goursat(w):
         if m0 is not None and m0 != m1:

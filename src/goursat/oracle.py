@@ -252,11 +252,13 @@ def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FocalOrders:
-    """Focal orders of every coordinate and differential at a chart point."""
+    """Focal orders of every coordinate and differential at a chart point,
+    and the vertical orders (VO_2 .. VO_k) they give."""
 
     point: ChartPoint
     o_coord: tuple[int, ...]
     o_diff: tuple[int, ...]
+    vo: tuple[int, ...]
 
     def rows(self) -> list[tuple[str, str, int, int]]:
         """(name, alternative name, o(coordinate), o(differential)) per
@@ -274,7 +276,9 @@ def focal_orders(p: ChartPoint) -> FocalOrders:
     """Backwards recursion: active differentials at the top level have
     order 1; each level's defining relation propagates the order to the
     coordinate it deactivated, and a coordinate that vanishes at the point
-    inherits the order of its differential (otherwise its order is 0)."""
+    inherits the order of its differential (otherwise its order is 0).
+    VO_j is the order of n_j, which cuts out the divisor at infinity, at an
+    inverted level j, and 0 at an ordinary one (and off the divisor)."""
     chart = p.chart
     k = chart.k
     o_diff = {Chart.n_var(k): 1, chart.retained_var(k): 1}
@@ -289,35 +293,26 @@ def focal_orders(p: ChartPoint) -> FocalOrders:
         )
     o_coord = tuple(o_coord_of(v) for v in range(chart.nvars))
     diffs = tuple(o_diff[v] for v in range(chart.nvars))
-    return FocalOrders(p, o_coord, diffs)
+    vo = tuple(o_coord[Chart.n_var(j)] if j in chart.ip else 0 for j in range(2, k + 1))
+    return FocalOrders(p, o_coord, diffs, vo)
 
 
 def vo_at_point(p: ChartPoint) -> tuple[int, ...]:
-    """Vertical orders (VO_2 .. VO_k): the focal order of the chart function
-    cutting out each divisor at infinity, zero off the divisor."""
-    fo = focal_orders(p)
-    out = []
-    for j in range(2, p.k + 1):
-        if j in p.ip and p.n_value(j) == 0:
-            out.append(fo.o_coord[Chart.n_var(j)])
-        else:
-            out.append(0)
-    return tuple(out)
-
-
-def base_orders(p: ChartPoint) -> tuple[int, int]:
-    """Focal orders of the two base-surface coordinates (r_0, n_0)."""
-    fo = focal_orders(p)
-    return fo.o_coord[0], fo.o_coord[1]
+    """Vertical orders (VO_2 .. VO_k) at p."""
+    return focal_orders(p).vo
 
 
 def base_multiplicity_at_point(p: ChartPoint) -> int:
-    """m_0 of the canonical curve through p: min of the base orders."""
-    return min(base_orders(p))
+    """m_0 of the canonical curve through p: the least focal order of the
+    two base-surface coordinates (r_0, n_0)."""
+    return min(focal_orders(p).o_coord[:2])
 
 
 # ---------------------------------------------------------------------------
 # Generic jets
+
+# The number of random focal jets each function is probed along.
+JET_TRIALS = 3
 
 
 def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
@@ -349,20 +344,18 @@ def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
 
 
 @lru_cache(maxsize=1)
-def _generic_jets(p: ChartPoint, trials: int, prec: int, seed: int) -> tuple[JetCurve, ...]:
+def _generic_jets(p: ChartPoint, prec: int, seed: int) -> tuple[JetCurve, ...]:
     """The jets focal_order_generic_jet probes with; they do not depend on
     the function probed, so the coordinates of one point share them."""
     return tuple(
-        focal_jet(p, random.Random(f"jet:{seed}:{t}"), prec) for t in range(trials)
+        focal_jet(p, random.Random(f"jet:{seed}:{t}"), prec) for t in range(JET_TRIALS)
     )
 
 
-def focal_order_generic_jet(
-    p: ChartPoint, a: Poly, prec: int, trials: int = 3, seed: int = 0
-) -> int:
+def focal_order_generic_jet(p: ChartPoint, a: Poly, prec: int, seed: int = 0) -> int:
     """Focal order of a function by probing with random focal jets.
 
-    Returns the minimum vanishing order of a along `trials` random focal
+    Returns the minimum vanishing order of a along JET_TRIALS random focal
     curves through p, each a focal_jet over F_p (p = 2^61 - 1, free
     coefficients drawn uniformly from [1, p)) known modulo t^prec.  Over
     F_p, as over Q, a trial can only overestimate the order, so the minimum
@@ -373,13 +366,13 @@ def focal_order_generic_jet(
     back from p works only at points of the canonical letter map.
     """
     orders = []
-    for jet in _generic_jets(p, trials, prec, seed):
+    for jet in _generic_jets(p, prec, seed):
         o = jet.eval_poly(a).order()
         if o is not None:
             orders.append(o)
     if not orders:
         raise TruncationTooSmall(
-            f"function vanished to precision {prec} on all {trials} jets"
+            f"function vanished to precision {prec} on all {JET_TRIALS} jets"
         )
     return min(orders)
 
@@ -465,8 +458,9 @@ def _pathway_frame(
     """
     chart = p.chart
     k = chart.k
-    sums = invariants._column_sums(vo_at_point(p), k)
-    o_coord = focal_orders(p).o_coord
+    fo = focal_orders(p)
+    sums = invariants._column_sums(fo.vo, k)
+    o_coord = fo.o_coord
     diagonal = []
     for h in range(3, k + 2):
         exps = [0] * chart.nvars

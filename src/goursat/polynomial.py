@@ -170,19 +170,14 @@ class Poly:
             },
         )
 
-    def divide_monomial(self, exps: Monomial, c: Coeff = 1) -> "Poly":
-        """Exact division by a monomial; NonExactDivision if any term fails."""
+    def divide_monomial(self, exps: Monomial) -> "Poly":
+        """Exact division by a monic monomial; NonExactDivision if any term fails."""
         terms: dict[Monomial, Coeff] = {}
         for m, coeff in self.terms.items():
             lowered = tuple(a - b for a, b in zip(m, exps))
             if any(e < 0 for e in lowered):
-                raise NonExactDivision(
-                    f"term with exponents {m} not divisible by {exps}"
-                )
-            q = Fraction(coeff, c) if not isinstance(coeff, Fraction) else coeff / c
-            if q.denominator == 1:
-                q = q.numerator
-            terms[lowered] = q
+                raise NonExactDivision(f"term with exponents {m} not divisible by {exps}")
+            terms[lowered] = coeff
         return Poly(self.nvars, terms)
 
     # -- rendering ----------------------------------------------------------

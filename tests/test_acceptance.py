@@ -113,8 +113,7 @@ def test_criterion_5_focal_order_fixtures():
         point = ChartPoint(Chart("ooio"), (Fraction(0),) * 5 + (Fraction(1),))
         a = Poly(6, {(0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 5, 0, 0): Fraction(-1, 15)})
         for seed in range(3):
-            assert oracle.focal_order_generic_jet(point, a, trials=3, prec=12,
-                                                  seed=seed) == 6
+            assert oracle.focal_order_generic_jet(point, a, prec=12, seed=seed) == 6
 
 
 def test_criterion_6_oracle_equivalence():

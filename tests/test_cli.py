@@ -23,7 +23,8 @@ from goursat.cli import (
     render_etable,
     verify_word,
 )
-from goursat.errors import NotRealizable, RouteMismatch
+from goursat.errors import NonExactDivision, NotRealizable, RouteMismatch
+from goursat.polynomial import Poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -162,6 +163,37 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="beta, nonholonomy_degree, puiseux"):
             bundle_from_json(data)
 
+    @pytest.mark.parametrize(
+        "word, change, named",
+        [
+            ("RVTRV", {"word": 5}, "str word"),
+            ("RVTRV", {"m0": None}, "int m0"),
+            ("RVTRV", {"m0": "6"}, "int m0"),
+            ("RVTRV", {"m0": 6.0}, "int m0"),
+            ("RRVTVV", {"m0": 8.0}, "int m0"),
+            ("RRVTVV", {"m0": True}, "int m0"),
+            ("R", {"m0": True}, "int m0"),
+        ],
+        ids=["RVTRV-int-word", "RVTRV-null-m0", "RVTRV-str-m0", "RVTRV-float-m0",
+             "RRVTVV-float-m0", "RRVTVV-bool-m0", "R-bool-m0"],
+    )
+    def test_malformed_field_rejected(self, word, change, named):
+        # A str word and an int m0 that is not a bool, or a ValueError
+        # that names the field.
+        data = bundle_to_json(invariants.bundle(word, m0=6 if word == "RVTRV" else None))
+        data.update(change)
+        with pytest.raises(ValueError, match=named):
+            bundle_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [({}, "str word"), ({"word": "RVTRV"}, "int m0"), ([], "JSON object"), ("RVTRV", "JSON object")],
+        ids=["empty", "no-m0", "list", "str"],
+    )
+    def test_malformed_shape_rejected(self, data, named):
+        with pytest.raises(ValueError, match=named):
+            bundle_from_json(data)
+
     @pytest.mark.parametrize("field", ["sg", "vo", "der2", "goursat_word", "k"])
     def test_any_tampered_field_rejected(self, field):
         data = bundle_to_json(invariants.bundle("RRVTVV"))
@@ -280,6 +312,58 @@ class TestOtherCommands:
     def test_bracket_table_bad_chart(self):
         code, _, _ = run_cli("bracket-table", "oxo")
         assert code == EXIT_INVALID
+
+
+def _doubled_top_field(monkeypatch):
+    std_fields = symcalc.std_fields
+
+    def mutated(chart):
+        fs, vs = std_fields(chart)
+        return fs[:-1] + (2 * fs[-1],), vs
+
+    monkeypatch.setattr(symcalc, "std_fields", mutated)
+
+
+def _negated_top_slot(monkeypatch):
+    # The r_0 slot of f_k turns negative, so f_k maps r_0 to a negative
+    # coefficient: what the monomial-positivity check used to catch.
+    std_fields = symcalc.std_fields
+
+    def mutated(chart):
+        fs, vs = std_fields(chart)
+        top = fs[-1]
+        return fs[:-1] + (symcalc.VField(top.nvars, (-top.comps[0],) + top.comps[1:]),), vs
+
+    monkeypatch.setattr(symcalc, "std_fields", mutated)
+
+
+def _g_field_off_the_frame(monkeypatch):
+    # Every g_i with i >= 2 gains Q times the sum of the frame fields, for a
+    # monomial Q in n_0..n_k of high degree (so every later division stays
+    # exact).  Then g_i fails [g_1, g_i] = 0 and lies in no Delta^i: what the
+    # [g_1, g_i] and g-membership checks used to catch.  The g-basis is the
+    # only caller of divide_monomial.
+    divide_monomial = Poly.divide_monomial
+
+    def mutated(self, exps):
+        nv = self.nvars
+        return divide_monomial(self, exps) + Poly.monomial(nv, {v: 2 * nv for v in range(1, nv)})
+
+    monkeypatch.setattr(Poly, "divide_monomial", mutated)
+
+
+def _constant_fields_fail_to_commute(monkeypatch):
+    # The bracket of two constant fields comes out nonzero: [g_1, g_i] for a
+    # vertical g_i brackets two constant fields, as [v_i, f_0] does.
+    lie_bracket = symcalc.lie_bracket
+
+    def constant(x):
+        return not any(any(m) for p in x.comps for m in p.terms)
+
+    def mutated(x, y):
+        return x if constant(x) and constant(y) else lie_bracket(x, y)
+
+    monkeypatch.setattr(symcalc, "lie_bracket", mutated)
 
 
 class TestVerifyCommand:
@@ -412,28 +496,33 @@ class TestVerifyCommand:
         assert code == EXIT_BUDGET
         assert "SYMBOLIC_LEVEL_LIMIT" in err
 
-    def test_broken_structure_lemma_fails_verify(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "mutate, lemma",
+        [
+            (_doubled_top_field, "bracket_closed_forms"),
+            (_negated_top_slot, "bracket_closed_forms"),
+            (_g_field_off_the_frame, "g_independence"),
+            (_constant_fields_fail_to_commute, "bracket_closed_forms"),
+        ],
+        ids=["doubled-top-field", "negated-top-slot", "g-field-off-the-frame",
+             "constant-fields-fail-to-commute"],
+    )
+    def test_broken_structure_lemma_fails_verify(self, mutate, lemma, monkeypatch, capsys):
+        # Each mutation breaks one structure fact; the lemma that catches it
+        # is named in the error, and verify --symbolic exits 2.
         word = "RRVTV"
         chart = canonical_chart_point(word).chart
-        std_fields = symcalc.std_fields
-
-        def doubled_top_field(chart):
-            fs, vs = std_fields(chart)
-            return fs[:-1] + (2 * fs[-1],), vs
-
-        monkeypatch.setattr(symcalc, "std_fields", doubled_top_field)
-        symcalc.g_basis.cache_clear()
+        mutate(monkeypatch)
         symcalc.verify_structure.cache_clear()
         try:
             with pytest.raises(
-                RouteMismatch, match=f"bracket_closed_forms fails on chart {chart.choices}"
+                (RouteMismatch, NonExactDivision), match=f"{lemma} fails on chart {chart.choices}"
             ):
                 symcalc.verify_structure(chart)
             assert main(["verify", word, "--symbolic"]) == EXIT_MISMATCH
         finally:
-            symcalc.g_basis.cache_clear()
             symcalc.verify_structure.cache_clear()
-        assert "structure lemma bracket_closed_forms" in capsys.readouterr().err
+        assert f"structure lemma {lemma}" in capsys.readouterr().err
 
     def test_symbolic_at_the_level_limit(self):
         # RRVVVVV is the slowest word with k = 7.

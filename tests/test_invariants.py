@@ -11,6 +11,7 @@ from goursat.codeword import (
     is_goursat,
 )
 from goursat.errors import (
+    InvalidM0,
     InvalidPC,
     MissingM0,
     NonMonotone,
@@ -290,6 +291,12 @@ class TestBundle:
     def test_non_goursat_requires_m0(self):
         with pytest.raises(MissingM0):
             bundle("RVV")
+
+    @pytest.mark.parametrize("m0", [6.0, 8.0, "6", True], ids=["6.0", "8.0", "str", "bool"])
+    def test_m0_that_is_not_an_int_is_refused(self, m0):
+        for word in ("RVTRV", "RRVTVV", "R"):
+            with pytest.raises(InvalidM0, match="m_0 must be an int"):
+                bundle(word, m0=m0)
 
     def test_non_goursat_refuses_m0_equal_m1(self):
         # Off the Goursat locus VO_2 = m_0 - m_1 >= 1; bundle("RVR", m0=1)

@@ -20,7 +20,6 @@ from goursat.oracle import (
     PRIME,
     Series,
     base_multiplicity_at_point,
-    base_orders,
     blowup_multseq,
     focal_jet,
     focal_order_generic_jet,
@@ -100,7 +99,7 @@ class TestVerticalOrders:
         assert vo_at_point(canonical_chart_point("RRRRR")) == (0, 0, 0, 0)
 
     def test_base_multiplicity(self):
-        assert base_orders(canonical_chart_point("RVTRV")) == (6, 8)
+        assert focal_orders(canonical_chart_point("RVTRV")).o_coord[:2] == (6, 8)
         assert base_multiplicity_at_point(canonical_chart_point("RVTRV")) == 6
         assert base_multiplicity_at_point(canonical_chart_point("RRVTVV")) == 8
 
@@ -112,7 +111,7 @@ class TestGenericJet:
         point = ChartPoint(chart, (Fraction(0),) * 5 + (Fraction(1),))
         a = Poly(6, {(0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 5, 0, 0): Fraction(-1, 15)})
         for seed in range(3):
-            assert focal_order_generic_jet(point, a, trials=3, prec=12, seed=seed) == 6
+            assert focal_order_generic_jet(point, a, prec=12, seed=seed) == 6
 
     def test_coordinates_match_procedural_orders(self):
         # Every RVT word with k <= 7, Goursat or not, at the precision
@@ -130,17 +129,17 @@ class TestGenericJet:
 
     def test_constant_has_order_zero(self):
         p = canonical_chart_point("RRV")
-        assert focal_order_generic_jet(p, Poly.const(5, 1), trials=1, prec=8) == 0
+        assert focal_order_generic_jet(p, Poly.const(5, 1), prec=8) == 0
 
     def test_truncation_too_small(self):
         p = canonical_chart_point("RRV")
         a = Poly.variable(5, 1)  # n_0 has order 4 at this point
         with pytest.raises(TruncationTooSmall):
-            focal_order_generic_jet(p, a, trials=2, prec=3)
+            focal_order_generic_jet(p, a, prec=3)
 
     def test_one_set_of_jets_per_verified_word(self, monkeypatch):
         # The jets do not depend on the function probed, so verify_word
-        # builds `trials` of them per word, not `trials` per coordinate.
+        # builds JET_TRIALS of them per word, not JET_TRIALS per coordinate.
         built = []
 
         def counting_focal_jet(p, rng, prec):
@@ -152,7 +151,7 @@ class TestGenericJet:
         for w in ("RRVT", "RVTV", "RRRVV"):
             built.clear()
             ok, _ = cli.verify_word(parse_word(w), symbolic=True)
-            assert ok and len(built) == 3, (w, len(built))
+            assert ok and len(built) == oracle.JET_TRIALS, (w, len(built))
 
     def test_verify_word_sets_the_jet_precision(self, monkeypatch):
         # The jet budget is the nonholonomy degree + 5, passed on every call.

@@ -78,12 +78,6 @@ class TestDivision:
         with pytest.raises(NonExactDivision):
             (x + y).divide_monomial((1, 0, 0, 0))
 
-    def test_coefficient_division_stays_integral(self):
-        x = p_var(0)
-        q = (6 * x).divide_monomial((0, 0, 0, 0), 3)
-        assert q.terms == {(1, 0, 0, 0): 2}
-        assert isinstance(next(iter(q.terms.values())), int)
-
 
 class TestRender:
     def test_monomials(self):
