@@ -85,8 +85,9 @@ def bundle_from_json(data: dict) -> InvariantBundle:
     if not isinstance(data, dict):
         raise ValueError(f"serialized bundle must be a JSON object, got {type(data).__name__}")
     for key, kind in (("word", str), ("m0", int)):
-        if not isinstance(data.get(key), kind) or isinstance(data.get(key), bool):
-            raise ValueError(f"serialized bundle needs a {kind.__name__} {key}: {data.get(key)!r}")
+        value = data.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"serialized bundle needs a {kind.__name__} {key}: {value!r}")
     rebuilt = invariants.bundle(parse_word(data["word"]), m0=data["m0"])
     expected = bundle_to_json(rebuilt)
     wrong = sorted(
