@@ -11,8 +11,13 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterator
+from itertools import chain, islice, repeat
 
-from . import invariants, oracle, proximity, symcalc
+# oracle, symcalc and polynomial are imported by the commands that use
+# them, so that invariants, etable and the other commands start without
+# them.
+from . import invariants, proximity
 from .codeword import (
     Chart,
     RvtWord,
@@ -27,13 +32,13 @@ from .errors import (
     GoursatError,
     InvalidM0,
     LevelLimitExceeded,
+    OutputBudgetExceeded,
     RouteMismatch,
     StepBudgetExceeded,
     TruncationTooSmall,
     WordError,
 )
 from .invariants import InvariantBundle
-from .polynomial import Poly, var_names
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -46,6 +51,11 @@ SYMBOLIC_LEVEL_LIMIT = 7
 # The number of Goursat words of length N grows like 2.6^N; past this length
 # verify --all-words refuses rather than run for hours.
 ALL_WORDS_LEVEL_LIMIT = 12
+# The output of invariants, invariants --json and etable grows like
+# degree * k, and the degree like Fibonacci in k; past this many bytes
+# (predicted by output_bound) the command refuses rather than run out of
+# memory.
+MAX_OUTPUT_BYTES = 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +64,8 @@ ALL_WORDS_LEVEL_LIMIT = 12
 
 def _bundle_fields(b: InvariantBundle) -> dict:
     # The serialized shape: dicts, strs, ints, and sequences of ints or of
-    # sequences.  The e-table rows and the SG vectors stay lazy here.
+    # sequences.  The SG vectors stay lazy here, and the e-table rows are
+    # the table itself, which _dumps writes through _json_rows.
     return {
         "word": str(b.word),
         "goursat_word": str(b.goursat_word),
@@ -67,7 +78,7 @@ def _bundle_fields(b: InvariantBundle) -> dict:
         "m0": b.m0,
         "vo": b.vo,
         "b": b.b,
-        "e_table": {"h_first": 2, "rows": b.e_table.rows, "sg": b.e_table.sg},
+        "e_table": {"h_first": 2, "rows": b.e_table, "sg": b.e_table.sg},
         "puiseux": {"lambda0": b.puiseux.lambda0, "exponents": b.puiseux.exponents},
         "nonholonomy_degree": b.nonholonomy_degree,
     }
@@ -116,12 +127,42 @@ def _dumps(value, indent: str) -> str:
         items = (f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value))
     else:
         brackets = "[]"
-        if isinstance(value[0], int):
+        if isinstance(value, invariants.ETable):
+            items = _json_rows(value, inner)
+        elif isinstance(value[0], int):
             items = map(str, value)
         else:
             items = (_dumps(item, inner) for item in value)
     sep = ",\n" + inner
     return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
+
+
+def _full_columns(table: invariants.ETable, fmt: Callable[[int], str]) -> list[Iterator[str]]:
+    """Columns i = 2..k+1 of the e-table rows h = k+2..H, each entry v
+    written as fmt(v).
+
+    Every column is present in these rows, and down column i the entry
+    e_{h,i} = (b_i - h)^+ falls by one from b_i - k - 2 to 1 and then stays
+    0: a reversed run over the formatted cells, then the zero cell
+    repeated.  Each value is formatted once, however many cells hold it.
+    """
+    first = table.k + 2
+    count = max(0, table.height + 1 - first)
+    cells = list(map(fmt, range(count)))  # the entries here are 0..count-1
+    zero = fmt(0)
+    return [
+        chain(map(cells.__getitem__, range(top, 0, -1)), repeat(zero, count - top))
+        for top in (max(0, bi - first) for bi in table.b)
+    ]
+
+
+def _json_rows(table: invariants.ETable, indent: str) -> Iterator[str]:
+    # The rows as _dumps writes them at indent: rows h <= k+1 one by one,
+    # the full rows h >= k+2 from their columns.
+    inner = indent + "  "
+    head = (_dumps(table.row(h), indent) for h in range(2, min(table.k + 2, table.height + 1)))
+    full = map((",\n" + inner).join, zip(*_full_columns(table, str)))
+    return chain(head, map(f"[\n{inner}%s\n{indent}]".__mod__, full))
 
 
 def dumps_bundle(b: InvariantBundle) -> str:
@@ -146,7 +187,7 @@ def render_bundle(b: InvariantBundle) -> str:
         f"beta:                 {_vec(b.beta)}",
         f"der:                  {_vec(b.der)}",
         f"der2:                 {_vec(b.der2)}",
-        f"sg:                   {' '.join(str(s) for s in b.sg)}",
+        f"sg:                   {' '.join(map(str, b.sg))}",
         f"mult vector:          {_vec(b.mult_vector)}",
         f"m0:                   {b.m0}",
         f"vo:                   {_vec(b.vo)}",
@@ -174,10 +215,21 @@ def render_etable(table: invariants.ETable) -> str:
         f"%s %{hwidth}d |" + f"%{width}d" * n + " " * (width * (table.k - n)) + " | %d"
         for n in range(table.k + 1)
     ]
-    lines = [header, "-" * len(header)]
-    for h, row, sg in zip(range(2, table.height + 1), table.rows, table.sg):
-        lines.append(line[len(row)] % ("*" if h in red else " ", h, *row, sg))
-    return "\n".join(lines) + "\n"
+    first = table.k + 2
+    head = [
+        line[len(row)] % ("*" if h in red else " ", h, *row, sg)
+        for h, row, sg in zip(range(2, first), table.rows, table.sg)
+    ]
+    # The full rows h >= k+2, joined from their columns: the marks
+    # (" *"[h in red]), h and SG_h are columns too.
+    hs = range(first, table.height + 1)
+    marks = map(" *".__getitem__, map(red.__contains__, hs))
+    full = zip(
+        map(f"%s %{hwidth}d |".__mod__, zip(marks, hs)),
+        *_full_columns(table, f"%{width}d".__mod__),
+        map(" | %d".__mod__, islice(table.sg, first - 2, None)),
+    )
+    return "\n".join(chain([header, "-" * len(header)], head, map("".join, full), [""]))
 
 
 def render_proximity(d: proximity.ProximityDiagram) -> str:
@@ -196,7 +248,6 @@ def render_proximity(d: proximity.ProximityDiagram) -> str:
 
 def render_bracket_table(table: symcalc.BracketTable) -> str:
     k = table.chart.k
-    names = var_names(k)
     rows = [("v", i) for i in range(k + 1)] + [("f", i) for i in range(k + 1)]
     cols = list(range(k + 1))
     cells = {}
@@ -226,6 +277,8 @@ def _wired(fn, word: RvtWord):
     bundle's VO_2 = m_0 - m_1 is checked against the oracle's in verify."""
     m0 = None
     if not is_goursat(word):
+        from . import oracle
+
         m0 = oracle.base_multiplicity_at_point(canonical_chart_point(word))
     try:
         return fn(word, m0=m0)
@@ -252,6 +305,9 @@ def verify_word(
     symbolic: bool = False,
 ) -> tuple[bool, list[str]]:
     """Run the cross-checks for one word; returns (ok, report lines)."""
+    from . import oracle, symcalc
+    from .polynomial import Poly, var_names
+
     if symbolic:
         _check_symbolic_level(word.k)
     lines = []
@@ -310,12 +366,59 @@ def verify_word(
 
 
 # ---------------------------------------------------------------------------
+# Output budget
+
+
+def output_bound(b: InvariantBundle, form: str) -> int:
+    """An upper bound, in O(k), on the bytes that invariants (form "text"),
+    invariants --json ("json") or etable ("etable") prints for the bundle.
+
+    Each number is charged the digits of the largest number of its kind,
+    and each line its deepest indentation: SG values are at most k + 2,
+    e-table entries less than the height H (the degree of nonholonomy),
+    and the other O(k) numbers are scanned.  Rows of the table are charged
+    k entries each.
+    """
+    k, height = b.k, b.e_table.height
+    small = [*b.beta, *b.der, *b.der2, *b.mult_vector, *b.vo, *b.b, *b.puiseux.exponents]
+    small_digits = len(str(max(small + [b.m0, height])))
+    sg_digits = len(str(k + 2))
+    cell_digits = len(str(height))
+    words = len(str(b.word)) + len(str(b.goursat_word))
+    if form == "text":
+        # 13 labelled lines; each small number with its ", " or brackets.
+        return 512 + words + (len(small) + 4) * (small_digits + 2) + height * (sg_digits + 1)
+    if form == "json":
+        # Keys and braces; numbers one to a line at an indent of up to 8
+        # spaces; each row's brackets on lines of their own.
+        return (
+            512 + words + (len(small) + 4) * (small_digits + 8)
+            + height * (sg_digits + 6)
+            + (height - 1) * (sg_digits + 8 + 18 + k * (cell_digits + 10))
+        )
+    # etable: the header, the rule and H - 1 rows, each as wide as the
+    # header plus the SG digits.
+    hwidth = max(2, cell_digits)
+    return (height + 1) * (hwidth + 9 + sg_digits + k * (max(2, cell_digits) + 1))
+
+
+def _check_output_budget(b: InvariantBundle, form: str) -> None:
+    bound = output_bound(b, form)
+    if bound > MAX_OUTPUT_BYTES:
+        raise OutputBudgetExceeded(
+            f"the output of {b.word} would take up to {bound} bytes, more than "
+            f"MAX_OUTPUT_BYTES = {MAX_OUTPUT_BYTES}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_invariants(args) -> int:
     word = parse_word(args.word)
     bundle = _wired(invariants.bundle, word)
+    _check_output_budget(bundle, "json" if args.json else "text")
     if args.json:
         print(dumps_bundle(bundle))
     else:
@@ -326,6 +429,7 @@ def cmd_invariants(args) -> int:
 def cmd_etable(args) -> int:
     word = parse_word(args.word)
     bundle = _wired(invariants.bundle, word)
+    _check_output_budget(bundle, "etable")
     print(render_etable(bundle.e_table), end="")
     return EXIT_OK
 
@@ -356,6 +460,8 @@ def cmd_puiseux(args) -> int:
 
 
 def cmd_chart(args) -> int:
+    from .polynomial import var_names
+
     word = parse_word(args.word)
     point = canonical_chart_point(word)
     chart = point.chart
@@ -376,6 +482,8 @@ def cmd_chart(args) -> int:
 
 
 def cmd_bracket_table(args) -> int:
+    from . import symcalc
+
     chart = Chart(args.chartword)
     table = symcalc.bracket_table(chart)
     print(render_bracket_table(table), end="")
@@ -407,6 +515,10 @@ def cmd_verify(args) -> int:
     if args.symbolic:
         # Before any word is checked, so that a refusal comes at once.
         _check_symbolic_level(max(w.k for w in words))
+    # verify_word imports the oracle; importing it here, before the pool
+    # starts, lets the forked workers share the parent's copy.
+    from . import oracle  # noqa: F401
+
     tasks = [(str(w), args.depth, args.seed, args.symbolic) for w in words]
     if len(tasks) > 1:
         # Per-word checks are pure and independent; fan out across workers.
@@ -534,7 +646,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # WordError and every other invalid input
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
-    except (LevelLimitExceeded, StepBudgetExceeded, TruncationTooSmall) as exc:
+    except (
+        LevelLimitExceeded, OutputBudgetExceeded, StepBudgetExceeded, TruncationTooSmall
+    ) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
     except GoursatError as exc:  # RouteMismatch and every other failed check

@@ -92,6 +92,10 @@ class LevelLimitExceeded(GoursatError):
     """A word or chart has more levels than a named limit allows."""
 
 
+class OutputBudgetExceeded(GoursatError):
+    """A command would print more bytes than a named limit allows."""
+
+
 class TruncationTooSmall(GoursatError):
     """A truncated power-series computation ran out of known coefficients."""
 

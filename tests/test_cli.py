@@ -1,4 +1,6 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,24 +11,44 @@ from pathlib import Path
 import pytest
 
 from goursat import invariants, symcalc
-from goursat.codeword import MAX_LEVELS, canonical_chart_point, enumerate_goursat_words
+from goursat.codeword import (
+    MAX_LEVELS,
+    canonical_chart_point,
+    enumerate_goursat_words,
+    parse_word,
+)
 from goursat.cli import (
     ALL_WORDS_LEVEL_LIMIT,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
+    MAX_OUTPUT_BYTES,
     bundle_from_json,
     bundle_to_json,
     dumps_bundle,
     main,
+    output_bound,
     render_etable,
     verify_word,
 )
 from goursat.errors import NonExactDivision, NotRealizable, RouteMismatch
 from goursat.polynomial import Poly
+from test_cli_corpus import corpus_commands
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# Drawn Goursat words of length 20, 24 and 28 (degrees 8,173, 9,827 and
+# 10,162), then RR V^16 and RR V^18 (degrees 6,765 and 17,711).
+LONG_WORDS = [
+    "RRVRVVTTVVVVTVVVVVTV",
+    "RRVTRVTTVTVTTTTVTTTVTTRV",
+    "RRVVTRVTTVRRVTVTRRVTTTVRRRVR",
+    "RR" + "V" * 16,
+    "RR" + "V" * 18,
+]
+# Words whose table ends at a height H <= k + 1: no row has all k columns.
+SHORT_TABLE_WORDS = [("R", None), ("RR", None), ("RRR", None), ("RVT", 3)]
 
 
 class EagerPool:
@@ -229,9 +251,12 @@ def _per_cell_render_etable(table) -> str:
 
 @pytest.fixture(scope="module")
 def streamed_bundles():
-    """Every Goursat word with k <= 8, RR V^16 (degree 6,765) and RVTRV."""
+    """Every Goursat word with k <= 8, the long words, RVTRV and the words
+    with short tables."""
     out = [invariants.bundle(w) for k in range(1, 9) for w in enumerate_goursat_words(k)]
-    return out + [invariants.bundle("RR" + "V" * 16), invariants.bundle("RVTRV", m0=6)]
+    out += [invariants.bundle(w) for w in LONG_WORDS]
+    out += [invariants.bundle(w, m0=m0) for w, m0 in SHORT_TABLE_WORDS + [("RVTRV", 6)]]
+    return out
 
 
 class TestStreamedOutput:
@@ -252,6 +277,12 @@ class TestStreamedOutput:
         ]
         assert differ == []
 
+    @pytest.mark.parametrize("word, m0", SHORT_TABLE_WORDS)
+    def test_short_tables_are_in_the_fixture(self, word, m0, streamed_bundles):
+        table = invariants.bundle(word, m0=m0).e_table
+        assert table.height <= table.k + 1
+        assert table in [b.e_table for b in streamed_bundles]
+
     @pytest.mark.parametrize("word", ["RRVTVV", "RRRVV"])
     def test_render_etable_matches_golden(self, word):
         golden = (GOLDEN / f"etable_{word.lower()}.txt").read_text()
@@ -263,6 +294,54 @@ class TestStreamedOutput:
         assert type(data["sg"]) is list and type(data["e_table"]["sg"]) is list
         assert all(type(row) is list for row in data["e_table"]["rows"])
         assert type(data["puiseux"]["exponents"]) is list
+
+
+def _printed(argv) -> tuple[int, int]:
+    # (exit code, bytes written to stdout) of one command run in process.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, len(out.getvalue().encode())
+
+
+_FORMS = {("invariants",): "text", ("invariants", "--json"): "json", ("etable",): "etable"}
+
+
+class TestOutputBudget:
+    @pytest.mark.parametrize("argv", [["etable"], ["invariants"], ["invariants", "--json"]])
+    def test_refusal_comes_before_any_output(self, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, "RR" + "V" * 84)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET and out == ""
+        assert f"MAX_OUTPUT_BYTES = {MAX_OUTPUT_BYTES}" in err
+
+    def test_bound_covers_every_corpus_output(self):
+        # Every invariants, invariants --json and etable command of the CLI
+        # corpus that prints its output.
+        import goursat.cli as cli
+
+        short = []
+        for command in corpus_commands():
+            form = _FORMS.get((command[0], *command[2:]))
+            if form is None:
+                continue
+            code, printed = _printed(list(command))
+            assert code == EXIT_OK, command
+            bundle = cli._wired(invariants.bundle, parse_word(command[1]))
+            if output_bound(bundle, form) < printed:
+                short.append(" ".join(command))
+        assert short == []
+
+    @pytest.mark.parametrize("word", LONG_WORDS)
+    @pytest.mark.parametrize("form", ["text", "json", "etable"])
+    def test_bound_is_tight_for_long_words(self, word, form):
+        argv = {"text": ["invariants"], "json": ["invariants", "--json"], "etable": ["etable"]}
+        code, printed = _printed([*argv[form], word])
+        bound = output_bound(invariants.bundle(word), form)
+        assert code == EXIT_OK
+        assert printed <= bound
+        assert printed <= 1e6 or bound <= 2 * printed
 
 
 class TestETableCommand:
@@ -614,3 +693,17 @@ def test_verify_mismatch_exit_code(monkeypatch, capsys):
     args = parser.parse_args(["verify", "RR"])
     assert args.func(args) == EXIT_MISMATCH
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_starts_without_the_symbolic_modules():
+    # Only verify, chart, bracket-table and a word that is not a Goursat
+    # word need the oracle, the vector fields or the polynomials; they
+    # import them when they run.
+    script = (
+        "import sys, goursat.cli\n"
+        "print([m for m in ('goursat.oracle', 'goursat.symcalc', 'goursat.polynomial')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
