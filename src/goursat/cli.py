@@ -187,7 +187,7 @@ def render_bundle(b: InvariantBundle) -> str:
         f"beta:                 {_vec(b.beta)}",
         f"der:                  {_vec(b.der)}",
         f"der2:                 {_vec(b.der2)}",
-        f"sg:                   {' '.join(map(str, b.sg))}",
+        f"sg:                   {' '.join(str(s) for s in b.sg)}",
         f"mult vector:          {_vec(b.mult_vector)}",
         f"m0:                   {b.m0}",
         f"vo:                   {_vec(b.vo)}",

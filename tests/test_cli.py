@@ -304,7 +304,8 @@ def _printed(argv) -> tuple[int, int]:
     return code, len(out.getvalue().encode())
 
 
-_FORMS = {("invariants",): "text", ("invariants", "--json"): "json", ("etable",): "etable"}
+# The command of each form that output_bound covers, without its word.
+_FORM_ARGV = {"text": ("invariants",), "json": ("invariants", "--json"), "etable": ("etable",)}
 
 
 class TestOutputBudget:
@@ -321,9 +322,10 @@ class TestOutputBudget:
         # corpus that prints its output.
         import goursat.cli as cli
 
+        forms = {argv: form for form, argv in _FORM_ARGV.items()}
         short = []
         for command in corpus_commands():
-            form = _FORMS.get((command[0], *command[2:]))
+            form = forms.get((command[0], *command[2:]))
             if form is None:
                 continue
             code, printed = _printed(list(command))
@@ -336,8 +338,7 @@ class TestOutputBudget:
     @pytest.mark.parametrize("word", LONG_WORDS)
     @pytest.mark.parametrize("form", ["text", "json", "etable"])
     def test_bound_is_tight_for_long_words(self, word, form):
-        argv = {"text": ["invariants"], "json": ["invariants", "--json"], "etable": ["etable"]}
-        code, printed = _printed([*argv[form], word])
+        code, printed = _printed([*_FORM_ARGV[form], word])
         bound = output_bound(invariants.bundle(word), form)
         assert code == EXIT_OK
         assert printed <= bound
