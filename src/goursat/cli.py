@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 invalid input, 2 verification mismatch,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -86,6 +85,8 @@ def _bundle_fields(b: InvariantBundle) -> dict:
 
 def bundle_to_json(b: InvariantBundle) -> dict:
     """The bundle as plain JSON data: dicts, lists, strs and ints."""
+    import json
+
     return json.loads(dumps_bundle(b))
 
 
@@ -114,7 +115,10 @@ def bundle_from_json(data: dict) -> InvariantBundle:
 def _dumps(value, indent: str) -> str:
     # json.dumps(value, sort_keys=True, indent=2) for the shapes of
     # _bundle_fields.  With indent set, the json module falls back to its
-    # pure-Python encoder, which is several times slower than this.
+    # pure-Python encoder, which is several times slower than this.  json
+    # is imported here, so that the other commands start without it.
+    import json
+
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, int):

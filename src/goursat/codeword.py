@@ -28,10 +28,8 @@ convention for these towers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
 from .errors import (
     BadSymbol,
@@ -52,6 +50,45 @@ CRITICAL = frozenset("VT")
 MAX_LEVELS = 16
 
 
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields`` (and in ``__slots__``) and
+    sets them in ``__init__`` with ``object.__setattr__``.  Objects compare
+    and hash by class and field values, and repr as ``Name(field=value)``.
+    A pickle or copy rebuilds through ``__init__`` from the fields alone,
+    so it re-validates, and a cached str hash, salted per process, never
+    travels.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _validate_rvt(symbols: str) -> None:
     if not symbols:
         raise EmptyWord()
@@ -65,14 +102,14 @@ def _validate_rvt(symbols: str) -> None:
             raise OrphanT(pos)
 
 
-@dataclass(frozen=True)
-class RvtWord:
+class RvtWord(Frozen):
     """A validated word over {R, V, T}; construction raises on bad input."""
 
-    symbols: str
+    __slots__ = _fields = ("symbols",)
 
-    def __post_init__(self):
-        _validate_rvt(self.symbols)
+    def __init__(self, symbols: str):
+        _validate_rvt(symbols)
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def k(self) -> int:
@@ -92,16 +129,15 @@ class RvtWord:
         return iter(self.symbols)
 
 
-@dataclass(frozen=True)
 class GoursatWord(RvtWord):
     """An RVT word with R in position 2 (when the length is at least 2)."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.k >= 2 and self.symbols[1] != "R":
-            raise WordError(
-                f"not a Goursat word: symbol 2 is {self.symbols[1]!r}, expected R"
-            )
+    __slots__ = ()
+
+    def __init__(self, symbols: str):
+        super().__init__(symbols)
+        if self.k >= 2 and symbols[1] != "R":
+            raise WordError(f"not a Goursat word: symbol 2 is {symbols[1]!r}, expected R")
 
 
 def parse_word(text: str) -> RvtWord:
@@ -180,24 +216,25 @@ def goursat_normalize(w: RvtWord | str) -> GoursatWord:
 # Charts
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """A standard chart, named by its choice word over {o, i}.
 
     Coordinates are indexed 0..k+1 in the fixed order
     (r_0, n_0, n_1, ..., n_k); index 0 is r_0 and index j+1 is n_j.
     """
 
-    choices: str
+    _fields = ("choices",)
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
 
-    def __post_init__(self):
-        if any(c not in "oi" for c in self.choices):
-            raise ValueError(f"chart word must use only o/i: {self.choices!r}")
-        if len(self.choices) > MAX_LEVELS:
+    def __init__(self, choices: str):
+        if any(c not in "oi" for c in choices):
+            raise ValueError(f"chart word must use only o/i: {choices!r}")
+        if len(choices) > MAX_LEVELS:
             raise LevelLimitExceeded(
                 f"charts are limited to MAX_LEVELS = {MAX_LEVELS} levels, "
-                f"got {len(self.choices)}"
+                f"got {len(choices)}"
             )
+        object.__setattr__(self, "choices", choices)
 
     @property
     def k(self) -> int:
@@ -256,31 +293,26 @@ class Chart:
         return tuple(render(*fam[v]) for v in range(self.nvars))
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(Frozen):
     """A chart together with exact rational coordinates of a point on it."""
 
-    chart: Chart
-    coords: tuple[Fraction, ...]
+    _fields = ("chart", "coords")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached hash
 
-    def __post_init__(self):
-        if len(self.coords) != self.chart.nvars:
-            raise ValueError(
-                f"expected {self.chart.nvars} coordinates, got {len(self.coords)}"
-            )
+    def __init__(self, chart: Chart, coords: tuple[Fraction, ...]):
+        if len(coords) != chart.nvars:
+            raise ValueError(f"expected {chart.nvars} coordinates, got {len(coords)}")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "coords", coords)
 
     # The oracle's per-point caches look a point up once per column or
-    # coordinate, so its hash over k + 2 Fractions is computed once.  A
-    # str hash is salted per process, so a pickle carries only the fields.
+    # coordinate, so its hash over k + 2 Fractions is computed once.
     @cached_property
     def _hash(self) -> int:
-        return hash((self.chart, self.coords))
+        return hash(self._values())
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return ChartPoint, (self.chart, self.coords)
 
     @property
     def k(self) -> int:
@@ -304,6 +336,8 @@ def canonical_chart_point(w: RvtWord | str) -> ChartPoint:
     origin of the base chart (r_0 = n_0 = 0).  Any nonzero value would do
     for the R-after-critical case; 1 keeps the arithmetic integral.
     """
+    from fractions import Fraction
+
     w = _as_word(w)
     choices = []
     values = []

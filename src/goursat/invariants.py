@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from . import proximity
 from .codeword import (
     CRITICAL,
+    Frozen,
     GoursatWord,
     RvtWord,
     _as_word,
@@ -213,8 +214,7 @@ class StepSequence(LazySequence):
         yield from repeat(value, stop - start)
 
 
-@dataclass(frozen=True)
-class ETable:
+class ETable(namedtuple("ETable", "k vo b")):
     """The table of coefficient-order bounds e_{hi}, rows h = 2..H.
 
     Row h holds e_{h,i} = max(0, b_i - h) for i = 2..min(h, k+1), where
@@ -226,12 +226,11 @@ class ETable:
     table has H - 1 rows and H grows like Fibonacci in k.  Entries and
     rows are computed on demand, and ``rows`` and ``sg`` are read-only
     sequences that compare equal to the tuples they stand for.  Column i
-    first vanishes at row b_i, so SG_h = 2 + #{i : b_i <= h}.
+    first vanishes at row b_i, so SG_h = 2 + #{i : b_i <= h}.  The fields
+    are k, the vertical orders vo and b = (b_2, ..., b_{k+1}).
     """
 
-    k: int
-    vo: tuple[int, ...]
-    b: tuple[int, ...]  # (b_2, ..., b_{k+1})
+    __slots__ = ()
 
     @property
     def height(self) -> int:
@@ -286,8 +285,7 @@ def sg_from_beta(beta: tuple[int, ...]) -> StepSequence:
 # Puiseux characteristics
 
 
-@dataclass(frozen=True)
-class PuiseuxCharacteristic:
+class PuiseuxCharacteristic(Frozen):
     """A Puiseux characteristic [lambda_0; lambda_1, ..., lambda_g].
 
     lambda_0 is the multiplicity of the plane-curve germ; each further
@@ -295,15 +293,14 @@ class PuiseuxCharacteristic:
     encodes a smooth germ [1;].
     """
 
-    lambda0: int
-    exponents: tuple[int, ...] = ()
+    __slots__ = _fields = ("lambda0", "exponents")
 
-    def __post_init__(self):
-        if self.lambda0 < 1:
-            raise InvalidPC(f"lambda_0 must be positive, got {self.lambda0}")
-        prev = self.lambda0
-        e = self.lambda0
-        for lam in self.exponents:
+    def __init__(self, lambda0: int, exponents: tuple[int, ...] = ()):
+        if lambda0 < 1:
+            raise InvalidPC(f"lambda_0 must be positive, got {lambda0}")
+        prev = lambda0
+        e = lambda0
+        for lam in exponents:
             if lam <= prev:
                 raise InvalidPC(f"exponents must increase strictly: {lam} after {prev}")
             nxt = math.gcd(e, lam)
@@ -312,6 +309,8 @@ class PuiseuxCharacteristic:
             prev, e = lam, nxt
         if e != 1:
             raise InvalidPC(f"gcd of all entries is {e}, expected 1")
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def g(self) -> int:
@@ -449,24 +448,22 @@ def nonholonomy_degree(w: RvtWord | str) -> int:
     return beta_backend(goursat_normalize(w))[-1]
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
-    """Every invariant of one word, cross-checked across its routes."""
+class InvariantBundle(
+    namedtuple(
+        "InvariantBundle",
+        "word goursat_word k beta der der2 sg mult_vector m0 vo b e_table puiseux"
+        " nonholonomy_degree",
+    )
+):
+    """Every invariant of one word, cross-checked across its routes.
 
-    word: RvtWord
-    goursat_word: GoursatWord
-    k: int
-    beta: tuple[int, ...]
-    der: tuple[int, ...]
-    der2: tuple[int, ...]
-    sg: StepSequence  # SG_1 .. SG_{beta_last}, computed on demand
-    mult_vector: tuple[int, ...]
-    m0: int
-    vo: tuple[int, ...]
-    b: tuple[int, ...]
-    e_table: ETable
-    puiseux: PuiseuxCharacteristic
-    nonholonomy_degree: int
+    word is the RvtWord and goursat_word its normalization; sg is the
+    StepSequence SG_1 .. SG_{beta_last}, computed on demand; e_table is an
+    ETable and puiseux a PuiseuxCharacteristic; the other fields are ints
+    and tuples of ints.
+    """
+
+    __slots__ = ()
 
 
 def _require(cond: bool, name: str, *routes) -> None:

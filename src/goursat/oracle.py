@@ -11,7 +11,6 @@ that pins each e-table entry to a concrete section coefficient.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -19,7 +18,7 @@ from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from . import invariants
-from .codeword import Chart, ChartPoint
+from .codeword import Chart, ChartPoint, Frozen
 from .errors import (
     IndexRange,
     OrderMismatch,
@@ -50,8 +49,7 @@ def _inverses(n: int) -> tuple[int, ...]:
     return tuple(pow(i, -1, PRIME) for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Frozen):
     """A power series in t over F_p, p = PRIME = 2^61 - 1, known modulo
     t^prec; never reads past prec.
 
@@ -61,7 +59,10 @@ class Series:
     one, so an order over F_p can only overestimate the order over Q.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def prec(self) -> int:
@@ -141,8 +142,7 @@ def series_div(num: Series, den: Series) -> Series:
     return num.shift_out(d) * den.shift_out(d).invert_unit()
 
 
-@dataclass(frozen=True)
-class JetCurve:
+class JetCurve(NamedTuple):
     """Truncated power-series values of every chart coordinate along a curve."""
 
     chart: Chart
@@ -250,8 +250,7 @@ def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
 # Focal orders by the backwards procedure
 
 
-@dataclass(frozen=True)
-class FocalOrders:
+class FocalOrders(NamedTuple):
     """Focal orders of every coordinate and differential at a chart point,
     and the vertical orders (VO_2 .. VO_k) they give."""
 
@@ -272,13 +271,18 @@ class FocalOrders:
         ]
 
 
+@lru_cache(maxsize=1)
 def focal_orders(p: ChartPoint) -> FocalOrders:
     """Backwards recursion: active differentials at the top level have
     order 1; each level's defining relation propagates the order to the
     coordinate it deactivated, and a coordinate that vanishes at the point
     inherits the order of its differential (otherwise its order is 0).
     VO_j is the order of n_j, which cuts out the divisor at infinity, at an
-    inverted level j, and 0 at an ordinary one (and off the divisor)."""
+    inverted level j, and 0 at an ordinary one (and off the divisor).
+
+    verify_word reads the orders of one point several times (the vertical
+    orders, the pathway frame, the generic-jet comparison, and m_0 for a
+    word that is not a Goursat word), so the last point's are cached."""
     chart = p.chart
     k = chart.k
     o_diff = {Chart.n_var(k): 1, chart.retained_var(k): 1}

@@ -52,6 +52,11 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through __init__: the default would set
+        # the slots one by one, which __setattr__ refuses.
+        return Poly, (self.nvars, self.terms)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

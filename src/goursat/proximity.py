@@ -12,7 +12,7 @@ the corresponding curve germ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codeword import GoursatWord, critical_block, lift_chain
 from .errors import RouteMismatch
@@ -20,11 +20,11 @@ from .errors import RouteMismatch
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ProximityDiagram:
-    word: GoursatWord
-    edges: frozenset[Edge]  # pairs (i, j) with i < j, chain edges included
-    mult: tuple[int, ...]  # m_0 .. m_k
+class ProximityDiagram(namedtuple("ProximityDiagram", "word edges mult")):
+    """The diagram of a GoursatWord: its edges, a frozenset of pairs (i, j)
+    with i < j, chain edges included, and the multiplicities m_0 .. m_k."""
+
+    __slots__ = ()
 
     @property
     def k(self) -> int:

@@ -11,33 +11,30 @@ structure lemmas that the invariant computations rest on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .codeword import Chart
+from .codeword import Chart, Frozen
 from .errors import IndexRange, NonExactDivision, RouteMismatch, VariableMismatch
 from .polynomial import Poly, var_names
 
 
-@dataclass(frozen=True)
-class VField:
+class VField(Frozen):
     """A vector field with polynomial coefficients on the coordinate frame."""
 
-    nvars: int
-    comps: tuple[Poly, ...]
+    __slots__ = _fields = ("nvars", "comps")
 
-    def __post_init__(self):
-        if len(self.comps) != self.nvars:
-            raise VariableMismatch(
-                f"expected {self.nvars} components, got {len(self.comps)}"
-            )
-        if any(p.nvars != self.nvars for p in self.comps):
+    def __init__(self, nvars: int, comps: tuple[Poly, ...]):
+        if len(comps) != nvars:
+            raise VariableMismatch(f"expected {nvars} components, got {len(comps)}")
+        if any(p.nvars != nvars for p in comps):
             raise VariableMismatch("component polynomial over wrong variable set")
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "comps", comps)
 
     @classmethod
     def frame(cls, nvars: int, var: int) -> "VField":
@@ -240,8 +237,7 @@ def b_coeff(chart: Chart, i: int, j: int) -> Poly:
 # Bracket table with its closed forms
 
 
-@dataclass(frozen=True)
-class BracketEntry:
+class BracketEntry(NamedTuple):
     """One bracket expressed in the f/v frames: coeff * (f|v)_index, or 0."""
 
     coeff: Poly
@@ -279,8 +275,7 @@ def predicted_ff(chart: Chart, i: int, j: int) -> BracketEntry:
     return BracketEntry(-b_coeff(chart, i, j), kind, i - 1)
 
 
-@dataclass(frozen=True)
-class BracketTable:
+class BracketTable(NamedTuple):
     """All [v_i, f_j] and [f_i, f_j], in closed form."""
 
     chart: Chart
@@ -323,8 +318,7 @@ def bracket_table(chart: Chart) -> BracketTable:
 # The g-basis
 
 
-@dataclass(frozen=True)
-class GBasis:
+class GBasis(NamedTuple):
     """The mixed basis g_0, ..., g_{k+1} with its divisors and identities.
 
     divisors[i-1] is the monomial removed when passing from [g_0, g_i] to

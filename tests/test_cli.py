@@ -708,3 +708,34 @@ def test_cli_starts_without_the_symbolic_modules():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+    # Nor do they start with the modules that cost the most to import:
+    # dataclasses (with inspect), fractions (with decimal) and json, which
+    # only invariants --json needs.  One line of loaded modules per stage.
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert bare.returncode == 0, bare.stderr
+    baseline = set(bare.stdout.split())
+    script = (
+        "import contextlib, io, sys, goursat.cli\n"
+        "def loaded(*argvs):\n"
+        "    for argv in argvs:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert goursat.cli.main(argv) == 0, argv\n"
+        "    print(*sys.modules)\n"
+        "loaded(['invariants', 'RRVTVV'], ['etable', 'RRVTVV'], ['lift', 'RR'])\n"
+        "loaded(['invariants', 'RRVTVV', '--json'])\n"
+        "loaded(['verify', 'RRVV'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    plain, as_json, verify = (set(line.split()) for line in proc.stdout.splitlines())
+    costly = {"dataclasses", "inspect", "fractions", "decimal", "json"}
+    assert not costly & (plain - baseline)
+    assert not {"goursat.oracle", "goursat.symcalc", "goursat.polynomial"} & plain
+    # _json is the json package's C accelerator.
+    assert {m.partition(".")[0] for m in as_json - plain} <= {"json", "_json"}
+    assert "json" in as_json
+    assert "dataclasses" not in verify - baseline
