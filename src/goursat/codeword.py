@@ -294,25 +294,15 @@ class Chart(Frozen):
 
 
 class ChartPoint(Frozen):
-    """A chart together with exact rational coordinates of a point on it."""
+    """A chart together with the integer coordinates of a point on it."""
 
-    _fields = ("chart", "coords")
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached hash
+    __slots__ = _fields = ("chart", "coords")
 
-    def __init__(self, chart: Chart, coords: tuple[Fraction, ...]):
+    def __init__(self, chart: Chart, coords: tuple[int, ...]):
         if len(coords) != chart.nvars:
             raise ValueError(f"expected {chart.nvars} coordinates, got {len(coords)}")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coords", coords)
-
-    # The oracle's per-point caches look a point up once per column or
-    # coordinate, so its hash over k + 2 Fractions is computed once.
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._values())
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def k(self) -> int:
@@ -322,7 +312,7 @@ class ChartPoint(Frozen):
     def ip(self) -> frozenset[int]:
         return self.chart.ip
 
-    def n_value(self, j: int) -> Fraction:
+    def n_value(self, j: int) -> int:
         """Value of the coordinate n_j at the point."""
         return self.coords[Chart.n_var(j)]
 
@@ -334,10 +324,8 @@ def canonical_chart_point(w: RvtWord | str) -> ChartPoint:
     T -> ordinary, n_j = 0;  R -> ordinary with n_j = 0 after R (or at
     level 1) and n_j = 1 after a critical letter.  The base point is the
     origin of the base chart (r_0 = n_0 = 0).  Any nonzero value would do
-    for the R-after-critical case; 1 keeps the arithmetic integral.
+    for the R-after-critical case.
     """
-    from fractions import Fraction
-
     w = _as_word(w)
     choices = []
     values = []
@@ -353,8 +341,7 @@ def canonical_chart_point(w: RvtWord | str) -> ChartPoint:
             choices.append("o")
             values.append(1 if prev in CRITICAL else 0)
         prev = s
-    coords = (Fraction(0), Fraction(0)) + tuple(Fraction(v) for v in values)
-    return ChartPoint(Chart("".join(choices)), coords)
+    return ChartPoint(Chart("".join(choices)), (0, 0, *values))
 
 
 def rvt_of_chart_point(p: ChartPoint) -> RvtWord:

@@ -11,9 +11,7 @@ that pins each e-table entry to a concrete section coefficient.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -38,11 +36,6 @@ from .symcalc import RankTracker, VField, lie_bracket, point_row, std_fields
 PRIME = 2**61 - 1
 
 
-def _to_field(x: Fraction | int) -> int:
-    """The rational n/d as n * d^-1 mod PRIME."""
-    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
-
-
 @lru_cache(maxsize=None)
 def _inverses(n: int) -> tuple[int, ...]:
     """The inverses of 1..n mod PRIME; integration divides by each."""
@@ -53,7 +46,7 @@ class Series(Frozen):
     """A power series in t over F_p, p = PRIME = 2^61 - 1, known modulo
     t^prec; never reads past prec.
 
-    Coefficients are ints in [0, p); a rational n/d enters as n * d^-1.
+    Coefficients are ints in [0, p); an int enters reduced mod p.
     focal_jet draws its free coefficients uniformly from [1, p).  The error
     is one-sided: reducing mod p can cancel a coefficient but not create
     one, so an order over F_p can only overestimate the order over Q.
@@ -69,11 +62,11 @@ class Series(Frozen):
         return len(self.coeffs)
 
     @classmethod
-    def from_terms(cls, prec: int, terms: dict[int, Fraction | int]) -> "Series":
+    def from_terms(cls, prec: int, terms: dict[int, int]) -> "Series":
         coeffs = [0] * prec
         for e, c in terms.items():
             if e < prec:
-                coeffs[e] = _to_field(c)
+                coeffs[e] = c % PRIME
         return cls(tuple(coeffs))
 
     def order(self) -> int | None:
@@ -91,8 +84,7 @@ class Series(Frozen):
 
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
-            c = _to_field(other)
-            return Series(tuple(a * c % PRIME for a in self.coeffs))
+            return Series(tuple(a * other % PRIME for a in self.coeffs))
         prec = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs[prec - 1 :: -1]
         # Coefficient n is a[0..n] against b reversed, reduced once.
@@ -103,8 +95,8 @@ class Series(Frozen):
     def deriv(self) -> "Series":
         return Series(tuple((i + 1) * c % PRIME for i, c in enumerate(self.coeffs[1:])))
 
-    def integrate(self, constant: Fraction | int) -> "Series":
-        out = [_to_field(constant)]
+    def integrate(self, constant: int) -> "Series":
+        out = [constant % PRIME]
         out.extend(c * inv % PRIME for c, inv in zip(self.coeffs, _inverses(self.prec)))
         return Series(tuple(out))
 
@@ -153,7 +145,7 @@ class JetCurve(NamedTuple):
         return min(s.prec for s in self.series)
 
     def eval_poly(self, a: Poly) -> Series:
-        """a along the curve; each coefficient n/d enters as n * d^-1 mod p."""
+        """a along the curve; each coefficient enters reduced mod p."""
         prec = self.prec
         out = Series.from_terms(prec, {})
         for mono, c in a.terms.items():
@@ -223,15 +215,12 @@ def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
         raise StepBudgetExceeded("max_steps must be at least 1")
     full_rank = p.chart.nvars
     gens = GeneratorSet(p.chart)
-    # The point's coordinates over one common denominator, in ints.
-    den = lcm(*(x.denominator for x in p.coords))
-    nums = [int(x * den) for x in p.coords]
     tracker = RankTracker()
     sg: list[int] = []
     batch = gens.steps[0]
     while True:
         for gen in batch:
-            tracker.add(point_row(gen, nums, den))
+            tracker.add(point_row(gen, p.coords))
         sg.append(tracker.rank)
         if tracker.rank == full_rank:
             return tuple(sg)
@@ -332,7 +321,7 @@ def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
     chart = p.chart
     k = chart.k
 
-    def free_series(value: Fraction) -> Series:
+    def free_series(value: int) -> Series:
         terms = {m: rng.randrange(1, PRIME) for m in range(1, prec)}
         return Series.from_terms(prec, {0: value, **terms})
 

@@ -1,21 +1,18 @@
-"""Exact multivariate polynomial arithmetic over the rationals.
+"""Exact multivariate polynomial arithmetic over the integers.
 
 Polynomials are stored as a canonical mapping from exponent tuples to
-nonzero coefficients (ints or Fractions; integer arithmetic is preserved
-whenever possible).  Terms are ordered graded-lexicographically over the
-fixed variable order (r_0, n_0, ..., n_k), which makes serialization
+nonzero int coefficients.  Terms are ordered graded-lexicographically over
+the fixed variable order (r_0, n_0, ..., n_k), which makes serialization
 deterministic: equal polynomials render identically.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import NonExactDivision, VariableMismatch
 
 Monomial = tuple[int, ...]
-Coeff = int | Fraction
 
 
 def _grlex(mono: Monomial) -> tuple[int, Monomial]:
@@ -23,13 +20,13 @@ def _grlex(mono: Monomial) -> tuple[int, Monomial]:
 
 
 class Poly:
-    """Immutable polynomial with exact rational coefficients."""
+    """Immutable polynomial with integer coefficients."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Coeff] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         object.__setattr__(self, "nvars", nvars)
-        clean: dict[Monomial, Coeff] = {}
+        clean: dict[Monomial, int] = {}
         if terms:
             for mono, c in terms.items():
                 if len(mono) != nvars:
@@ -41,7 +38,7 @@ class Poly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _wrap(cls, nvars: int, terms: dict[Monomial, Coeff]) -> "Poly":
+    def _wrap(cls, nvars: int, terms: dict[Monomial, int]) -> "Poly":
         """Adopt a term dict that already has nvars-long monomials and only
         nonzero coefficients, without copying or checking it."""
         out = cls.__new__(cls)
@@ -64,7 +61,7 @@ class Poly:
         return cls(nvars)
 
     @classmethod
-    def const(cls, nvars: int, c: Coeff) -> "Poly":
+    def const(cls, nvars: int, c: int) -> "Poly":
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -74,7 +71,7 @@ class Poly:
         return cls(nvars, {tuple(mono): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Mapping[int, int], c: Coeff = 1) -> "Poly":
+    def monomial(cls, nvars: int, exps: Mapping[int, int], c: int = 1) -> "Poly":
         mono = [0] * nvars
         for var, e in exps.items():
             mono[var] = e
@@ -86,19 +83,16 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def items(self) -> list[tuple[Monomial, Coeff]]:
+    def items(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order (canonical)."""
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def key(self) -> tuple:
-        """Hashable canonical form (the basis of the hash).
-
-        Terms sorted by monomial; an int and the equal Fraction compare and
-        hash alike, so the key does not depend on the coefficient type.
-        """
+        """Hashable canonical form (the basis of the hash): the terms sorted
+        by monomial."""
         return tuple(sorted(self.terms.items()))
 
-    def leading(self) -> tuple[Monomial, Coeff]:
+    def leading(self) -> tuple[Monomial, int]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self.terms, key=_grlex)
@@ -143,14 +137,14 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return Poly.zero(self.nvars)
             return Poly._wrap(self.nvars, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        terms: dict[Monomial, Coeff] = {}
+        terms: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
@@ -177,7 +171,7 @@ class Poly:
 
     def divide_monomial(self, exps: Monomial) -> "Poly":
         """Exact division by a monic monomial; NonExactDivision if any term fails."""
-        terms: dict[Monomial, Coeff] = {}
+        terms: dict[Monomial, int] = {}
         for m, coeff in self.terms.items():
             lowered = tuple(a - b for a, b in zip(m, exps))
             if any(e < 0 for e in lowered):

@@ -11,7 +11,6 @@ structure lemmas that the invariant computations rest on.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -63,7 +62,7 @@ class VField(Frozen):
         if isinstance(a, Poly):
             if a.nvars != self.nvars:
                 raise VariableMismatch("scaling polynomial over wrong variable set")
-        elif not isinstance(a, (int, Fraction)):
+        elif not isinstance(a, int):
             return NotImplemented
         return VField(self.nvars, tuple(p * a for p in self.comps))
 
@@ -164,20 +163,15 @@ class RankTracker:
         return False
 
 
-def point_row(field: VField, nums: Sequence[int], den: int = 1) -> dict[int, int]:
-    """A positive multiple of field(nums / den) as a sparse integer row keyed
-    by component, for RankTracker; the field's coefficients must be ints.
-
-    A term of degree e is scaled by den^(D - e) for the field's top degree
-    D, so the row is den^D * field(nums / den), computed in ints.
-    """
-    top = max((sum(m) for p in field.comps for m in p.terms), default=0)
+def point_row(field: VField, point: Sequence[int]) -> dict[int, int]:
+    """field at an integer point as a sparse integer row keyed by
+    component, for RankTracker."""
     row = {}
     for index, p in enumerate(field.comps):
         total = 0
         for m, c in p.terms.items():
-            term = c * den ** (top - sum(m))
-            for x, e in zip(nums, m):
+            term = c
+            for x, e in zip(point, m):
                 if e:
                     term *= x**e
                     if not term:
@@ -408,7 +402,7 @@ def _f_expansion(chart: Chart) -> None:
 
 
 def _g_independence(chart: Chart) -> None:
-    # Independence at a generic rational point (all coordinates nonzero).
+    # Independence at a generic integer point (all coordinates nonzero).
     point = [v + 2 for v in range(chart.nvars)]
     tracker = RankTracker()
     for f in g_basis(chart).fields:

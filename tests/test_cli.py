@@ -728,10 +728,11 @@ def test_cli_starts_without_the_symbolic_modules():
         "loaded(['invariants', 'RRVTVV'], ['etable', 'RRVTVV'], ['lift', 'RR'])\n"
         "loaded(['invariants', 'RRVTVV', '--json'])\n"
         "loaded(['verify', 'RRVV'])\n"
+        "loaded(['verify', 'RRVV', '--symbolic'])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    plain, as_json, verify = (set(line.split()) for line in proc.stdout.splitlines())
+    plain, as_json, verify, symbolic = (set(line.split()) for line in proc.stdout.splitlines())
     costly = {"dataclasses", "inspect", "fractions", "decimal", "json"}
     assert not costly & (plain - baseline)
     assert not {"goursat.oracle", "goursat.symcalc", "goursat.polynomial"} & plain
@@ -739,3 +740,5 @@ def test_cli_starts_without_the_symbolic_modules():
     assert {m.partition(".")[0] for m in as_json - plain} <= {"json", "_json"}
     assert "json" in as_json
     assert "dataclasses" not in verify - baseline
+    # The package computes in ints only, so verify needs no fractions.
+    assert not {"fractions", "decimal"} & (symbolic - baseline)

@@ -123,7 +123,7 @@ def test_rank_tracker_against_fraction_elimination():
         assert tracker.rank == len(span.pivots)
 
 
-def test_point_row_is_a_positive_multiple_of_the_value():
+def test_point_row_is_the_value_at_the_point():
     rng = random.Random(9)
     nv = 4
     for _ in range(200):
@@ -134,14 +134,10 @@ def test_point_row_is_a_positive_multiple_of_the_value():
                 terms[tuple(rng.randrange(0, 3) for _ in range(nv))] = rng.randint(-5, 5)
             comps.append(Poly(nv, terms))
         field = VField(nv, tuple(comps))
-        point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(nv)]
-        den = math.lcm(*(x.denominator for x in point))
-        row = point_row(field, [int(x * den) for x in point], den)
-        values = evaluate(field, point)
+        point = [rng.randint(-5, 5) for _ in range(nv)]
+        row = point_row(field, point)
         assert all(type(c) is int for c in row.values())
-        assert set(row) == {i for i, v in enumerate(values) if v}
-        ratios = {row[i] / values[i] for i in row}
-        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+        assert row == {i: v for i, v in enumerate(evaluate(field, point)) if v}
 
 
 def test_kept_generators_are_independent():

@@ -1,7 +1,6 @@
 import inspect
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -82,9 +81,9 @@ class TestFocalOrders:
         # At k = 0 the active pair is (n_0, r_0) = (n_var(0), retained_var(0)),
         # so no level relation runs and each order is read off the point.
         chart = Chart("")
-        origin = focal_orders(ChartPoint(chart, (Fraction(0), Fraction(0))))
+        origin = focal_orders(ChartPoint(chart, (0, 0)))
         assert origin.o_coord == origin.o_diff == (1, 1)
-        off = focal_orders(ChartPoint(chart, (Fraction(3), Fraction(0))))
+        off = focal_orders(ChartPoint(chart, (3, 0)))
         assert off.o_coord == (0, 1) and off.o_diff == (1, 1)
 
 
@@ -106,10 +105,12 @@ class TestVerticalOrders:
 
 class TestGenericJet:
     def test_worked_example_order_six(self):
-        # y - (1/15) y''^5 at the point (0,0;0,0,0,1) of the chart ooio
+        # 15y - y''^5 at the point (0,0;0,0,0,1) of the chart ooio: the
+        # worked example y - (1/15) y''^5 times 15, and a nonzero constant
+        # factor leaves a focal order unchanged.
         chart = Chart("ooio")
-        point = ChartPoint(chart, (Fraction(0),) * 5 + (Fraction(1),))
-        a = Poly(6, {(0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 5, 0, 0): Fraction(-1, 15)})
+        point = ChartPoint(chart, (0,) * 5 + (1,))
+        a = Poly(6, {(0, 1, 0, 0, 0, 0): 15, (0, 0, 0, 5, 0, 0): -1})
         for seed in range(3):
             assert focal_order_generic_jet(point, a, prec=12, seed=seed) == 6
 
@@ -186,7 +187,7 @@ class TestGenericJet:
                     assert focal_order_generic_jet(p, a, prec, seed=seed) == want, (str(w), var)
 
     def test_base_chart_jet(self):
-        p = ChartPoint(Chart(""), (Fraction(0), Fraction(0)))
+        p = ChartPoint(Chart(""), (0, 0))
         jet = focal_jet(p, random.Random(5), 8)
         assert [s.order() for s in jet.series] == [1, 1]
 
@@ -274,12 +275,14 @@ class TestSeries:
 
     def test_integrate_then_deriv_is_identity(self):
         # integrate divides by 1..prec through modular inverses
-        s = Series.from_terms(9, {0: 3, 2: Fraction(1, 7), 5: -2, 8: PRIME - 1})
-        assert s.integrate(Fraction(2, 3)).deriv() == s
+        s = Series.from_terms(9, {0: 3, 2: 7, 5: -2, 8: PRIME - 1})
+        assert s.integrate(-4).deriv() == s
 
-    def test_rational_coefficients_map_into_the_field(self):
-        s = Series.from_terms(4, {0: Fraction(-1, 15)}) * 15
-        assert s.coeffs == (PRIME - 1, 0, 0, 0)
+    def test_negative_ints_reduce_into_the_field(self):
+        s = Series.from_terms(4, {0: -1, 1: 2 * PRIME + 3})
+        assert s.coeffs == (PRIME - 1, 3, 0, 0)
+        assert (s * -2).coeffs == (2, PRIME - 6, 0, 0)
+        assert s.integrate(-15).coeffs[0] == PRIME - 15
 
 
 class TestNormalizationGermEquivalence:

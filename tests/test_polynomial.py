@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from goursat.errors import NonExactDivision, VariableMismatch
@@ -22,7 +20,6 @@ class TestRing:
     def test_scalar_mul(self):
         x = p_var(0)
         assert 3 * x == x + x + x
-        assert Fraction(1, 2) * (2 * x) == x
 
     def test_zero_annihilates(self):
         assert (Poly.zero(4) * p_var(1)).is_zero
@@ -40,11 +37,6 @@ class TestCanonicalForm:
         assert a == b
         assert a.key() == b.key()
         assert hash(a) == hash(b)
-
-    def test_int_and_fraction_coeffs_agree(self):
-        x = p_var(0)
-        assert (2 * x).key() == (Fraction(2) * x).key()
-        assert hash((2 * x).key()) == hash((Fraction(2) * x).key())
 
     def test_grlex_leading(self):
         x, y = p_var(0), p_var(1)
@@ -91,10 +83,10 @@ class TestRender:
         p = 2 * x * x - y
         assert p.render(names) == "2*r0^2 - n0"
 
-    def test_fraction_coefficient(self):
+    def test_negative_non_unit_coefficient(self):
         names = var_names(2)
-        p = Poly.monomial(4, {1: 5}, Fraction(-1, 15))
-        assert p.render(names) == "-1/15*n0^5"
+        p = Poly.monomial(4, {1: 5}, -15)
+        assert p.render(names) == "-15*n0^5"
 
     def test_zero_and_const(self):
         names = var_names(2)

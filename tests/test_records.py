@@ -10,7 +10,6 @@ raises the error type the class documents.
 import copy
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -42,7 +41,7 @@ CASES = [
     (Chart, lambda: Chart("oio"), ("choices",), True,
      lambda: Chart("ox"), ValueError),
     (ChartPoint, _point, ("chart", "coords"), True,
-     lambda: ChartPoint(Chart("o"), (Fraction(0),)), ValueError),
+     lambda: ChartPoint(Chart("o"), (0,)), ValueError),
     (ETable, lambda: e_table((0, 5, 0, 1, 1), 6), ("k", "vo", "b"), True,
      lambda: ETable(6, (0, 5, 0, 1, 1)), TypeError),
     (PuiseuxCharacteristic, lambda: PuiseuxCharacteristic(8, (19,)),
