@@ -21,6 +21,7 @@ from .codeword import (
     Chart,
     RvtWord,
     canonical_chart_point,
+    check_levels,
     enumerate_goursat_words,
     is_goursat,
     lift,
@@ -55,6 +56,10 @@ ALL_WORDS_LEVEL_LIMIT = 12
 # (predicted by output_bound) the command refuses rather than run out of
 # memory.
 MAX_OUTPUT_BYTES = 64 * 2**20
+# Every command's cost grows about like k^2 in the word length k; past
+# this many letters a command refuses rather than run for minutes.  The
+# slowest command measured at this length took under 0.7 s.
+MAX_WORD_LENGTH = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +424,19 @@ def _check_output_budget(b: InvariantBundle, form: str) -> None:
 # Commands
 
 
+def _read_word(text: str) -> RvtWord:
+    """The word a command takes, parsed and held to MAX_WORD_LENGTH."""
+    word = parse_word(text)
+    if word.k > MAX_WORD_LENGTH:
+        raise LevelLimitExceeded(
+            f"words are limited to MAX_WORD_LENGTH = {MAX_WORD_LENGTH} letters, "
+            f"got k = {word.k}"
+        )
+    return word
+
+
 def cmd_invariants(args) -> int:
-    word = parse_word(args.word)
+    word = _read_word(args.word)
     bundle = _wired(invariants.bundle, word)
     _check_output_budget(bundle, "json" if args.json else "text")
     if args.json:
@@ -431,7 +447,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_etable(args) -> int:
-    word = parse_word(args.word)
+    word = _read_word(args.word)
     bundle = _wired(invariants.bundle, word)
     _check_output_budget(bundle, "etable")
     print(render_etable(bundle.e_table), end="")
@@ -439,7 +455,7 @@ def cmd_etable(args) -> int:
 
 
 def cmd_prox(args) -> int:
-    word = invariants.goursat_normalize(parse_word(args.word))
+    word = invariants.goursat_normalize(_read_word(args.word))
     diagram = proximity.build_diagram(word)
     if args.dot:
         print(proximity.to_dot(diagram), end="")
@@ -449,7 +465,7 @@ def cmd_prox(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    word = parse_word(args.word)
+    word = _read_word(args.word)
     if not is_goursat(word):
         raise WordError(f"lift needs a Goursat word, got {word}")
     print(str(lift(word)))
@@ -457,7 +473,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_puiseux(args) -> int:
-    word = parse_word(args.word)
+    word = _read_word(args.word)
     pc = _wired(invariants.puiseux_of_word, word)
     print(str(pc))
     return EXIT_OK
@@ -466,7 +482,7 @@ def cmd_puiseux(args) -> int:
 def cmd_chart(args) -> int:
     from .polynomial import var_names
 
-    word = parse_word(args.word)
+    word = _read_word(args.word)
     point = canonical_chart_point(word)
     chart = point.chart
     print(f"word:        {word}")
@@ -512,13 +528,15 @@ def cmd_verify(args) -> int:
         if not words:
             raise WordError(f"no Goursat words of length {args.all_words}")
     elif args.word is not None:
-        words = [parse_word(args.word)]
+        words = [_read_word(args.word)]
     else:
         raise WordError("verify needs a word or --all-words N")
 
+    # Before any word is checked, so that a refusal comes at once.
+    deepest = max(w.k for w in words)
     if args.symbolic:
-        # Before any word is checked, so that a refusal comes at once.
-        _check_symbolic_level(max(w.k for w in words))
+        _check_symbolic_level(deepest)
+    check_levels(deepest)
     # verify_word imports the oracle; importing it here, before the pool
     # starts, lets the forked workers share the parent's copy.
     from . import oracle  # noqa: F401

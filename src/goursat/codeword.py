@@ -216,6 +216,14 @@ def goursat_normalize(w: RvtWord | str) -> GoursatWord:
 # Charts
 
 
+def check_levels(k: int) -> None:
+    """Raise LevelLimitExceeded for a chart of more than MAX_LEVELS levels."""
+    if k > MAX_LEVELS:
+        raise LevelLimitExceeded(
+            f"charts are limited to MAX_LEVELS = {MAX_LEVELS} levels, got {k}"
+        )
+
+
 class Chart(Frozen):
     """A standard chart, named by its choice word over {o, i}.
 
@@ -229,11 +237,7 @@ class Chart(Frozen):
     def __init__(self, choices: str):
         if any(c not in "oi" for c in choices):
             raise ValueError(f"chart word must use only o/i: {choices!r}")
-        if len(choices) > MAX_LEVELS:
-            raise LevelLimitExceeded(
-                f"charts are limited to MAX_LEVELS = {MAX_LEVELS} levels, "
-                f"got {len(choices)}"
-            )
+        check_levels(len(choices))
         object.__setattr__(self, "choices", choices)
 
     @property

@@ -24,6 +24,7 @@ from goursat.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     MAX_OUTPUT_BYTES,
+    MAX_WORD_LENGTH,
     bundle_from_json,
     bundle_to_json,
     dumps_bundle,
@@ -663,6 +664,34 @@ def test_chart_level_cap_is_a_budget(argv, capsys):
     assert main(argv) == EXIT_BUDGET
     assert f"MAX_LEVELS = {MAX_LEVELS}" in capsys.readouterr().err
     assert main(["bracket-table", "o" * 17 + "x"]) == EXIT_INVALID
+
+
+def test_verify_refuses_levels_before_building_the_bundle(monkeypatch, capsys):
+    def no_bundle(*args, **kwargs):
+        raise AssertionError("verify built the bundle of a word past MAX_LEVELS")
+
+    monkeypatch.setattr(invariants, "bundle", no_bundle)
+    assert main(["verify", "R" * (MAX_LEVELS + 1)]) == EXIT_BUDGET
+    assert f"MAX_LEVELS = {MAX_LEVELS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["invariants"], ["invariants", "--json"], ["etable"], ["prox"], ["prox", "--dot"],
+     ["lift"], ["puiseux"], ["chart"], ["verify"], ["verify", "--symbolic"]],
+    ids=" ".join,
+)
+def test_word_length_is_a_budget(command):
+    # One letter past the limit is refused at once; the refusal names the
+    # limit and k, not the word.
+    word = "RR" + "V" * (MAX_WORD_LENGTH - 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(*command, word)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BUDGET and out == ""
+    assert f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}" in err
+    assert f"k = {MAX_WORD_LENGTH + 1}" in err
+    assert "VVVV" not in err
 
 
 @pytest.mark.parametrize(
