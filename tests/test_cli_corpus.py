@@ -53,6 +53,7 @@ def corpus_commands() -> list[tuple[str, ...]]:
         commands.append(("verify", w, "--symbolic"))
     commands.append(("verify", "--all-words", "6", "--symbolic", "--seed", "7"))
     commands.append(("verify", "--all-words", "8"))
+    commands.append(("verify", "--all-words", "10"))
     commands.append(("verify", "--all-words", "7", "--symbolic"))
     for k in range(1, 7):
         commands += [("bracket-table", "".join(c)) for c in itertools.product("oi", repeat=k)]
