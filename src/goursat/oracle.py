@@ -20,13 +20,12 @@ from .codeword import Chart, ChartPoint, Frozen
 from .errors import (
     IndexRange,
     OrderMismatch,
-    RouteMismatch,
     StepBudgetExceeded,
     TruncationTooSmall,
 )
 from .invariants import PuiseuxCharacteristic
 from .polynomial import Poly, var_names
-from .symcalc import RankTracker, VField, lie_bracket, point_row, std_fields
+from .symcalc import RankTracker, VField, focal_slots, lie_bracket, point_row, std_fields
 
 # ---------------------------------------------------------------------------
 # Truncated power series in one parameter, over a prime field
@@ -431,7 +430,7 @@ class PathwayRow(NamedTuple):
 @lru_cache(maxsize=1)
 def _pathway_frame(
     p: ChartPoint,
-) -> tuple[dict[int, int], tuple[PathwayRow, ...], tuple[tuple[int, tuple[int, ...], int], ...]]:
+) -> tuple[dict[int, int], tuple[PathwayRow, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
     """What every pathway column at p shares: the column sums S_i, the
     diagonal rows h = 3..k+1, and the steps that lower the focal order by
     one, in candidate order (n_k first, then by index).
@@ -442,12 +441,15 @@ def _pathway_frame(
     The step on n_k is the bracket with g_1, which lowers the exponent of
     n_k by one; the step on any other variable v is the bracket with g_0,
     which lowers the exponent of v by one and multiplies by f_k's slot v.
-    The order change is exact because focal order is linear in the
-    exponents.  Below the diagonal the e-table drops by exactly one per
-    row, so only steps of order change -1 can ever extend a pathway; each
-    kept step is (v, exponent change, coefficient factor).  verify_word
-    runs the columns of one point back to back, so one cached frame serves
-    them all.
+    The slots come from focal_slots, where each is 0 or a monomial with
+    coefficient 1 by construction, so a step is an exponent change and
+    multiplies the tracked coefficient by nothing but the exponent it
+    lowers: there is no other kind of slot to refuse.  The order change
+    is exact because focal order is linear in the exponents.  Below the
+    diagonal the e-table drops by exactly one per row, so only steps of
+    order change -1 can ever extend a pathway; each kept step is
+    (v, exponent change).  verify_word runs the columns of one point back
+    to back, so one cached frame serves them all.
     """
     chart = p.chart
     k = chart.k
@@ -466,23 +468,18 @@ def _pathway_frame(
                 f"diagonal term at h={h} has order {order}, expected {sums[h]}"
             )
         diagonal.append(PathwayRow(h, tuple(exps), 1, h, order))
-    fk = std_fields(chart)[0][k]
+    # The n_k step brackets with g_1 = v_k = d/dn_k; every other step
+    # brackets with g_0 = f_k, whose slot n_k is zero.
     nk_var = Chart.n_var(k)
+    fk = focal_slots(chart)[k]
     steps = []
-    for var in (nk_var, *range(nk_var)):
-        change, factor = [0] * chart.nvars, 1
-        if var != nk_var:
-            slot = fk.comps[var]
-            if not slot.is_monomial():
-                raise RouteMismatch(
-                    f"slot {var_names(k)[var]} of f_{k} is not a monomial: "
-                    f"{slot.render(var_names(k))}"
-                )
-            (mono, factor), = slot.terms.items()
-            change = list(mono)
+    for var, slot in ((nk_var, (0,) * chart.nvars), *enumerate(fk[:nk_var])):
+        if slot is None:
+            continue  # the step would bracket the term away
+        change = list(slot)
         change[var] -= 1
         if sum(map(mul, change, o_coord)) == -1:
-            steps.append((var, tuple(change), factor))
+            steps.append((var, tuple(change)))
     return sums, tuple(diagonal), tuple(steps)
 
 
@@ -500,7 +497,7 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
 
     The tracked coefficient is always a monomial: the diagonal terms are,
     and every slot of f_k but the n_k slot (which is zero) is a monomial
-    with coefficient 1 by the recursion in std_fields, so a derivative
+    with coefficient 1 by the recursion in focal_slots, so a derivative
     times a slot is again one term.  The search therefore runs on exponent
     tuples with int coefficients, and the rows keep the tuples: a row
     builds a Poly only when it is rendered.  Every step the frame keeps
@@ -521,10 +518,10 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
         # The steps whose variable occurs in the monomial, in candidate
         # order; every step lowers the order by one, as each row must.
         # Each term is built only when the search asks for it.
-        for var, change, factor in steps:
+        for var, change in steps:
             e = exps[var]
             if e:
-                yield tuple(map(add, exps, change)), coeff * e * factor
+                yield tuple(map(add, exps, change)), coeff * e
 
     # Depth-first search for a chain of candidates down to row b_i.  A
     # monomial can run out of the variables that the kept steps lower, so

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .codeword import Chart, Frozen
 from .errors import IndexRange, NonExactDivision, RouteMismatch, VariableMismatch
-from .polynomial import Poly, var_names
+from .polynomial import Monomial, Poly, var_names
 
 
 class VField(Frozen):
@@ -187,22 +187,45 @@ def point_row(field: VField, point: Sequence[int]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def std_fields(chart: Chart) -> tuple[tuple[VField, ...], tuple[VField, ...]]:
-    """The focal frame (f_0..f_k) and vertical frame (v_0..v_k) of a chart.
+def focal_slots(chart: Chart) -> tuple[tuple[Monomial | None, ...], ...]:
+    """The focal frame f_0..f_k of a chart, each field as one slot per
+    coordinate: None where its component is zero, else the exponent tuple
+    of the component, a monomial with coefficient 1.
 
-    f_0 = d/dr_0; at an ordinary level f_i = f_{i-1} + n_i v_{i-1} and at
-    an inverted level f_i = n_i f_{i-1} + v_{i-1}.
+    f_0 = d/dr_0.  At an ordinary level i, f_i = f_{i-1} + n_i v_{i-1}:
+    slot n_{i-1}, zero in f_{i-1}, becomes n_i.  At an inverted level i,
+    f_i = n_i f_{i-1} + v_{i-1}: every slot is multiplied by n_i, then slot
+    n_{i-1}, again zero in f_{i-1}, becomes 1.  No step adds two terms, so
+    every slot is 0 or a monomial with coefficient 1 by construction.
     """
     nv = chart.nvars
-    vs = tuple(VField.frame(nv, Chart.n_var(j)) for j in range(chart.k + 1))
-    fs = [VField.frame(nv, 0)]
+    one = (0,) * nv
+    slots: list[Monomial | None] = [None] * nv
+    slots[0] = one
+    frame = [tuple(slots)]
     for i in range(1, chart.k + 1):
-        ni = Poly.variable(nv, Chart.n_var(i))
+        ni, below = Chart.n_var(i), Chart.n_var(i - 1)
         if i in chart.ip:
-            fs.append(ni * fs[i - 1] + vs[i - 1])
+            slots = [None if s is None else s[:ni] + (s[ni] + 1,) + s[ni + 1 :] for s in slots]
+            slots[below] = one
         else:
-            fs.append(fs[i - 1] + ni * vs[i - 1])
-    return tuple(fs), vs
+            slots[below] = one[:ni] + (1,) + one[ni + 1 :]
+        frame.append(tuple(slots))
+    return tuple(frame)
+
+
+@lru_cache(maxsize=None)
+def std_fields(chart: Chart) -> tuple[tuple[VField, ...], tuple[VField, ...]]:
+    """The focal frame (f_0..f_k) and vertical frame (v_0..v_k) of a chart,
+    the focal fields built from focal_slots."""
+    nv = chart.nvars
+    zero = Poly.zero(nv)
+    fs = tuple(
+        VField(nv, tuple(zero if s is None else Poly._wrap(nv, {s: 1}) for s in slots))
+        for slots in focal_slots(chart)
+    )
+    vs = tuple(VField.frame(nv, Chart.n_var(j)) for j in range(chart.k + 1))
+    return fs, vs
 
 
 def _inverted_product(chart: Chart, levels: range) -> Poly:
@@ -433,7 +456,9 @@ def verify_structure(chart: Chart) -> None:
       delta_basis(1), +-v_{k-m+1} in delta_basis(i) for i >= m, and
       +-f_{k-m+1} in delta_basis(m), checked to depth k-m+1 >= k-i+1.
     - f_k and v_k = d/dn_k map a monomial to a polynomial with positive
-      coefficients: each slot of f_k is 0 or a monomial with coefficient 1.
+      coefficients: each slot of f_k is 0 or a monomial with coefficient 1
+      by construction, because focal_slots stores no other kind of slot,
+      and std_fields builds the frame from it.
 
     A failed lemma raises RouteMismatch (NonExactDivision from the g-basis)
     naming the lemma and the chart; any failure is an implementation bug.

@@ -4,10 +4,9 @@
 updates the focal order step by step.  The reference below is the plain
 search it replaced: every candidate is a `Poly` built by differentiating
 and multiplying by the focal-frame slot, and every order is recomputed
-from the monomial.  Both must return the same rows.
+from the monomial, and f_k comes from the test-local VField recursion,
+not from `symcalc`.  Both must return the same rows.
 """
-
-import pytest
 
 from goursat import invariants, oracle
 from goursat.codeword import (
@@ -17,9 +16,9 @@ from goursat.codeword import (
     enumerate_rvt_words,
     is_goursat,
 )
-from goursat.errors import RouteMismatch
 from goursat.polynomial import Poly
-from goursat.symcalc import VField, std_fields
+
+from worked_fixtures import reference_std_fields
 
 
 def reference_pathway(p, i):
@@ -29,7 +28,7 @@ def reference_pathway(p, i):
     k = chart.k
     sums = invariants._column_sums(oracle.vo_at_point(p), k)
     fo = oracle.focal_orders(p)
-    fk = std_fields(chart)[0][k]
+    fk = reference_std_fields(chart)[0][k]
     nv = chart.nvars
     nk_var = Chart.n_var(k)
 
@@ -118,18 +117,3 @@ def test_rows_match_the_poly_reference():
     assert searched > 1000
     assert passed_over > 0, "every first candidate fit, so the order filter went untested"
 
-
-def test_a_slot_that_is_not_a_monomial_is_refused(monkeypatch):
-    def fields(chart):
-        fs, vs = std_fields(chart)
-        one = Poly.const(chart.nvars, 1)
-        top = VField(chart.nvars, (fs[-1].comps[0] + one,) + fs[-1].comps[1:])
-        return fs[:-1] + (top,), vs
-
-    monkeypatch.setattr(oracle, "std_fields", fields)
-    oracle._pathway_frame.cache_clear()
-    try:
-        with pytest.raises(RouteMismatch, match="not a monomial"):
-            oracle.pathway_sections(canonical_chart_point("RRVTV"), 3)
-    finally:
-        oracle._pathway_frame.cache_clear()

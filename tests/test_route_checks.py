@@ -18,8 +18,6 @@ SCRIPT = textwrap.dedent(
     from goursat import invariants, oracle, proximity
     from goursat.codeword import canonical_chart_point
     from goursat.errors import OrderMismatch, RouteMismatch, TruncationTooSmall
-    from goursat.polynomial import Poly
-    from goursat.symcalc import VField
 
     assert False, "asserts are live: the script must run under -O"
 
@@ -49,15 +47,17 @@ SCRIPT = textwrap.dedent(
 
 
     def pathway_with_a_scaled_focal_field():
-        def scale_top_field(std_fields):
-            def fields(chart):
-                fs, vs = std_fields(chart)
-                nk = Poly.variable(chart.nvars, chart.k + 1)
-                top = VField(chart.nvars, tuple(nk * c for c in fs[-1].comps))
-                return fs[:-1] + (top,), vs
-            return fields
+        def scale_top_field(focal_slots):
+            def slots(chart):
+                *below, top = focal_slots(chart)
+                nk = chart.k + 1
+                top = tuple(
+                    None if s is None else s[:nk] + (s[nk] + 1,) + s[nk + 1 :] for s in top
+                )
+                return (*below, top)
+            return slots
 
-        with patched(oracle, "std_fields", scale_top_field):
+        with patched(oracle, "focal_slots", scale_top_field):
             oracle.pathway_sections(canonical_chart_point("RRVVVV"), 5)
 
 

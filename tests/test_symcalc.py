@@ -22,7 +22,7 @@ from goursat.symcalc import (
 CHART = Chart("ooioii")
 NAMES = var_names(6)
 
-from worked_fixtures import BRACKETS_OOIOII, evaluate
+from worked_fixtures import BRACKETS_OOIOII, evaluate, reference_std_fields
 
 
 def monomial(exps, c=1):
@@ -56,6 +56,18 @@ class TestStdFields:
         for chart in (CHART, Chart("iiii"), Chart("o")):
             fs, _ = std_fields(chart)
             assert fs[0] == VField.frame(chart.nvars, 0)
+
+    def test_frames_match_the_vfield_recursion(self):
+        # std_fields builds the focal frame from focal_slots' exponent
+        # tuples; the reference builds it by VField arithmetic.
+        charts = [
+            Chart("".join(bits))
+            for k in range(1, 11)
+            for bits in itertools.product("oi", repeat=k)
+        ]
+        assert len(charts) == 2046
+        for chart in charts:
+            assert std_fields(chart) == reference_std_fields(chart), chart.choices
 
 
 class TestCoefficients:

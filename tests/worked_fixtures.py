@@ -1,5 +1,6 @@
 """Frozen expected values shared by the unit and acceptance suites, and
-the plain Fraction evaluator that the reference computations use.
+the plain Fraction evaluator and Poly frame recursion that the reference
+computations use.
 
 Sources: hand-checked worked examples for these invariants, plus this
 package's independent oracles (brute-force enumeration and blowup
@@ -19,6 +20,26 @@ def evaluate(field, point):
             total += c
         values.append(total)
     return tuple(values)
+
+
+def reference_std_fields(chart):
+    """The focal and vertical frames of a chart by VField arithmetic:
+    f_0 = d/dr_0, f_i = f_{i-1} + n_i v_{i-1} at an ordinary level i and
+    f_i = n_i f_{i-1} + v_{i-1} at an inverted one."""
+    from goursat.codeword import Chart
+    from goursat.polynomial import Poly
+    from goursat.symcalc import VField
+
+    nv = chart.nvars
+    vs = tuple(VField.frame(nv, Chart.n_var(j)) for j in range(chart.k + 1))
+    fs = [VField.frame(nv, 0)]
+    for i in range(1, chart.k + 1):
+        ni = Poly.variable(nv, Chart.n_var(i))
+        if i in chart.ip:
+            fs.append(ni * fs[i - 1] + vs[i - 1])
+        else:
+            fs.append(fs[i - 1] + ni * vs[i - 1])
+    return tuple(fs), vs
 
 
 # e-tables with their SG columns, {h: (row, SG_h)}
