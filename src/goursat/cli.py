@@ -99,14 +99,16 @@ def bundle_to_json(b: InvariantBundle) -> dict:
 def bundle_from_json(data: dict) -> InvariantBundle:
     """Re-derive the bundle from its str word and int m0 and require every
     serialized field to agree with the re-derivation; ValueError if not, or
-    if data is not a dict with such a word and m0."""
+    if data is not a dict with such a word and m0.  The word is read as a
+    command reads it: LevelLimitExceeded, before any bundle is built, if it
+    has more than MAX_WORD_LENGTH letters."""
     if not isinstance(data, dict):
         raise ValueError(f"serialized bundle must be a JSON object, got {type(data).__name__}")
     for key, kind in (("word", str), ("m0", int)):
         value = data.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"serialized bundle needs a {kind.__name__} {key}: {value!r}")
-    rebuilt = invariants.bundle(parse_word(data["word"]), m0=data["m0"])
+    rebuilt = invariants.bundle(_read_word(data["word"]), m0=data["m0"])
     expected = bundle_to_json(rebuilt)
     wrong = sorted(
         key for key in expected.keys() | data.keys() if expected.get(key) != data.get(key)
@@ -412,12 +414,23 @@ def output_bound(b: InvariantBundle, form: str) -> int:
     return (height + 1) * (hwidth + 9 + sg_digits + k * (max(2, cell_digits) + 1))
 
 
+# The output budget's refusal quotes at most this many letters of the word
+# and digits of the bound, so that its length does not grow with k.
+QUOTED_LETTERS = 12
+QUOTED_DIGITS = 15
+
+
 def _check_output_budget(b: InvariantBundle, form: str) -> None:
     bound = output_bound(b, form)
     if bound > MAX_OUTPUT_BYTES:
+        word, size = str(b.word), str(bound)
+        if len(word) > QUOTED_LETTERS:
+            word = word[:QUOTED_LETTERS] + "..."
+        if len(size) > QUOTED_DIGITS:
+            size = f"about {size[0]}.{size[1:3]}e{len(size) - 1}"
         raise OutputBudgetExceeded(
-            f"the output of {b.word} would take up to {bound} bytes, more than "
-            f"MAX_OUTPUT_BYTES = {MAX_OUTPUT_BYTES}"
+            f"the output of {word} (k = {b.k}) would take up to {size} bytes, "
+            f"more than MAX_OUTPUT_BYTES = {MAX_OUTPUT_BYTES}"
         )
 
 

@@ -33,7 +33,7 @@ from goursat.cli import (
     render_etable,
     verify_word,
 )
-from goursat.errors import NonExactDivision, NotRealizable, RouteMismatch
+from goursat.errors import LevelLimitExceeded, NonExactDivision, NotRealizable, RouteMismatch
 from goursat.polynomial import Poly
 from test_cli_corpus import corpus_commands
 
@@ -217,6 +217,17 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=named):
             bundle_from_json(data)
 
+    def test_word_past_the_length_limit_refused_before_any_bundle(self, monkeypatch):
+        def no_bundle(*args, **kwargs):
+            raise AssertionError("a bundle was built for a word past MAX_WORD_LENGTH")
+
+        data = bundle_to_json(invariants.bundle("R" * MAX_WORD_LENGTH))
+        assert bundle_from_json(data).k == MAX_WORD_LENGTH
+        data["word"] += "R"
+        monkeypatch.setattr(invariants, "bundle", no_bundle)
+        with pytest.raises(LevelLimitExceeded, match=f"k = {MAX_WORD_LENGTH + 1}"):
+            bundle_from_json(data)
+
     @pytest.mark.parametrize("field", ["sg", "vo", "der2", "goursat_word", "k"])
     def test_any_tampered_field_rejected(self, field):
         data = bundle_to_json(invariants.bundle("RRVTVV"))
@@ -317,6 +328,16 @@ class TestOutputBudget:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_BUDGET and out == ""
         assert f"MAX_OUTPUT_BYTES = {MAX_OUTPUT_BYTES}" in err
+
+    @pytest.mark.parametrize("argv", [["etable"], ["invariants"], ["invariants", "--json"]])
+    def test_refusal_names_k_not_the_whole_word(self, argv, capsys):
+        # The refusal quotes a short prefix of the word and its k; stdout
+        # is empty, so only stderr could grow with the word.
+        assert main([*argv, "RR" + "V" * (MAX_WORD_LENGTH - 2)]) == EXIT_BUDGET
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"k = {MAX_WORD_LENGTH}" in err and "RRVV" in err
+        assert len(err) < 200
 
     def test_bound_covers_every_corpus_output(self):
         # Every invariants, invariants --json and etable command of the CLI
