@@ -469,13 +469,12 @@ def _pathway_frame(
             )
         diagonal.append(PathwayRow(h, tuple(exps), 1, h, order))
     # The n_k step brackets with g_1 = v_k = d/dn_k; every other step
-    # brackets with g_0 = f_k, whose slot n_k is zero.
+    # brackets with g_0 = f_k, whose slots below n_k are all nonzero (slot
+    # n_{i-1} is set at level i, slot r_0 by f_0).
     nk_var = Chart.n_var(k)
     fk = focal_slots(chart)[k]
     steps = []
     for var, slot in ((nk_var, (0,) * chart.nvars), *enumerate(fk[:nk_var])):
-        if slot is None:
-            continue  # the step would bracket the term away
         change = list(slot)
         change[var] -= 1
         if sum(map(mul, change, o_coord)) == -1:
