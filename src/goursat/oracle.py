@@ -432,24 +432,34 @@ def _pathway_frame(
     p: ChartPoint,
 ) -> tuple[dict[int, int], tuple[PathwayRow, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
     """What every pathway column at p shares: the column sums S_i, the
-    diagonal rows h = 3..k+1, and the steps that lower the focal order by
-    one, in candidate order (n_k first, then by index).
+    diagonal rows h = 3..k+1, and the step of each coordinate of positive
+    focal order, in candidate order (n_k first, then by index).
 
     The tracked term of f_{hh} is the monomial prod n_j^{h+j-k-3} over
     j in IP, j >= k-h+4, times g_h; its order must be e_{h,h} = S_h.
 
-    The step on n_k is the bracket with g_1, which lowers the exponent of
-    n_k by one; the step on any other variable v is the bracket with g_0,
-    which lowers the exponent of v by one and multiplies by f_k's slot v.
-    The slots come from focal_slots, where each is 0 or a monomial with
-    coefficient 1 by construction, so a step is an exponent change and
-    multiplies the tracked coefficient by nothing but the exponent it
-    lowers: there is no other kind of slot to refuse.  The order change
-    is exact because focal order is linear in the exponents.  Below the
-    diagonal the e-table drops by exactly one per row, so only steps of
-    order change -1 can ever extend a pathway; each kept step is
-    (v, exponent change).  verify_word runs the columns of one point back
-    to back, so one cached frame serves them all.
+    A coordinate's step is the bracket that takes it down: for n_k, with
+    g_1 = v_k = d/dn_k, which lowers the exponent of n_k by one; for any
+    other coordinate v, with g_0 = f_k, which lowers the exponent of v by
+    one and multiplies by f_k's slot v.  The slots come from focal_slots,
+    where each is a monomial with coefficient 1 by construction, so a step
+    is an exponent change and multiplies the tracked coefficient by nothing
+    but the exponent it lowers.  The order change is exact because focal
+    order is linear in the exponents; each step is (v, exponent change).
+
+    The focal step lemma: each coordinate of positive focal order has a
+    step that lowers the order by exactly one.  Such a coordinate vanishes
+    at p, so its order is that of its differential.  For n_k, o_diff = 1.
+    For v below n_k, o(slot v) = o_diff(v) - 1, by induction from the top
+    level down: slot r_k of f_k is 1, and o_diff(r_k) = 1; the coordinate
+    d_j deactivated at level j has slot n_j * slot r_j (f_k is tangent to
+    dd_j = n_j dr_j) and o_diff(d_j) = o(n_j) + o_diff(r_j) (focal_orders),
+    where r_j is r_k or deactivated above j.  Every coordinate below n_k
+    is r_k or some d_j.  The lemma is checked here, once per point, so it
+    tests focal_slots (the forward frame recursion) against focal_orders
+    (the backward order recursion).  The step of a coordinate of order 0
+    does not lower the order, and no pathway takes it.  verify_word runs
+    the columns of one point back to back, so one cached frame serves them.
     """
     chart = p.chart
     k = chart.k
@@ -468,17 +478,21 @@ def _pathway_frame(
                 f"diagonal term at h={h} has order {order}, expected {sums[h]}"
             )
         diagonal.append(PathwayRow(h, tuple(exps), 1, h, order))
-    # The n_k step brackets with g_1 = v_k = d/dn_k; every other step
-    # brackets with g_0 = f_k, whose slots below n_k are all nonzero (slot
-    # n_{i-1} is set at level i, slot r_0 by f_0).
     nk_var = Chart.n_var(k)
     fk = focal_slots(chart)[k]
     steps = []
     for var, slot in ((nk_var, (0,) * chart.nvars), *enumerate(fk[:nk_var])):
+        if not o_coord[var]:
+            continue
         change = list(slot)
         change[var] -= 1
-        if sum(map(mul, change, o_coord)) == -1:
-            steps.append((var, tuple(change)))
+        order_change = sum(map(mul, change, o_coord))
+        if order_change != -1:
+            raise OrderMismatch(
+                f"the focal step on {var_names(k)[var]} changes the order by "
+                f"{order_change}, not -1, on chart {chart.choices}"
+            )
+        steps.append((var, tuple(change)))
     return sums, tuple(diagonal), tuple(steps)
 
 
@@ -487,68 +501,36 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
 
     Phase one brackets with g_0 up the diagonal, where the tracked term of
     f_{hh} is the closed-form monomial times g_h.  Phase two extends with
-    h = i..b_i: bracket with g_1 when the tracked coefficient contains the
-    top coordinate n_k (the tracked term differentiates by n_k), else with
-    g_0 (the tracked term differentiates by one of its variables and picks
-    up the matching focal-frame coefficient).  At every step the tracked
-    coefficient's focal order must equal the e-table entry; OrderMismatch
-    would falsify the sharpness of the section bounds.
+    h = i+1..b_i, where b_i = i + S_i: each row takes the first step of
+    the frame (n_k first, then by index) whose variable occurs in the
+    tracked monomial.  At every row the tracked coefficient's focal order
+    must equal the e-table entry, e_{i+d,i} = S_i - d; OrderMismatch would
+    falsify the sharpness of the section bounds.
 
     The tracked coefficient is always a monomial: the diagonal terms are,
-    and every slot of f_k but the n_k slot (which is zero) is a monomial
-    with coefficient 1 by the recursion in focal_slots, so a derivative
-    times a slot is again one term.  The search therefore runs on exponent
-    tuples with int coefficients, and the rows keep the tuples: a row
-    builds a Poly only when it is rendered.  Every step the frame keeps
-    lowers the order by one, as the e-table does below the diagonal, so a
-    candidate's order is never recomputed.
+    and a step multiplies by a monomial slot of f_k, so the walk runs on
+    exponent tuples with int coefficients, and a row builds a Poly only
+    when it is rendered.  No row needs a search, by induction down the
+    column: the diagonal row has order S_i, which _pathway_frame checks;
+    while the order is positive, the monomial holds a coordinate of
+    positive order, and by the focal step lemma (checked in _pathway_frame)
+    its step lowers the order by exactly one.  So the walk reaches order 0
+    at row b_i, as the e-table does, after S_i steps.
     """
     chart = p.chart
     k = chart.k
     if not 3 <= i <= k + 1:
         raise IndexRange("pathway column", i, 3, k + 1)
     sums, diagonal, steps = _pathway_frame(p)
-    # The e-table entries come from the column sums: e_{h,h} = S_h on the
-    # diagonal, and e_{i+d,i} = S_i - d down to row b_i = i + S_i.
     rows = list(diagonal[: i - 2])
-    b_i = i + sums[i]
-
-    def candidates(exps: tuple[int, ...], coeff: int):
-        # The steps whose variable occurs in the monomial, in candidate
-        # order; every step lowers the order by one, as each row must.
-        # Each term is built only when the search asks for it.
+    exps, coeff = rows[-1].mono, rows[-1].coeff
+    for d in range(1, sums[i] + 1):
+        # The order is S_i - d + 1 > 0, so by the lemma the loop breaks.
         for var, change in steps:
             e = exps[var]
             if e:
-                yield tuple(map(add, exps, change)), coeff * e
-
-    # Depth-first search for a chain of candidates down to row b_i.  A
-    # monomial can run out of the variables that the kept steps lower, so
-    # the search backtracks out of such dead ends; pending[d - 1] yields
-    # the candidates for row i + d.  The stack is explicit because a chain
-    # has one step per row, and b_i grows like Fibonacci in k.
-    tail: list[tuple[tuple[int, ...], int]] = []
-    pending = []
-    if i < b_i:
-        pending.append(candidates(rows[-1].mono, rows[-1].coeff))
-    while pending:
-        d = len(pending)
-        cand = next(pending[-1], None)
-        if cand is None:
-            pending.pop()
-            if tail:
-                tail.pop()
-            continue
-        tail.append(cand)
-        if d == b_i - i:
-            break
-        pending.append(candidates(*cand))
-    if i < b_i and not pending:
-        raise OrderMismatch(
-            f"no pathway from column {i} tracks orders down to zero at h={b_i}"
-        )
-    rows.extend(
-        PathwayRow(i + d, exps, coeff, i, sums[i] - d)
-        for d, (exps, coeff) in enumerate(tail, start=1)
-    )
+                break
+        coeff *= e
+        exps = tuple(map(add, exps, change))
+        rows.append(PathwayRow(i + d, exps, coeff, i, sums[i] - d))
     return tuple(rows)

@@ -98,9 +98,6 @@ class Poly:
         mono = max(self.terms, key=_grlex)
         return mono, self.terms[mono]
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented

@@ -634,7 +634,7 @@ class TestVerifyCommand:
         assert out.endswith("PASS\n")
 
     def test_verify_deep_word(self):
-        # The pathway search takes one step per e-table row; at k = 16 a
+        # The pathway walk takes one step per e-table row; at k = 16 a
         # recursive search ran out of stack.
         code, out, err = run_cli("verify", "RR" + "V" * 14)
         assert code == EXIT_OK, err

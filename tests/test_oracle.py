@@ -257,6 +257,17 @@ class TestPathway:
             assert rows[-1].h == b[i - 2]
             assert rows[-1].order == 0
 
+    def test_focal_step_lemma_at_every_rvt_word(self):
+        # The pathway frame raises OrderMismatch at a point where a step of
+        # a coordinate of positive order does not lower the order by one.
+        # 4,180 of these words are not Goursat words, which verify never
+        # reaches past k = 6.
+        words = [w for k in range(2, 11) for w in enumerate_rvt_words(k)]
+        assert len(words) == 6764
+        for w in words:
+            rows = pathway_sections(canonical_chart_point(w), 3)
+            assert rows[-1].order == 0, str(w)
+
 
 class TestSeries:
     # Coefficients are ints mod PRIME.

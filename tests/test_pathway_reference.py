@@ -1,10 +1,13 @@
-"""The pathway search against a Poly-based reference.
+"""The pathway walk against a backtracking Poly-based reference.
 
-`oracle.pathway_sections` tracks its coefficient as an exponent tuple and
-updates the focal order step by step.  The reference below is the plain
-search it replaced: every candidate is a `Poly` built by differentiating
-and multiplying by the focal-frame slot, and every order is recomputed
-from the monomial, and f_k comes from the test-local VField recursion,
+`oracle.pathway_sections` walks down a column on exponent tuples: each
+row takes the first step of its frame whose variable occurs in the
+tracked monomial, and the focal step lemma, checked once per point, says
+that step lowers the order by one.  The reference below assumes no lemma
+and searches: every candidate is a `Poly` built by differentiating and
+multiplying by the focal-frame slot, every order is recomputed from the
+monomial, a candidate of the wrong order is passed over, a dead end is
+backtracked out of, and f_k comes from the test-local VField recursion,
 not from `symcalc`.  Both must return the same rows.
 """
 

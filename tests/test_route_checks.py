@@ -16,7 +16,7 @@ SCRIPT = textwrap.dedent(
     from contextlib import contextmanager
 
     from goursat import invariants, oracle, proximity
-    from goursat.codeword import canonical_chart_point
+    from goursat.codeword import Chart, canonical_chart_point
     from goursat.errors import OrderMismatch, RouteMismatch, TruncationTooSmall
 
     assert False, "asserts are live: the script must run under -O"
@@ -32,7 +32,7 @@ SCRIPT = textwrap.dedent(
             setattr(owner, name, original)
 
 
-    # The pathway search caches one frame per point, so each case below
+    # The pathway walk caches one frame per point, so each case below
     # uses its own word.
     def pathway_with_a_raised_column_sum():
         def raise_s5(column_sums):
@@ -61,6 +61,23 @@ SCRIPT = textwrap.dedent(
             oracle.pathway_sections(canonical_chart_point("RRVVVV"), 5)
 
 
+    def pathway_with_squared_ordinary_slots():
+        # As if focal_slots set slot n_{i-1} to n_i^2 at each ordinary level i
+        def square_ordinary_slots(focal_slots):
+            def slots(chart):
+                *below, top = focal_slots(chart)
+                top = list(top)
+                for i in range(1, chart.k + 1):
+                    if i not in chart.ip:
+                        s, ni = top[Chart.n_var(i - 1)], Chart.n_var(i)
+                        top[Chart.n_var(i - 1)] = s[:ni] + (s[ni] + 1,) + s[ni + 1 :]
+                return (*below, tuple(top))
+            return slots
+
+        with patched(oracle, "focal_slots", square_ordinary_slots):
+            oracle.pathway_sections(canonical_chart_point("RRVTTVVV"), 9)
+
+
     cases = {
         # m_0 = 2 differs from m_1 = 1 on this diagram
         "proximity._multiplicities": (
@@ -79,12 +96,20 @@ SCRIPT = textwrap.dedent(
             pathway_with_a_raised_column_sum,
             "diagonal term at h=5 has order 3, expected 4",
         ),
-        # f_6 times n_6: each g_0 step lowers the order by o(n_6) less, so no
-        # chain from column 5 reaches zero
+        # f_6 times n_6: each g_0 step lowers the order by o(n_6) = 1 less,
+        # so the first coordinate of positive order, r_0, keeps it
         "oracle.pathway_sections chain": (
             OrderMismatch,
             pathway_with_a_scaled_focal_field,
-            "no pathway from column 5 tracks orders down to zero at h=8",
+            "the focal step on r0 changes the order by 0, not -1, on chart ooiiii",
+        ),
+        # slot n_0 of f_8 holds n_1^2, not n_1, so the step on n_0 raises the
+        # order; a search over the steps for a pathway down column 9 ran on
+        # for minutes
+        "oracle.pathway_sections squared slot": (
+            OrderMismatch,
+            pathway_with_squared_ordinary_slots,
+            "the focal step on n0 changes the order by 22, not -1, on chart ooiooiii",
         ),
     }
     failures = 0
@@ -109,6 +134,10 @@ def test_route_checks_survive_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -4,8 +4,10 @@ A private function or class (a name with one leading underscore, not a
 dunder) that nothing in ``src/goursat`` refers to beyond its own
 definition is dead code: its only callers were deleted.  A public
 top-level function or class must be referred to in ``src/goursat`` or in
-the tests.  Methods are left out: names such as ``render`` are shared by
-several classes, so a reference cannot be told apart from another's.
+the tests.  A method name (dunders excepted) must be read somewhere in
+the package or the tests; names such as ``render`` are shared by several
+classes, so a reference cannot be told apart from another's, and this
+catches only a name that nothing reads at all.
 """
 
 import ast
@@ -68,3 +70,18 @@ def test_every_public_top_level_name_is_referenced():
     used = _used_names([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
     stale = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
     assert not stale, f"public names with no reference in the package or tests: {stale}"
+
+
+def test_every_method_name_is_read():
+    defined: dict[str, str] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not (item.name.startswith("__") and item.name.endswith("__")):
+                            defined.setdefault(item.name, f"{path.name}:{item.lineno}")
+    assert defined, "no methods found; is the package path right?"
+    used = _used_names([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
+    stale = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+    assert not stale, f"method names read nowhere in the package or tests: {stale}"
