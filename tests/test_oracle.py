@@ -260,8 +260,8 @@ class TestPathway:
     def test_focal_step_lemma_at_every_rvt_word(self):
         # The pathway frame raises OrderMismatch at a point where a step of
         # a coordinate of positive order does not lower the order by one.
-        # 4,180 of these words are not Goursat words, which verify never
-        # reaches past k = 6.
+        # 4,180 of these words are not Goursat words, at which no other
+        # pathway test runs past k = 6.
         words = [w for k in range(2, 11) for w in enumerate_rvt_words(k)]
         assert len(words) == 6764
         for w in words:

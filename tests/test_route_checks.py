@@ -105,7 +105,7 @@ SCRIPT = textwrap.dedent(
         ),
         # slot n_0 of f_8 holds n_1^2, not n_1, so the step on n_0 raises the
         # order; a search over the steps for a pathway down column 9 ran on
-        # for minutes
+        # for about 23 s before it gave up
         "oracle.pathway_sections squared slot": (
             OrderMismatch,
             pathway_with_squared_ordinary_slots,
