@@ -316,7 +316,16 @@ def verify_word(
     seed: int = 0,
     symbolic: bool = False,
 ) -> tuple[bool, list[str]]:
-    """Run the cross-checks for one word; returns (ok, report lines)."""
+    """Run the cross-checks for one word; returns (ok, report lines).
+
+    The pathway line rests on oracle.pathway_frame, checked once at the
+    word's point; no column is walked.  By the induction in
+    oracle.pathway_sections' docstring, the frame's diagonal check and its
+    focal step lemma imply that every column i = 3..k+1 walks from order
+    S_i down to order 0 at row b_i, its orders matching the e-table, so
+    the line holds for all columns.  A frame that fails raises
+    OrderMismatch.
+    """
     from . import oracle, symcalc
     from .polynomial import Poly, var_names
 
@@ -344,8 +353,7 @@ def verify_word(
         )
 
     if word.k >= 2:
-        for i in range(3, word.k + 2):
-            oracle.pathway_sections(point, i)
+        oracle.pathway_frame(point)
         lines.append(f"{word}: pathway orders match the e-table for all columns")
 
     if symbolic:

@@ -428,7 +428,7 @@ class PathwayRow(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _pathway_frame(
+def pathway_frame(
     p: ChartPoint,
 ) -> tuple[dict[int, int], tuple[PathwayRow, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
     """What every pathway column at p shares: the column sums S_i, the
@@ -458,8 +458,14 @@ def _pathway_frame(
     is r_k or some d_j.  The lemma is checked here, once per point, so it
     tests focal_slots (the forward frame recursion) against focal_orders
     (the backward order recursion).  The step of a coordinate of order 0
-    does not lower the order, and no pathway takes it.  verify_word runs
-    the columns of one point back to back, so one cached frame serves them.
+    does not lower the order, and no pathway takes it.
+
+    The frame is all that can fail in a pathway column: by the induction
+    in pathway_sections' docstring, the diagonal check and the lemma imply
+    that every column i walks from order S_i down to order 0 at row b_i,
+    matching the e-table on every row.  So verify_word checks the frame,
+    once per point, and walks no column; pathway_sections builds the rows
+    of a column for a caller that wants them, from this cached frame.
     """
     chart = p.chart
     k = chart.k
@@ -511,9 +517,9 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     and a step multiplies by a monomial slot of f_k, so the walk runs on
     exponent tuples with int coefficients, and a row builds a Poly only
     when it is rendered.  No row needs a search, by induction down the
-    column: the diagonal row has order S_i, which _pathway_frame checks;
+    column: the diagonal row has order S_i, which pathway_frame checks;
     while the order is positive, the monomial holds a coordinate of
-    positive order, and by the focal step lemma (checked in _pathway_frame)
+    positive order, and by the focal step lemma (checked in pathway_frame)
     its step lowers the order by exactly one.  So the walk reaches order 0
     at row b_i, as the e-table does, after S_i steps.
     """
@@ -521,7 +527,7 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     k = chart.k
     if not 3 <= i <= k + 1:
         raise IndexRange("pathway column", i, 3, k + 1)
-    sums, diagonal, steps = _pathway_frame(p)
+    sums, diagonal, steps = pathway_frame(p)
     rows = list(diagonal[: i - 2])
     exps, coeff = rows[-1].mono, rows[-1].coeff
     for d in range(1, sums[i] + 1):
