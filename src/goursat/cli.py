@@ -566,23 +566,26 @@ def cmd_verify(args) -> int:
     tasks = [(str(w), args.depth, args.seed, args.symbolic) for w in words]
     if len(tasks) > 1:
         # Per-word checks are pure and independent; fan out across workers.
-        # Cost grows with the degree of nonholonomy, so the deepest words
-        # start first and none is left to run alone at the end; results are
-        # still printed in word order.  The words go out in about 16 chunks
-        # per worker, so that dispatch is paid per chunk, not per word.
+        # The brute force of --symbolic grows with the degree of
+        # nonholonomy, so there the deepest words start first and none is
+        # left to run alone at the end.  Without it no word is slow enough
+        # to be left alone at the end, so the words go out in word order and
+        # no degree is computed for the sort.  Results are printed in word
+        # order either way.  The words go out in about 16 chunks per worker,
+        # so that dispatch is paid per chunk, not per word.
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
-        by_depth = sorted(
-            range(len(words)), key=lambda i: -invariants.nonholonomy_degree(words[i])
-        )
+        order = range(len(words))
+        if args.symbolic:
+            order = sorted(order, key=lambda i: -invariants.nonholonomy_degree(words[i]))
         workers = os.cpu_count() or 1
         chunksize = max(1, len(tasks) // (16 * workers))
         results = [None] * len(tasks)
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                done = pool.map(_verify_task, [tasks[i] for i in by_depth], chunksize=chunksize)
-                for i, result in zip(by_depth, done):
+                done = pool.map(_verify_task, [tasks[i] for i in order], chunksize=chunksize)
+                for i, result in zip(order, done):
                     results[i] = result
         except BrokenProcessPool:
             # A worker was killed (by a signal, or out of memory); the words

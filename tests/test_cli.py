@@ -507,11 +507,12 @@ class TestVerifyCommand:
         assert out.splitlines() == expected + ["PASS"]
 
     def test_all_words_start_deepest_first(self, monkeypatch, capsys):
-        # An executor that runs each task when it is submitted completes the
+        # Under --symbolic, whose brute force grows with the degree.  An
+        # executor that runs each task when it is submitted completes the
         # tasks in submission order, which is not word order.
         pool = EagerPool()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        assert main(["verify", "--all-words", "5"]) == EXIT_OK
+        assert main(["verify", "--all-words", "5", "--symbolic"]) == EXIT_OK
         words = [str(w) for w in enumerate_goursat_words(5)]
         degrees = [invariants.nonholonomy_degree(w) for w in pool.submitted]
         assert degrees == sorted(degrees, reverse=True)
@@ -524,8 +525,8 @@ class TestVerifyCommand:
         assert printed == words
 
     def test_all_words_go_out_in_chunks(self, monkeypatch, capsys):
-        # One CPU: the 89 words of length 7 go out in chunks of 89 // 16 = 5,
-        # the deepest first, and the report still comes back in word order.
+        # One CPU: the 89 words of length 7 go out in chunks of 89 // 16 = 5.
+        # Without --symbolic they go out in word order, not sorted by degree.
         pool = EagerPool()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -533,9 +534,7 @@ class TestVerifyCommand:
         words = [str(w) for w in enumerate_goursat_words(7)]
         assert pool.workers == 1 and len(words) == 89
         assert [len(chunk) for chunk in pool.chunks] == [5] * 17 + [4]
-        degrees = [invariants.nonholonomy_degree(w) for w in pool.submitted]
-        assert degrees == sorted(degrees, reverse=True)
-        assert sorted(pool.submitted) == sorted(words)
+        assert pool.submitted == words
         printed = [
             line.split(":")[0]
             for line in capsys.readouterr().out.splitlines()
