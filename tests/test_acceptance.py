@@ -132,15 +132,20 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_pathway_verification():
+    # verify checks only the pathway frame, so this is where every column
+    # is walked: each row's order must be the bundle's e-table entry, on
+    # the diagonal for h <= i and down column i below it.
     with budget(7, "pathway coefficients hit every e-table order", 120.0):
-        for k in range(2, 7):
+        for k in range(2, 11):
             for w in enumerate_goursat_words(k):
                 p = canonical_chart_point(w)
-                b = invariants.e_table(oracle.vo_at_point(p), k).b
+                table = invariants.bundle(w).e_table
                 for i in range(3, k + 2):
                     rows = oracle.pathway_sections(p, i)
-                    assert rows[0].h == 3
-                    assert rows[-1].h == b[i - 2]
+                    assert [r.h for r in rows] == list(range(3, table.b[i - 2] + 1))
+                    assert [r.order for r in rows] == [
+                        table.entry(h, min(h, i)) for h in range(3, table.b[i - 2] + 1)
+                    ], (w, i)
                     assert rows[-1].order == 0
         names = var_names(6)
         rows = oracle.pathway_sections(canonical_chart_point("RRVTVV"), 7)

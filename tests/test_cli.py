@@ -493,6 +493,21 @@ class TestVerifyCommand:
         assert main(["verify", "RVV"]) == EXIT_MISMATCH
         assert "RVV: MISMATCH VO_2 oracle=2 bundle=1" in capsys.readouterr().out
 
+    def test_pathway_columns_are_not_walked(self, monkeypatch):
+        # verify checks the pathway frame once per point, which implies every
+        # column; pathway_sections walks a column only for a caller that
+        # wants its rows.
+        from goursat import oracle
+
+        def walk(p, i):
+            raise RuntimeError(f"verify walked pathway column {i}")
+
+        monkeypatch.setattr(oracle, "pathway_sections", walk)
+        for w, symbolic in [("RRVTVV", False), ("RVTRV", False), ("RRVV", True)]:
+            ok, lines = verify_word(parse_word(w), symbolic=symbolic)
+            assert ok
+            assert f"{w}: pathway orders match the e-table for all columns" in lines
+
     def test_verify_all_words(self):
         code, out, _ = run_cli("verify", "--all-words", "4")
         assert code == EXIT_OK

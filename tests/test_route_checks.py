@@ -15,8 +15,8 @@ SCRIPT = textwrap.dedent(
     """
     from contextlib import contextmanager
 
-    from goursat import invariants, oracle, proximity
-    from goursat.codeword import Chart, canonical_chart_point
+    from goursat import cli, invariants, oracle, proximity
+    from goursat.codeword import Chart, canonical_chart_point, parse_word
     from goursat.errors import OrderMismatch, RouteMismatch, TruncationTooSmall
 
     assert False, "asserts are live: the script must run under -O"
@@ -32,9 +32,19 @@ SCRIPT = textwrap.dedent(
             setattr(owner, name, original)
 
 
-    # The pathway walk caches one frame per point, so each case below
-    # uses its own word.
-    def pathway_with_a_raised_column_sum():
+    # Each pathway mutation runs through a check: the walk down one column
+    # (pathway_sections), or verify's own path (verify_word), which checks
+    # the frame once per point.  The frame is cached per point, so each
+    # mutation uses its own word.
+    def walk(word, i):
+        oracle.pathway_sections(canonical_chart_point(word), i)
+
+
+    def verify(word, i):
+        cli.verify_word(parse_word(word))
+
+
+    def pathway_with_a_raised_column_sum(check):
         def raise_s5(column_sums):
             def sums(vo, k):
                 out = column_sums(vo, k)
@@ -43,10 +53,10 @@ SCRIPT = textwrap.dedent(
             return sums
 
         with patched(invariants, "_column_sums", raise_s5):
-            oracle.pathway_sections(canonical_chart_point("RRVTVV"), 5)
+            check("RRVTVV", 5)
 
 
-    def pathway_with_a_scaled_focal_field():
+    def pathway_with_a_scaled_focal_field(check):
         def scale_top_field(focal_slots):
             def slots(chart):
                 *below, top = focal_slots(chart)
@@ -58,10 +68,10 @@ SCRIPT = textwrap.dedent(
             return slots
 
         with patched(oracle, "focal_slots", scale_top_field):
-            oracle.pathway_sections(canonical_chart_point("RRVVVV"), 5)
+            check("RRVVVV", 5)
 
 
-    def pathway_with_squared_ordinary_slots():
+    def pathway_with_squared_ordinary_slots(check):
         # As if focal_slots set slot n_{i-1} to n_i^2 at each ordinary level i
         def square_ordinary_slots(focal_slots):
             def slots(chart):
@@ -75,7 +85,7 @@ SCRIPT = textwrap.dedent(
             return slots
 
         with patched(oracle, "focal_slots", square_ordinary_slots):
-            oracle.pathway_sections(canonical_chart_point("RRVTTVVV"), 9)
+            check("RRVTTVVV", 9)
 
 
     cases = {
@@ -93,14 +103,26 @@ SCRIPT = textwrap.dedent(
         # S_5 one too large: the diagonal term n5*n6^2 has order 3, not 4
         "oracle.pathway_sections diagonal": (
             OrderMismatch,
-            pathway_with_a_raised_column_sum,
+            lambda: pathway_with_a_raised_column_sum(walk),
             "diagonal term at h=5 has order 3, expected 4",
+        ),
+        # _column_sums also feeds the e-table route of the bundle, which
+        # verify builds before it reaches the pathway frame
+        "cli.verify_word diagonal": (
+            RouteMismatch,
+            lambda: pathway_with_a_raised_column_sum(verify),
+            "beta from b",
         ),
         # f_6 times n_6: each g_0 step lowers the order by o(n_6) = 1 less,
         # so the first coordinate of positive order, r_0, keeps it
         "oracle.pathway_sections chain": (
             OrderMismatch,
-            pathway_with_a_scaled_focal_field,
+            lambda: pathway_with_a_scaled_focal_field(walk),
+            "the focal step on r0 changes the order by 0, not -1, on chart ooiiii",
+        ),
+        "cli.verify_word chain": (
+            OrderMismatch,
+            lambda: pathway_with_a_scaled_focal_field(verify),
             "the focal step on r0 changes the order by 0, not -1, on chart ooiiii",
         ),
         # slot n_0 of f_8 holds n_1^2, not n_1, so the step on n_0 raises the
@@ -108,7 +130,12 @@ SCRIPT = textwrap.dedent(
         # for about 23 s before it gave up
         "oracle.pathway_sections squared slot": (
             OrderMismatch,
-            pathway_with_squared_ordinary_slots,
+            lambda: pathway_with_squared_ordinary_slots(walk),
+            "the focal step on n0 changes the order by 22, not -1, on chart ooiooiii",
+        ),
+        "cli.verify_word squared slot": (
+            OrderMismatch,
+            lambda: pathway_with_squared_ordinary_slots(verify),
             "the focal step on n0 changes the order by 22, not -1, on chart ooiooiii",
         ),
     }
