@@ -142,10 +142,10 @@ def test_criterion_7_pathway_verification():
                 table = invariants.bundle(w).e_table
                 for i in range(3, k + 2):
                     rows = oracle.pathway_sections(p, i)
-                    assert [r.h for r in rows] == list(range(3, table.b[i - 2] + 1))
-                    assert [r.order for r in rows] == [
-                        table.entry(h, min(h, i)) for h in range(3, table.b[i - 2] + 1)
-                    ], (w, i)
+                    hs = range(3, table.b[i - 2] + 1)
+                    assert [r.h for r in rows] == list(hs)
+                    orders = [table.entry(h, min(h, i)) for h in hs]
+                    assert [r.order for r in rows] == orders, (w, i)
                     assert rows[-1].order == 0
         names = var_names(6)
         rows = oracle.pathway_sections(canonical_chart_point("RRVTVV"), 7)

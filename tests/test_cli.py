@@ -648,8 +648,8 @@ class TestVerifyCommand:
         assert out.endswith("PASS\n")
 
     def test_verify_deep_word(self):
-        # The pathway walk takes one step per e-table row; at k = 16 a
-        # recursive search ran out of stack.
+        # At k = 16 nothing in verify may recurse per e-table row: a
+        # recursive pathway search ran out of stack here.
         code, out, err = run_cli("verify", "RR" + "V" * 14)
         assert code == EXIT_OK, err
         assert "Traceback" not in err

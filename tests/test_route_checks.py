@@ -41,6 +41,7 @@ SCRIPT = textwrap.dedent(
 
 
     def verify(word, i):
+        # every column of the word at once
         cli.verify_word(parse_word(word))
 
 
