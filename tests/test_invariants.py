@@ -72,6 +72,20 @@ class TestDerBackend:
         assert der2_backend("RRR")[:2] == (0, 0)
         assert der2_backend("RRVT")[:2] == (0, 0)
 
+    def test_front_end_and_vertical_orders_up_to_k12(self):
+        # der is the front end's (1, m_{k-1}, ..., m_1) and der2 is
+        # (0, VO_k, ..., VO_3), on all 17,712 Goursat words with k <= 12
+        count = 0
+        for k in range(1, 13):
+            for w in enumerate_goursat_words(k):
+                der = proximity.derived_frontend(w)
+                vo = vo_from_mult(der[1:], k)
+                der2 = ((0,) + tuple(reversed(vo[1:]))) if k >= 2 else ()
+                assert der_backend(w) == der, w
+                assert der2_backend(w) == der2, w
+                count += 1
+        assert count == 17712
+
 
 class TestGrowthVectorExample:
     # a long small growth vector and the three vectors derived from it
