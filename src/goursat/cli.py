@@ -149,22 +149,27 @@ def _dumps(value, indent: str) -> str:
     return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
-def _full_columns(table: invariants.ETable, fmt: Callable[[int], str]) -> list[Iterator[str]]:
-    """Columns i = 2..k+1 of the e-table rows h = k+2..H, each entry v
-    written as fmt(v).
+def _full_columns(
+    table: invariants.ETable, fmt: Callable[[int], str], blank: str
+) -> list[Iterator[str]]:
+    """Columns i = 2..k+1 of the e-table rows h = 2..H, each entry v
+    written as fmt(v), and each cell above the diagonal (h < i) as blank.
 
-    Every column is present in these rows, and down column i the entry
-    e_{h,i} = (b_i - h)^+ falls by one from b_i - k - 2 to 1 and then stays
-    0: a reversed run over the formatted cells, then the zero cell
-    repeated.  Each value is formatted once, however many cells hold it.
+    Down column i the entry e_{h,i} = (b_i - h)^+ falls by one from S_i on
+    the diagonal to 1 and then stays 0: i - 2 blanks, a reversed run over
+    the formatted cells, then the zero cell repeated.  No S_i exceeds
+    S_{k+1} = H - k - 1, and each value is formatted once, however many
+    cells hold it.
     """
-    first = table.k + 2
-    count = max(0, table.height + 1 - first)
-    cells = list(map(fmt, range(count)))  # the entries here are 0..count-1
-    zero = fmt(0)
+    k, height = table.k, table.height
+    cells = list(map(fmt, range(height - k)))
     return [
-        chain(map(cells.__getitem__, range(top, 0, -1)), repeat(zero, count - top))
-        for top in (max(0, bi - first) for bi in table.b)
+        chain(
+            repeat(blank, i - 2),
+            map(cells.__getitem__, range(bi - i, 0, -1)),
+            repeat(cells[0], height + 1 - bi),
+        )
+        for i, bi in enumerate(table.b, start=2)
     ]
 
 
@@ -173,7 +178,10 @@ def _json_rows(table: invariants.ETable, indent: str) -> Iterator[str]:
     # the full rows h >= k+2 from their columns.
     inner = indent + "  "
     head = (_dumps(table.row(h), indent) for h in range(2, min(table.k + 2, table.height + 1)))
-    full = map((",\n" + inner).join, zip(*_full_columns(table, str)))
+    columns = _full_columns(table, str, "")
+    for column in columns:
+        next(islice(column, table.k, table.k), None)  # skip the rows h <= k+1
+    full = map((",\n" + inner).join, zip(*columns))
     return chain(head, map(f"[\n{inner}%s\n{indent}]".__mod__, full))
 
 
@@ -222,26 +230,16 @@ def render_etable(table: invariants.ETable) -> str:
         + "".join(str(i).rjust(width) for i in range(2, table.k + 2))
         + " | SG"
     )
-    # line[n] formats (mark, h, the n entries of the row, SG_h).
-    line = [
-        f"%s %{hwidth}d |" + f"%{width}d" * n + " " * (width * (table.k - n)) + " | %d"
-        for n in range(table.k + 1)
-    ]
-    first = table.k + 2
-    head = [
-        line[len(row)] % ("*" if h in red else " ", h, *row, sg)
-        for h, row, sg in zip(range(2, first), table.rows, table.sg)
-    ]
-    # The full rows h >= k+2, joined from their columns: the marks
-    # (" *"[h in red]), h and SG_h are columns too.
-    hs = range(first, table.height + 1)
+    # Every row is joined from columns: the marks (" *"[h in red]), h,
+    # the entries and SG_h.
+    hs = range(2, table.height + 1)
     marks = map(" *".__getitem__, map(red.__contains__, hs))
-    full = zip(
+    rows = zip(
         map(f"%s %{hwidth}d |".__mod__, zip(marks, hs)),
-        *_full_columns(table, f"%{width}d".__mod__),
-        map(" | %d".__mod__, islice(table.sg, first - 2, None)),
+        *_full_columns(table, f"%{width}d".__mod__, " " * width),
+        map(" | %d".__mod__, table.sg),
     )
-    return "\n".join(chain([header, "-" * len(header)], head, map("".join, full), [""]))
+    return "\n".join(chain([header, "-" * len(header)], map("".join, rows), [""]))
 
 
 def render_proximity(d: proximity.ProximityDiagram) -> str:
@@ -320,11 +318,14 @@ def verify_word(
 
     The pathway line rests on oracle.pathway_frame, checked once at the
     word's point; no column is walked.  By the induction in
-    oracle.pathway_sections' docstring, the frame's diagonal check and its
-    focal step lemma imply that every column i = 3..k+1 walks from order
-    S_i down to order 0 at row b_i, its orders matching the e-table, so
-    the line holds for all columns.  A frame that fails raises
-    OrderMismatch.
+    oracle.pathway_sections' docstring, the frame's focal step lemma
+    implies that every column i = 3..k+1 walks from order S_i down to
+    order 0 at row b_i, its orders matching the e-table, so the line holds
+    for all columns.  A frame that fails raises OrderMismatch.  A column's
+    diagonal order is the column sum S_i of the point's vertical orders
+    term for term, so it needs no check of its own: the bundle's "beta
+    from b" route checks the column sums, and the vertical-orders line
+    checks the point's vertical orders.
     """
     from . import oracle, symcalc
     from .polynomial import Poly, var_names
@@ -389,37 +390,41 @@ def verify_word(
 # Output budget
 
 
-def output_bound(b: InvariantBundle, form: str) -> int:
-    """An upper bound, in O(k), on the bytes that invariants (form "text"),
-    invariants --json ("json") or etable ("etable") prints for the bundle.
+def output_bound(k: int, degree: int, form: str) -> int:
+    """An upper bound on the bytes that invariants (form "text"),
+    invariants --json ("json") or etable ("etable") prints for a word of
+    length k and degree of nonholonomy, taken before the bundle is built.
 
-    Each number is charged the digits of the largest number of its kind,
-    and each line its deepest indentation: SG values are at most k + 2,
-    e-table entries less than the height H (the degree of nonholonomy),
-    and the other O(k) numbers are scanned.  Rows of the table are charged
-    k entries each.
+    Each line is charged its deepest indentation.  Besides its SG values
+    and e-table, the bundle prints at most 7k + 4 numbers (beta, der,
+    der2, the multiplicity vector, the vertical orders, b, the Puiseux
+    characteristic, m_0, k and the degree), each charged the degree's
+    digits, since none is negative or exceeds the degree: beta rises to
+    it; der, der2 and the vertical orders are differences of beta, of der
+    (m_1, ..., m_{k-1} among its entries) and of the m_i; b ends at the
+    height H of the e-table, which is the degree; and m_0 = lambda_0 and
+    the exponents are at most lambda_g, which plus the trailing R's is the
+    degree (or m_0 = 1 with no exponent).  SG values are at most k + 2,
+    e-table entries less than H, and each row is charged k entries.
     """
-    k, height = b.k, b.e_table.height
-    small = [*b.beta, *b.der, *b.der2, *b.mult_vector, *b.vo, *b.b, *b.puiseux.exponents]
-    small_digits = len(str(max(small + [b.m0, height])))
+    numbers = 7 * k + 4
+    digits = len(str(degree))
     sg_digits = len(str(k + 2))
-    cell_digits = len(str(height))
-    words = len(str(b.word)) + len(str(b.goursat_word))
     if form == "text":
-        # 13 labelled lines; each small number with its ", " or brackets.
-        return 512 + words + (len(small) + 4) * (small_digits + 2) + height * (sg_digits + 1)
+        # 13 labelled lines; each number with its ", " or brackets.
+        return 512 + 2 * k + numbers * (digits + 2) + degree * (sg_digits + 1)
     if form == "json":
         # Keys and braces; numbers one to a line at an indent of up to 8
         # spaces; each row's brackets on lines of their own.
         return (
-            512 + words + (len(small) + 4) * (small_digits + 8)
-            + height * (sg_digits + 6)
-            + (height - 1) * (sg_digits + 8 + 18 + k * (cell_digits + 10))
+            512 + 2 * k + numbers * (digits + 8)
+            + degree * (sg_digits + 6)
+            + (degree - 1) * (sg_digits + 8 + 18 + k * (digits + 10))
         )
     # etable: the header, the rule and H - 1 rows, each as wide as the
     # header plus the SG digits.
-    hwidth = max(2, cell_digits)
-    return (height + 1) * (hwidth + 9 + sg_digits + k * (max(2, cell_digits) + 1))
+    hwidth = max(2, digits)
+    return (degree + 1) * (hwidth + 9 + sg_digits + k * (max(2, digits) + 1))
 
 
 # The output budget's refusal quotes at most this many letters of the word
@@ -428,16 +433,17 @@ QUOTED_LETTERS = 12
 QUOTED_DIGITS = 15
 
 
-def _check_output_budget(b: InvariantBundle, form: str) -> None:
-    bound = output_bound(b, form)
+def _check_output_budget(word: RvtWord, form: str) -> None:
+    # Before the bundle is built: the degree takes one back-end pass.
+    bound = output_bound(word.k, invariants.nonholonomy_degree(word), form)
     if bound > MAX_OUTPUT_BYTES:
-        word, size = str(b.word), str(bound)
-        if len(word) > QUOTED_LETTERS:
-            word = word[:QUOTED_LETTERS] + "..."
+        text, size = str(word), str(bound)
+        if len(text) > QUOTED_LETTERS:
+            text = text[:QUOTED_LETTERS] + "..."
         if len(size) > QUOTED_DIGITS:
             size = f"about {size[0]}.{size[1:3]}e{len(size) - 1}"
         raise OutputBudgetExceeded(
-            f"the output of {word} (k = {b.k}) would take up to {size} bytes, "
+            f"the output of {text} (k = {word.k}) would take up to {size} bytes, "
             f"more than MAX_OUTPUT_BYTES = {MAX_OUTPUT_BYTES}"
         )
 
@@ -459,8 +465,8 @@ def _read_word(text: str) -> RvtWord:
 
 def cmd_invariants(args) -> int:
     word = _read_word(args.word)
+    _check_output_budget(word, "json" if args.json else "text")
     bundle = _wired(invariants.bundle, word)
-    _check_output_budget(bundle, "json" if args.json else "text")
     if args.json:
         print(dumps_bundle(bundle))
     else:
@@ -470,8 +476,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_etable(args) -> int:
     word = _read_word(args.word)
+    _check_output_budget(word, "etable")
     bundle = _wired(invariants.bundle, word)
-    _check_output_budget(bundle, "etable")
     print(render_etable(bundle.e_table), end="")
     return EXIT_OK
 

@@ -3,8 +3,8 @@
 The six mutually convertible invariants of a Goursat word are the beta
 vector, its first and second derived vectors, the b vector, the
 multiplicity vector, and the (reversed, restricted) vertical-orders
-vector.  This module computes them by Jean-style back-end recursions on
-the word, by the front-end lifting recursion through proximity diagrams,
+vector.  This module computes them by Jean's back-end recursion on the
+word (beta, whose differences are the derived vectors), by the front-end lifting recursion through proximity diagrams,
 and through the e-table, and converts freely between the encodings.  All
 arithmetic is exact integer arithmetic; nothing here touches floats.
 
@@ -20,7 +20,7 @@ import operator
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from . import proximity
 from .codeword import (
@@ -43,32 +43,27 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# Back-end recursions
+# Back-end recursion
 
 
-def _backend(
-    w: GoursatWord | str,
-    offset: int,
-    seeds: Callable[[str], tuple[int, int]],
-    r_add: int,
-) -> tuple[int, ...]:
-    """Jean's back-end recursion, shared by beta and both derived vectors.
+def beta_backend(w: GoursatWord | str) -> tuple[int, ...]:
+    """Jean's back-end recursion for beta (beta_2 .. beta_{k+2}); always
+    begins (1, 2).
 
-    The vector of a prefix of length m has m + offset entries.  Its first
-    two entries are seeds(last symbol of the prefix); each later entry
-    depends on the last symbol: R adds r_add to the previous prefix's
-    entry, V adds the two shorter prefixes' entries, T doubles one and
-    subtracts the other.
+    The vector of a prefix of length m has m + 1 entries.  Its first two
+    entries are 1 and 2; each later entry depends on the last symbol: R
+    adds 1 to the previous prefix's entry, V adds the two shorter
+    prefixes' entries, T doubles one and subtracts the other.
     """
     w = as_goursat(w)
     older: tuple[int, ...] = ()  # the vector of the prefix two shorter
     prev: tuple[int, ...] = ()  # the vector of the prefix one shorter
     for m in range(1, w.k + 1):
         last = w.letter(m)
-        vec = list(seeds(last)[: m + offset])
-        for idx in range(2, m + offset):
+        vec = [1, 2][: m + 1]
+        for idx in range(2, m + 1):
             if last == "R":
-                vec.append(r_add + prev[idx - 1])
+                vec.append(1 + prev[idx - 1])
             elif last == "V":
                 vec.append(prev[idx - 1] + older[idx - 2])
             else:
@@ -77,20 +72,22 @@ def _backend(
     return prev
 
 
-def beta_backend(w: GoursatWord | str) -> tuple[int, ...]:
-    """Jean's beta vector (beta_2 .. beta_{k+2}); always begins (1, 2)."""
-    return _backend(w, 1, lambda last: (1, 2), 1)
+def _differences(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.sub, v[1:], v))
 
 
 def der_backend(w: GoursatWord | str) -> tuple[int, ...]:
-    """The derived vector (der_3 .. der_{k+2}); always begins (1, 1)."""
-    return _backend(w, 0, lambda last: (1, 1), 0)
+    """The derived vector (der_3 .. der_{k+2}), the first differences of
+    beta; always begins (1, 1).  The recursion is linear, so run with R
+    adding 0 and seeds (1, 1) it would give exactly these differences."""
+    return _differences(beta_backend(w))
 
 
 def der2_backend(w: GoursatWord | str) -> tuple[int, ...]:
-    """The second derived vector (der2_4 .. der2_{k+2}); begins (0, 1) when
-    the word ends with V and (0, 0) otherwise."""
-    return _backend(w, -1, lambda last: (0, int(last == "V")), 0)
+    """The second derived vector (der2_4 .. der2_{k+2}), the second
+    differences of beta; begins (0, 1) when the word ends with V and
+    (0, 0) otherwise."""
+    return _differences(der_backend(w))
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +470,19 @@ def _require(cond: bool, name: str, *routes) -> None:
 
 
 def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
-    """Assemble all invariants of a word, computing beta three independent
-    ways and checking exact agreement (RouteMismatch signals a bug)."""
+    """Assemble all invariants of a word from one back-end pass, checking
+    it against the front end and the e-table (RouteMismatch signals a bug).
+
+    der and der2 are the differences of the back end's beta.  Since beta
+    starts at 1, beta is the running sum of der from 1, so the der check
+    also checks beta against the front end."""
     w = _as_word(w)
     gw = goursat_normalize(w)
     k = gw.k
 
     beta_be = beta_backend(gw)
-    der_be = der_backend(gw)
-    der2_be = der2_backend(gw)
+    der_be = _differences(beta_be)
+    der2_be = _differences(der_be)
 
     # One proximity diagram serves the front-end der, which unrolls to
     # (1, m_{k-1}, ..., m_1) as in proximity.derived_frontend, the
@@ -490,9 +491,6 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
     mv = proximity.multiplicity_vector(diagram)
     der_fe = (1,) + mv
     _require(der_fe == der_be, "der", der_fe, der_be)
-
-    beta_fe = tuple(accumulate(der_fe, initial=1))
-    _require(beta_fe == beta_be, "beta front-end", beta_fe, beta_be)
 
     vo = vo_from_mult(mv, k)
     der2_vo = ((0,) + tuple(reversed(vo[1:]))) if k >= 2 else ()

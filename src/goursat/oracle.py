@@ -15,7 +15,6 @@ from functools import lru_cache
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from . import invariants
 from .codeword import Chart, ChartPoint, Frozen
 from .errors import (
     IndexRange,
@@ -428,15 +427,10 @@ class PathwayRow(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def pathway_frame(
-    p: ChartPoint,
-) -> tuple[dict[int, int], tuple[PathwayRow, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """What every pathway column at p shares: the column sums S_i, the
-    diagonal rows h = 3..k+1, and the step of each coordinate of positive
-    focal order, in candidate order (n_k first, then by index).
-
-    The tracked term of f_{hh} is the monomial prod n_j^{h+j-k-3} over
-    j in IP, j >= k-h+4, times g_h; its order must be e_{h,h} = S_h.
+def pathway_frame(p: ChartPoint) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The step of each coordinate of positive focal order at p, in
+    candidate order (n_k first, then by index): what every pathway column
+    at p shares.
 
     A coordinate's step is the bracket that takes it down: for n_k, with
     g_1 = v_k = d/dn_k, which lowers the exponent of n_k by one; for any
@@ -460,30 +454,17 @@ def pathway_frame(
     (the backward order recursion).  The step of a coordinate of order 0
     does not lower the order, and no pathway takes it.
 
-    The frame is all that can fail in a pathway column: by the induction
-    in pathway_sections' docstring, the diagonal check and the lemma imply
-    that every column i walks from order S_i down to order 0 at row b_i,
-    matching the e-table on every row.  So verify_word checks the frame,
-    once per point, and walks no column; pathway_sections builds the rows
-    of a column for a caller that wants them, from this cached frame.
+    The lemma is all that can fail in a pathway column: by the induction
+    in pathway_sections' docstring, every column i walks from its diagonal
+    order S_i down to order 0 at row b_i, matching the e-table on every
+    row.  So verify_word checks the frame, once per point, and walks no
+    column.  The diagonal order needs no check: it is the column sum S_i
+    of the point's vertical orders, term for term, and the bundle's "beta
+    from b" route checks the column sums.
     """
     chart = p.chart
     k = chart.k
-    fo = focal_orders(p)
-    sums = invariants._column_sums(fo.vo, k)
-    o_coord = fo.o_coord
-    diagonal = []
-    for h in range(3, k + 2):
-        exps = [0] * chart.nvars
-        for j in range(max(k - h + 4, 1), k + 1):
-            if j in chart.ip:
-                exps[Chart.n_var(j)] = h + j - k - 3
-        order = sum(map(mul, exps, o_coord))
-        if order != sums[h]:
-            raise OrderMismatch(
-                f"diagonal term at h={h} has order {order}, expected {sums[h]}"
-            )
-        diagonal.append(PathwayRow(h, tuple(exps), 1, h, order))
+    o_coord = focal_orders(p).o_coord
     nk_var = Chart.n_var(k)
     fk = focal_slots(chart)[k]
     steps = []
@@ -499,44 +480,51 @@ def pathway_frame(
                 f"{order_change}, not -1, on chart {chart.choices}"
             )
         steps.append((var, tuple(change)))
-    return sums, tuple(diagonal), tuple(steps)
+    return tuple(steps)
 
 
 def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     """Track one coefficient through the pathway producing f_{h,i}.
 
     Phase one brackets with g_0 up the diagonal, where the tracked term of
-    f_{hh} is the closed-form monomial times g_h.  Phase two extends with
-    h = i+1..b_i, where b_i = i + S_i: each row takes the first step of
-    the frame (n_k first, then by index) whose variable occurs in the
-    tracked monomial.  At every row the tracked coefficient's focal order
-    must equal the e-table entry, e_{i+d,i} = S_i - d; OrderMismatch would
-    falsify the sharpness of the section bounds.
+    f_{hh} is the monomial prod n_j^{h+j-k-3} over j in IP, j >= k-h+4,
+    times g_h, for h = 3..i.  Its focal order, read from focal_orders, is
+    e_{h,h} = S_h: with VO_j = o(n_j) at an inverted level j and 0 at an
+    ordinary one, it is invariants._column_sums' sum term for term.  Phase
+    two extends with h = i+1..b_i, where b_i = i + S_i: each row takes the
+    first step of the frame (n_k first, then by index) whose variable
+    occurs in the tracked monomial, and its order is e_{i+d,i} = S_i - d.
 
     The tracked coefficient is always a monomial: the diagonal terms are,
     and a step multiplies by a monomial slot of f_k, so the walk runs on
     exponent tuples with int coefficients, and a row builds a Poly only
     when it is rendered.  No row needs a search, by induction down the
-    column: the diagonal row has order S_i, which pathway_frame checks;
-    while the order is positive, the monomial holds a coordinate of
-    positive order, and by the focal step lemma (checked in pathway_frame)
-    its step lowers the order by exactly one.  So the walk reaches order 0
-    at row b_i, as the e-table does, after S_i steps.
+    column: while the order is positive, the monomial holds a coordinate
+    of positive order, and by the focal step lemma (checked in
+    pathway_frame) its step lowers the order by exactly one.  So the walk
+    reaches order 0 at row b_i, as the e-table does, after S_i steps.
     """
     chart = p.chart
     k = chart.k
     if not 3 <= i <= k + 1:
         raise IndexRange("pathway column", i, 3, k + 1)
-    sums, diagonal, steps = pathway_frame(p)
-    rows = list(diagonal[: i - 2])
-    exps, coeff = rows[-1].mono, rows[-1].coeff
-    for d in range(1, sums[i] + 1):
-        # The order is S_i - d + 1 > 0, so by the lemma the loop breaks.
+    steps = pathway_frame(p)
+    o_coord = focal_orders(p).o_coord
+    rows = []
+    for h in range(3, i + 1):
+        exps = [0] * chart.nvars
+        for j in range(k - h + 4, k + 1):
+            if j in chart.ip:
+                exps[Chart.n_var(j)] = h + j - k - 3
+        rows.append(PathwayRow(h, tuple(exps), 1, h, sum(map(mul, exps, o_coord))))
+    exps, coeff, top = rows[-1].mono, 1, rows[-1].order
+    for d in range(1, top + 1):
+        # The order is top - d + 1 > 0, so by the lemma the loop breaks.
         for var, change in steps:
             e = exps[var]
             if e:
                 break
         coeff *= e
         exps = tuple(map(add, exps, change))
-        rows.append(PathwayRow(i + d, exps, coeff, i, sums[i] - d))
+        rows.append(PathwayRow(i + d, exps, coeff, i, top - d))
     return tuple(rows)

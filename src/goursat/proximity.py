@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .codeword import GoursatWord, critical_block, lift_chain
-from .errors import RouteMismatch
 
 Edge = tuple[int, int]
 
@@ -36,6 +35,11 @@ class ProximityDiagram(namedtuple("ProximityDiagram", "word edges mult")):
 
 
 def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
+    """m_k = 1 and, right to left, m_i = the sum of m_j over the edges (i, j).
+
+    build_diagram gives every vertex i < k the chain edge (i, i+1), so
+    m_i >= m_{i+1}, and vertex 0 no other edge, so m_0 = m_1: neither can
+    fail, and neither is checked."""
     targets: list[list[int]] = [[] for _ in range(k + 1)]
     for i, j in edges:
         targets[i].append(j)
@@ -43,13 +47,6 @@ def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
     m[k] = 1
     for i in range(k - 1, -1, -1):
         m[i] = sum(m[j] for j in targets[i])
-    for i in range(k):
-        if m[i] < m[i + 1]:
-            raise RouteMismatch(
-                f"multiplicity increased at vertex {i}: m_{i} = {m[i]} < m_{i + 1} = {m[i + 1]}"
-            )
-    if m[0] != m[1]:
-        raise RouteMismatch(f"base vertex must copy m_1: m_0 = {m[0]}, m_1 = {m[1]}")
     return tuple(m)
 
 
@@ -61,7 +58,9 @@ def build_diagram(w: GoursatWord | str) -> ProximityDiagram:
     starting at its position 3 (the labels that change under lifting),
     are edges of the diagram of w shifted by k - L.  So one pass over the
     lift chain collects every edge, and the multiplicities are computed
-    once, on the final edges.
+    once, on the final edges.  The lift of length k - i gives vertex i its
+    chain edge (i, i+1), and long edges start at vertex 1 or later, so the
+    multiplicities never increase and m_0 = m_1 (see _multiplicities).
     """
     chain = lift_chain(w)
     word = chain[-1]

@@ -15,6 +15,7 @@ from goursat.codeword import (
     MAX_LEVELS,
     canonical_chart_point,
     enumerate_goursat_words,
+    enumerate_rvt_words,
     parse_word,
 )
 from goursat.cli import (
@@ -339,6 +340,28 @@ class TestOutputBudget:
         assert f"k = {MAX_WORD_LENGTH}" in err and "RRVV" in err
         assert len(err) < 200
 
+    @pytest.mark.parametrize("argv", [["etable"], ["invariants"], ["invariants", "--json"]])
+    def test_refusal_builds_no_bundle(self, argv, monkeypatch, capsys):
+        def no_bundle(*args, **kwargs):
+            raise AssertionError("the bundle was built before the output budget was checked")
+
+        monkeypatch.setattr(invariants, "bundle", no_bundle)
+        assert main([*argv, "RR" + "V" * 84]) == EXIT_BUDGET
+        assert "MAX_OUTPUT_BYTES" in capsys.readouterr().err
+
+    def test_every_number_is_at_most_the_degree(self):
+        # output_bound charges each number the degree's digits: every RVT
+        # word with k <= 8, with the m_0 the commands wire
+        import goursat.cli as cli
+
+        for k in range(1, 9):
+            for word in enumerate_rvt_words(k):
+                b = cli._wired(invariants.bundle, word)
+                numbers = [*b.beta, *b.der, *b.der2, *b.mult_vector, *b.vo, *b.b]
+                numbers += [b.m0, b.puiseux.lambda0, *b.puiseux.exponents]
+                assert 0 <= min(numbers) and max(numbers) <= b.nonholonomy_degree, word
+                assert len(numbers) + 2 <= 7 * k + 4, word
+
     def test_bound_covers_every_corpus_output(self):
         # Every invariants, invariants --json and etable command of the CLI
         # corpus that prints its output.
@@ -353,7 +376,7 @@ class TestOutputBudget:
             code, printed = _printed(list(command))
             assert code == EXIT_OK, command
             bundle = cli._wired(invariants.bundle, parse_word(command[1]))
-            if output_bound(bundle, form) < printed:
+            if output_bound(bundle.k, bundle.nonholonomy_degree, form) < printed:
                 short.append(" ".join(command))
         assert short == []
 
@@ -361,7 +384,7 @@ class TestOutputBudget:
     @pytest.mark.parametrize("form", ["text", "json", "etable"])
     def test_bound_is_tight_for_long_words(self, word, form):
         code, printed = _printed([*_FORM_ARGV[form], word])
-        bound = output_bound(invariants.bundle(word), form)
+        bound = output_bound(parse_word(word).k, invariants.nonholonomy_degree(word), form)
         assert code == EXIT_OK
         assert printed <= bound
         assert printed <= 1e6 or bound <= 2 * printed

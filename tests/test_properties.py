@@ -234,10 +234,3 @@ def test_last_exponent_vs_nonholonomy_degree():
             trailing = len(w.symbols) - len(w.symbols.rstrip("R"))
             assert pc.exponents[-1] + trailing == invariants.nonholonomy_degree(w), w
 
-
-def test_pathway_never_mismatches():
-    for k in range(2, 7):
-        for w in enumerate_goursat_words(k):
-            p = canonical_chart_point(w)
-            for i in range(3, k + 2):
-                oracle.pathway_sections(p, i)

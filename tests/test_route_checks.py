@@ -13,9 +13,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # with a part of its message ("" when any message will do).
 SCRIPT = textwrap.dedent(
     """
+    import inspect
+    import textwrap
     from contextlib import contextmanager
 
-    from goursat import cli, invariants, oracle, proximity
+    from goursat import cli, invariants, oracle
     from goursat.codeword import Chart, canonical_chart_point, parse_word
     from goursat.errors import OrderMismatch, RouteMismatch, TruncationTooSmall
 
@@ -30,6 +32,23 @@ SCRIPT = textwrap.dedent(
             yield
         finally:
             setattr(owner, name, original)
+
+
+    @contextmanager
+    def mutated(module, name, old, new):
+        # The function recompiled from its own source with old replaced by new
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        if source.count(old) != 1:
+            raise SystemExit(f"{name}: {old!r} must occur once in its source")
+        scope = {}
+        exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), scope)
+        with patched(module, name, lambda original: scope[name]):
+            yield
+
+
+    def bundle_with_a_mutated_backend(old, new):
+        with mutated(invariants, "beta_backend", old, new):
+            invariants.bundle("RRVTVV")
 
 
     # Each pathway mutation runs through a check: the walk down one column
@@ -90,25 +109,27 @@ SCRIPT = textwrap.dedent(
 
 
     cases = {
-        # m_0 = 2 differs from m_1 = 1 on this diagram
-        "proximity._multiplicities": (
+        # der and der2 are the differences of beta, so a wrong beta shows in
+        # der against the front end's (1, m_{k-1}, ..., m_1)
+        "invariants.beta_backend R adds 2": (
             RouteMismatch,
-            lambda: proximity._multiplicities(frozenset({(0, 1), (1, 2), (0, 2)}), 2),
-            "",
+            lambda: bundle_with_a_mutated_backend("1 + prev[idx - 1]", "2 + prev[idx - 1]"),
+            "der: (1, 1, 2, 3, 3, 8) vs (1, 1, 2, 3, 3, 11)",
+        ),
+        "invariants.beta_backend V reads prev[idx - 2]": (
+            RouteMismatch,
+            lambda: bundle_with_a_mutated_backend(
+                "prev[idx - 1] + older[idx - 2]", "prev[idx - 2] + older[idx - 2]"
+            ),
+            "der: (1, 1, 2, 3, 3, 8) vs (1, 0, 2, 1, 1, 4)",
         ),
         "oracle.Series.shift_out": (
             TruncationTooSmall,
             lambda: oracle.Series((1, 0)).shift_out(1),
             "",
         ),
-        # S_5 one too large: the diagonal term n5*n6^2 has order 3, not 4
-        "oracle.pathway_sections diagonal": (
-            OrderMismatch,
-            lambda: pathway_with_a_raised_column_sum(walk),
-            "diagonal term at h=5 has order 3, expected 4",
-        ),
-        # _column_sums also feeds the e-table route of the bundle, which
-        # verify builds before it reaches the pathway frame
+        # S_5 one too large: _column_sums feeds the e-table route of the
+        # bundle, which verify builds before it reaches the pathway frame
         "cli.verify_word diagonal": (
             RouteMismatch,
             lambda: pathway_with_a_raised_column_sum(verify),
