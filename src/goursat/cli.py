@@ -322,10 +322,9 @@ def verify_word(
     implies that every column i = 3..k+1 walks from order S_i down to
     order 0 at row b_i, its orders matching the e-table, so the line holds
     for all columns.  A frame that fails raises OrderMismatch.  A column's
-    diagonal order is the column sum S_i of the point's vertical orders
-    term for term, so it needs no check of its own: the bundle's "beta
-    from b" route checks the column sums, and the vertical-orders line
-    checks the point's vertical orders.
+    diagonal order is S_i of the point's vertical orders term for term, so
+    the frame need not check it: the bundle's "beta from b" route checks
+    the column sums, and the vertical-orders line the point's orders.
     """
     from . import oracle, symcalc
     from .polynomial import Poly, var_names
@@ -395,17 +394,14 @@ def output_bound(k: int, degree: int, form: str) -> int:
     invariants --json ("json") or etable ("etable") prints for a word of
     length k and degree of nonholonomy, taken before the bundle is built.
 
-    Each line is charged its deepest indentation.  Besides its SG values
-    and e-table, the bundle prints at most 7k + 4 numbers (beta, der,
-    der2, the multiplicity vector, the vertical orders, b, the Puiseux
-    characteristic, m_0, k and the degree), each charged the degree's
-    digits, since none is negative or exceeds the degree: beta rises to
-    it; der, der2 and the vertical orders are differences of beta, of der
-    (m_1, ..., m_{k-1} among its entries) and of the m_i; b ends at the
-    height H of the e-table, which is the degree; and m_0 = lambda_0 and
-    the exponents are at most lambda_g, which plus the trailing R's is the
-    degree (or m_0 = 1 with no exponent).  SG values are at most k + 2,
-    e-table entries less than H, and each row is charged k entries.
+    Each line is charged its deepest indentation, and each row of the
+    table k entries.  SG values are at most k + 2, and e-table entries are
+    less than the height H, which is the degree.  The other numbers, at
+    most 7k + 4, are each charged the degree's digits: none is negative or
+    exceeds the degree (beta rises to it; der, der2, the multiplicities and
+    the vertical orders are its differences and theirs; b ends at H; m_0
+    and the Puiseux exponents are at most lambda_g, and lambda_g plus the
+    trailing R's is the degree, or m_0 = 1 with no exponent).
     """
     numbers = 7 * k + 4
     digits = len(str(degree))

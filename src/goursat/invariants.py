@@ -60,7 +60,7 @@ def beta_backend(w: GoursatWord | str) -> tuple[int, ...]:
     prev: tuple[int, ...] = ()  # the vector of the prefix one shorter
     for m in range(1, w.k + 1):
         last = w.letter(m)
-        vec = [1, 2][: m + 1]
+        vec = [1, 2]
         for idx in range(2, m + 1):
             if last == "R":
                 vec.append(1 + prev[idx - 1])
@@ -77,9 +77,9 @@ def _differences(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def der_backend(w: GoursatWord | str) -> tuple[int, ...]:
-    """The derived vector (der_3 .. der_{k+2}), the first differences of
-    beta; always begins (1, 1).  The recursion is linear, so run with R
-    adding 0 and seeds (1, 1) it would give exactly these differences."""
+    """The derived vector (der_3 .. der_{k+2}): beta's first differences,
+    which the recursion, being linear, gives with seeds (1, 1) and R
+    adding 0.  Always begins (1, 1)."""
     return _differences(beta_backend(w))
 
 
