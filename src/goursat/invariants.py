@@ -4,9 +4,10 @@ The six mutually convertible invariants of a Goursat word are the beta
 vector, its first and second derived vectors, the b vector, the
 multiplicity vector, and the (reversed, restricted) vertical-orders
 vector.  This module computes them by Jean's back-end recursion on the
-word (beta, whose differences are the derived vectors), by the front-end lifting recursion through proximity diagrams,
-and through the e-table, and converts freely between the encodings.  All
-arithmetic is exact integer arithmetic; nothing here touches floats.
+word (beta, whose differences are the derived vectors), by the
+front-end lifting recursion through proximity diagrams, and through the
+e-table, and converts freely between the encodings.  All arithmetic is
+exact integer arithmetic; nothing here touches floats.
 
 Puiseux characteristics are handled through the classical correspondence
 with multiplicity sequences (iterated Euclidean expansion), so that the
