@@ -57,6 +57,10 @@ def corpus_commands() -> list[tuple[str, ...]]:
     commands.append(("verify", "--all-words", "7", "--symbolic"))
     for k in range(1, 7):
         commands += [("bracket-table", "".join(c)) for c in itertools.product("oi", repeat=k)]
+    # Text output past k = 8, and a word that is not a Goursat word at k = 16
+    for n in (16, 18, 20):
+        commands.append(("invariants", "RR" + "V" * n))
+    commands += [("invariants", "RV" + "T" * 14), ("puiseux", "RV" + "T" * 14)]
     return list(dict.fromkeys(commands))
 
 
