@@ -200,6 +200,7 @@ def _vec(v) -> str:
 
 
 def render_bundle(b: InvariantBundle) -> str:
+    # SG is written run by run, one str per run rather than one per entry.
     lines = [
         f"word:                 {b.word}",
         f"goursat word:         {b.goursat_word}",
@@ -207,7 +208,7 @@ def render_bundle(b: InvariantBundle) -> str:
         f"beta:                 {_vec(b.beta)}",
         f"der:                  {_vec(b.der)}",
         f"der2:                 {_vec(b.der2)}",
-        f"sg:                   {' '.join(str(s) for s in b.sg)}",
+        f"sg:                   {''.join(f'{v} ' * n for v, n in b.sg.runs())[:-1]}",
         f"mult vector:          {_vec(b.mult_vector)}",
         f"m0:                   {b.m0}",
         f"vo:                   {_vec(b.vo)}",
@@ -309,10 +310,7 @@ def _check_symbolic_level(k: int) -> None:
 
 
 def verify_word(
-    word: RvtWord,
-    depth: int | None = None,
-    seed: int = 0,
-    symbolic: bool = False,
+    word: RvtWord, seed: int = 0, symbolic: bool = False
 ) -> tuple[bool, list[str]]:
     """Run the cross-checks for one word; returns (ok, report lines).
 
@@ -357,8 +355,7 @@ def verify_word(
         lines.append(f"{word}: pathway orders match the e-table for all columns")
 
     if symbolic:
-        max_steps = depth if depth is not None else bundle.nonholonomy_degree + 2
-        sg = oracle.small_growth_bruteforce(point, max_steps)
+        sg = oracle.small_growth_bruteforce(point, bundle.nonholonomy_degree + 2)
         if sg != bundle.sg:
             ok = False
             lines.append(
@@ -507,6 +504,7 @@ def cmd_chart(args) -> int:
     from .polynomial import var_names
 
     word = _read_word(args.word)
+    check_levels(word.k)
     point = canonical_chart_point(word)
     chart = point.chart
     print(f"word:        {word}")
@@ -529,14 +527,15 @@ def cmd_bracket_table(args) -> int:
     from . import symcalc
 
     chart = Chart(args.chartword)
+    check_levels(chart.k)
     table = symcalc.bracket_table(chart)
     print(render_bracket_table(table), end="")
     return EXIT_OK
 
 
-def _verify_task(task: tuple[str, int | None, int, bool]) -> tuple[bool, list[str]]:
-    word, depth, seed, symbolic = task
-    return verify_word(parse_word(word), depth=depth, seed=seed, symbolic=symbolic)
+def _verify_task(task: tuple[str, int, bool]) -> tuple[bool, list[str]]:
+    word, seed, symbolic = task
+    return verify_word(parse_word(word), seed=seed, symbolic=symbolic)
 
 
 def cmd_verify(args) -> int:
@@ -565,7 +564,7 @@ def cmd_verify(args) -> int:
     # starts, lets the forked workers share the parent's copy.
     from . import oracle  # noqa: F401
 
-    tasks = [(str(w), args.depth, args.seed, args.symbolic) for w in words]
+    tasks = [(str(w), args.seed, args.symbolic) for w in words]
     if len(tasks) > 1:
         # Per-word checks are pure and independent; fan out across workers.
         # The brute force of --symbolic grows with the degree of
@@ -669,8 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", nargs="?")
     p.add_argument("--all-words", type=int, default=None, metavar="N",
                    help="verify every Goursat word of length N")
-    p.add_argument("--depth", type=int, default=None,
-                   help="step budget for brute-force small growth")
     p.add_argument("--seed", type=int, default=0, help="seed for generic jets")
     p.add_argument("--symbolic", action="store_true",
                    help="include brute-force and chart-lemma verification")

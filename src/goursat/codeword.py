@@ -45,8 +45,9 @@ from .errors import (
 ALPHABET = frozenset("RVT")
 CRITICAL = frozenset("VT")
 
-# Charts are capped by a budget: tables grow quadratically with the level
-# and nothing in scope needs more than 12 levels.
+# chart, bracket-table and verify cap a chart's levels (check_levels): its
+# tables grow quadratically with the level and nothing in scope needs more
+# than 12 levels.  The focal orders that give a word's m_0 need no cap.
 MAX_LEVELS = 16
 
 
@@ -237,7 +238,6 @@ class Chart(Frozen):
     def __init__(self, choices: str):
         if any(c not in "oi" for c in choices):
             raise ValueError(f"chart word must use only o/i: {choices!r}")
-        check_levels(len(choices))
         object.__setattr__(self, "choices", choices)
 
     @property

@@ -186,8 +186,8 @@ class StepSequence(LazySequence):
     """base + #{p in points : p <= first + index} for index = 0..length-1.
 
     A step function held by its sorted breakpoints: it is built in
-    O(len(points)), read at an index by bisection and iterated in
-    O(length + len(points)).
+    O(len(points)), read at an index by bisection, iterated in
+    O(length + len(points)) and read run by run in O(len(points)).
     """
 
     __slots__ = ("_first", "_base", "_points")
@@ -201,15 +201,22 @@ class StepSequence(LazySequence):
     def _value(self, index: int) -> int:
         return self._base + bisect_right(self._points, self._first + index)
 
-    def __iter__(self) -> Iterator[int]:
+    def runs(self) -> Iterator[tuple[int, int]]:
+        """(value, count) for each run of equal items, in order: one pair
+        per breakpoint inside the sequence, and one more."""
         start = self._first
         stop = start + self._len
         value = self._base + bisect_right(self._points, start)
         for p in self._points:
             if start < p < stop:
-                yield from repeat(value, p - start)
+                yield value, p - start
                 value, start = value + 1, p
-        yield from repeat(value, stop - start)
+        if start < stop:
+            yield value, stop - start
+
+    def __iter__(self) -> Iterator[int]:
+        for value, count in self.runs():
+            yield from repeat(value, count)
 
 
 class ETable(namedtuple("ETable", "k vo b")):
@@ -401,8 +408,8 @@ def pc_from_multseq(ms: tuple[int, ...]) -> PuiseuxCharacteristic:
     return pc
 
 
-def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None) -> int:
-    """The base multiplicity m_0 of the word whose normalized diagram is given.
+def _resolve_m0(w: RvtWord, m1: int, m0: int | None) -> int:
+    """The base multiplicity m_0 of a word whose multiplicity m_1 is given.
 
     For Goursat words m_0 = m_1; otherwise m_0 depends on the point and
     must be supplied (the CLI wires it from the focal-order oracle), and
@@ -411,7 +418,6 @@ def _resolve_m0(w: RvtWord, diagram: proximity.ProximityDiagram, m0: int | None)
     """
     if m0 is not None and (isinstance(m0, bool) or not isinstance(m0, int)):
         raise InvalidM0(f"m_0 must be an int, got {m0!r}")
-    m1 = proximity.base_multiplicity(diagram)
     if is_goursat(w):
         if m0 is not None and m0 != m1:
             raise InvalidM0(f"Goursat word has m_0 = m_1 = {m1}, got m0={m0}")
@@ -476,29 +482,27 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
 
     der and der2 are the differences of the back end's beta.  Since beta
     starts at 1, beta is the running sum of der from 1, so the der check
-    also checks beta against the front end."""
+    also checks beta against the front end, and der2 needs no check of its
+    own.  m_0, VO_2 and the Puiseux characteristic all read the one
+    multiplicity sequence (m_0, m_1, ..., m_{k-1}, 1), whose m_1 is the
+    entry of the front-end der that the der check covers."""
     w = _as_word(w)
     gw = goursat_normalize(w)
     k = gw.k
 
     beta_be = beta_backend(gw)
     der_be = _differences(beta_be)
-    der2_be = _differences(der_be)
 
-    # One proximity diagram serves the front-end der, which unrolls to
-    # (1, m_{k-1}, ..., m_1) as in proximity.derived_frontend, the
-    # vertical orders and the Puiseux characteristic.
-    diagram = proximity.build_diagram(gw)
-    mv = proximity.multiplicity_vector(diagram)
+    # The front-end der unrolls to (1, m_{k-1}, ..., m_1), as in
+    # proximity.derived_frontend; m_k = 1 is m_1 when k = 1.
+    mv = proximity.multiplicity_vector(proximity.build_diagram(gw))
     der_fe = (1,) + mv
     _require(der_fe == der_be, "der", der_fe, der_be)
 
     vo = vo_from_mult(mv, k)
-    der2_vo = ((0,) + tuple(reversed(vo[1:]))) if k >= 2 else ()
-    _require(der2_vo == der2_be, "der2", der2_vo, der2_be)
-
-    m0 = _resolve_m0(w, diagram, m0)
-    vo_full = ((m0 - proximity.base_multiplicity(diagram),) + vo[1:]) if k >= 2 else ()
+    m1 = mv[-1] if mv else 1
+    m0 = _resolve_m0(w, m1, m0)
+    vo_full = ((m0 - m1,) + vo[1:]) if k >= 2 else ()
 
     table = e_table(vo_full, k)
     beta_b = beta_from_b(table.b)
@@ -508,8 +512,8 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
 
     # The multiplicity sequence is (m_0, m_1, ..., m_{k-1}, 1), and the
     # Puiseux characteristic it yields must end at the nonholonomy degree.
-    # On the Goursat locus m_0 = m_1 comes from the diagram, so a miss is a
-    # failed route; off it m_0 comes from the caller, so a miss means that
+    # On the Goursat locus m_0 = m_1 comes from the front end, so a miss is
+    # a failed route; off it m_0 comes from the caller, so a miss means that
     # m_0 does not fit the word.
     misfit = RouteMismatch if is_goursat(w) else InvalidM0
     try:
@@ -532,7 +536,7 @@ def bundle(w: RvtWord | str, m0: int | None = None) -> InvariantBundle:
         k=k,
         beta=beta_be,
         der=der_be,
-        der2=der2_be,
+        der2=_differences(der_be),
         sg=sg,
         mult_vector=mv,
         m0=m0,

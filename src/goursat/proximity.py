@@ -39,7 +39,8 @@ def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
 
     build_diagram gives every vertex i < k the chain edge (i, i+1), so
     m_i >= m_{i+1}, and vertex 0 no other edge, so m_0 = m_1: neither can
-    fail, and neither is checked."""
+    fail, and neither is checked.  Only prox prints vertex 0's m_0; the
+    invariants read m_1 .. m_{k-1} (multiplicity_vector)."""
     targets: list[list[int]] = [[] for _ in range(k + 1)]
     for i, j in edges:
         targets[i].append(j)
@@ -61,6 +62,7 @@ def build_diagram(w: GoursatWord | str) -> ProximityDiagram:
     once, on the final edges.  The lift of length k - i gives vertex i its
     chain edge (i, i+1), and long edges start at vertex 1 or later, so the
     multiplicities never increase and m_0 = m_1 (see _multiplicities).
+    Vertex 0's multiplicity is read only by prox, which prints it.
     """
     chain = lift_chain(w)
     word = chain[-1]
@@ -76,11 +78,6 @@ def build_diagram(w: GoursatWord | str) -> ProximityDiagram:
 def multiplicity_vector(d: ProximityDiagram) -> tuple[int, ...]:
     """The multiplicity vector (m_{k-1}, ..., m_1); empty for k = 1."""
     return tuple(d.mult[i] for i in range(d.k - 1, 0, -1))
-
-
-def base_multiplicity(d: ProximityDiagram) -> int:
-    """m_0 of the canonical realization; equals m_1 for Goursat words."""
-    return d.mult[0]
 
 
 def derived_frontend(w: GoursatWord | str) -> tuple[int, ...]:

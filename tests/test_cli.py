@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from goursat.cli import (
     dumps_bundle,
     main,
     output_bound,
+    render_bundle,
     render_etable,
     verify_word,
 )
@@ -319,6 +321,20 @@ def _printed(argv) -> tuple[int, int]:
 
 # The command of each form that output_bound covers, without its word.
 _FORM_ARGV = {"text": ("invariants",), "json": ("invariants", "--json"), "etable": ("etable",)}
+
+
+def test_render_bundle_memory_is_proportional_to_its_output():
+    # The SG line is written run by run; one str per SG entry took about
+    # 20 times the output.
+    b = invariants.bundle("RR" + "V" * 24)
+    tracemalloc.start()
+    try:
+        text = render_bundle(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(b.sg) == 317_811
+    assert peak < 4 * len(text)
 
 
 class TestOutputBudget:
@@ -678,10 +694,6 @@ class TestVerifyCommand:
         assert "Traceback" not in err
         assert out.endswith("PASS\n")
 
-    def test_depth_budget(self):
-        code, _, err = run_cli("verify", "RRVTVV", "--symbolic", "--depth", "4")
-        assert code == EXIT_BUDGET
-
     def test_all_words_limit(self):
         code, _, err = run_cli("verify", "--all-words", "1200")
         assert code == EXIT_BUDGET
@@ -716,12 +728,24 @@ def test_closed_stdout_exits_1_without_traceback(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "RR" + "V" * 15], ["chart", "RR" + "V" * 15], ["bracket-table", "o" * 17]],
+    [["verify", "RR" + "V" * 15], ["chart", "RR" + "V" * 15], ["bracket-table", "o" * 17],
+     ["verify", "RV" + "T" * 15], ["chart", "RV" + "T" * 15]],
 )
 def test_chart_level_cap_is_a_budget(argv, capsys):
     assert main(argv) == EXIT_BUDGET
     assert f"MAX_LEVELS = {MAX_LEVELS}" in capsys.readouterr().err
     assert main(["bracket-table", "o" * 17 + "x"]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("command", ["invariants", "etable", "puiseux"])
+@pytest.mark.parametrize("k", [MAX_LEVELS + 1, MAX_WORD_LENGTH])
+def test_chart_level_cap_spares_the_invariants(command, k, capsys):
+    # A word that is not a Goursat word takes its m_0 from the focal orders
+    # at its chart point; the chart cap applies to chart, bracket-table and
+    # verify only.
+    word = "RV" + "T" * (k - 2)
+    assert main([command, word]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_refuses_levels_before_building_the_bundle(monkeypatch, capsys):

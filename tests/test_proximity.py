@@ -1,7 +1,6 @@
 from goursat.codeword import enumerate_goursat_words, lift_chain
 from goursat.invariants import der_backend
 from goursat.proximity import (
-    base_multiplicity,
     build_diagram,
     derived_frontend,
     multiplicity_vector,
@@ -47,7 +46,7 @@ class TestMultiplicityVector:
         for k in range(1, 8):
             for w in enumerate_goursat_words(k):
                 d = build_diagram(w)
-                assert base_multiplicity(d) == d.mult[1]
+                assert d.mult[0] == d.mult[1]
 
 
 class TestDerivedFrontend:

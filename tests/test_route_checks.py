@@ -1,5 +1,12 @@
 """Route checks raise errors rather than assert, so they hold under
-`python -O`, which strips assert statements."""
+`python -O`, which strips assert statements.
+
+The field matrix mutates, for each field of InvariantBundle, the route
+that produces it, and names the check in bundle or verify that catches
+the mutation.  der2, nonholonomy_degree and the e-table's rows are
+written from checked values (der, beta and b) after every check, so no
+run-time check reads them; tests pin them instead.
+"""
 
 import os
 import subprocess
@@ -14,11 +21,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = textwrap.dedent(
     """
     import inspect
+    import operator
     import textwrap
     from contextlib import contextmanager
 
-    from goursat import cli, invariants, oracle
-    from goursat.codeword import Chart, canonical_chart_point, parse_word
+    from goursat import cli, codeword, invariants, oracle, proximity
+    from goursat.codeword import Chart, canonical_chart_point, enumerate_rvt_words, parse_word
     from goursat.errors import OrderMismatch, RouteMismatch, TruncationTooSmall
 
     assert False, "asserts are live: the script must run under -O"
@@ -35,15 +43,47 @@ SCRIPT = textwrap.dedent(
 
 
     @contextmanager
-    def mutated(module, name, old, new):
-        # The function recompiled from its own source with old replaced by new
-        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    def mutated(module, name, old, new, owner=None):
+        # The function recompiled from its own source with old replaced by
+        # new, in its module's namespace, and set on owner (the module
+        # itself by default)
+        owner = module if owner is None else owner
+        source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
         if source.count(old) != 1:
             raise SystemExit(f"{name}: {old!r} must occur once in its source")
         scope = {}
         exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), scope)
-        with patched(module, name, lambda original: scope[name]):
+        with patched(owner, name, lambda original: scope[name]):
             yield
+
+
+    class Reported(Exception):
+        # verify_word returned not ok; the message holds its MISMATCH lines
+        pass
+
+
+    def verify_reports(word, symbolic=False):
+        ok, lines = cli.verify_word(parse_word(word), symbolic=symbolic)
+        if not ok:
+            raise Reported(" ".join(line for line in lines if "MISMATCH" in line))
+
+
+    def under(mutation, call):
+        def run():
+            with mutation:
+                call()
+        return run
+
+
+    def last_v_read_as_t(as_word):
+        def read(w):
+            w = as_word(w)
+            return as_word(w.symbols[:-1] + "T") if w.symbols.endswith("V") else w
+        return read
+
+
+    def wired_m0_plus_one(base_multiplicity_at_point):
+        return lambda p: base_multiplicity_at_point(p) + 1
 
 
     def bundle_with_a_mutated_backend(old, new):
@@ -161,6 +201,92 @@ SCRIPT = textwrap.dedent(
             "the focal step on n0 changes the order by 22, not -1, on chart ooiooiii",
         ),
     }
+    # The field matrix: one route per field of InvariantBundle (beta above)
+    cases.update({
+        "word: the bundle reads RRVTVV as RRVTVT": (
+            Reported,
+            under(patched(invariants, "_as_word", last_v_read_as_t),
+                  lambda: verify_reports("RRVTVV")),
+            "MISMATCH restricted vertical orders oracle=(5, 0, 1, 1) combinatorial=(4, 0, 2, 0)",
+        ),
+        "goursat_word: the normalization ends in R": (
+            RouteMismatch,
+            under(mutated(codeword, "goursat_normalize", "_regularize(w.symbols, 2)",
+                          "_regularize(w.symbols[:-1] + 'R', 2)", owner=invariants),
+                  lambda: cli._wired(invariants.bundle, parse_word("RVTVV"))),
+            "oracle-wired m_0",
+        ),
+        "k: one level too many": (
+            ValueError,
+            under(mutated(invariants, "bundle", "k = gw.k", "k = gw.k + 1"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "expected 6 multiplicities for k=7, got 5",
+        ),
+        "der: the last difference replaced by 1": (
+            RouteMismatch,
+            under(mutated(invariants, "bundle", "der_be = _differences(beta_be)",
+                          "der_be = _differences(beta_be)[:-1] + (1,)"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "der: (1, 1, 2, 3, 3, 8) vs (1, 1, 2, 3, 3, 1)",
+        ),
+        "sg: base 2": (
+            Reported,
+            under(mutated(invariants, "sg_from_beta", "StepSequence(1, beta[-1], 1, beta)",
+                          "StepSequence(1, beta[-1], 2, beta)"),
+                  lambda: verify_reports("RRVTVV", symbolic=True)),
+            "MISMATCH small growth brute=(2, 3, 4, 4,",
+        ),
+        "mult_vector: m_k = 2": (
+            RouteMismatch,
+            under(mutated(proximity, "_multiplicities", "m[k] = 1", "m[k] = 2"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "der: (1, 2, 4, 6, 6, 16) vs (1, 1, 2, 3, 3, 8)",
+        ),
+        "m0: the Goursat m_0 one more than m_1": (
+            RouteMismatch,
+            under(mutated(invariants, "_resolve_m0", "        return m1\\n",
+                          "        return m1 + 1\\n"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "m_0 = 9 does not fit RRVTVV: no Puiseux characteristic yields (9, 8, 3, 3, 2, 1)",
+        ),
+        "m0: the wired m_0 one more than the oracle's": (
+            Reported,
+            under(patched(oracle, "base_multiplicity_at_point", wired_m0_plus_one),
+                  lambda: verify_reports("RVTRV")),
+            "MISMATCH VO_2",
+        ),
+        "vo: VO_3 .. VO_k one too large": (
+            RouteMismatch,
+            under(mutated(invariants, "vo_from_mult", "out.append(diff)", "out.append(diff + 1)"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "beta from b: (1, 2, 3, 6, 11, 17, 29) vs (1, 2, 3, 5, 8, 11, 19)",
+        ),
+        "vo: VO_2 one too large": (
+            Reported,
+            under(mutated(invariants, "bundle", "(m0 - m1,)", "(m0 - m1 + 1,)"),
+                  lambda: verify_reports("RRVTVV")),
+            "MISMATCH VO_2 oracle=0 bundle=1",
+        ),
+        "b: each column sum's weight one larger": (
+            RouteMismatch,
+            under(mutated(invariants, "_column_sums", "+= (i + j - k - 3)", "+= (i + j - k - 2)"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "beta from b",
+        ),
+        "e_table: b_i = i + S_i + 1": (
+            RouteMismatch,
+            under(mutated(invariants, "e_table", "i + s for", "i + s + 1 for"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "beta from b: (1, 3, 4, 6, 9, 12, 20) vs (1, 2, 3, 5, 8, 11, 19)",
+        ),
+        "puiseux: a block's gap one e too large": (
+            RouteMismatch,
+            under(mutated(invariants, "pc_from_multseq", "d = run * e + r", "d = run * e + r + e"),
+                  lambda: invariants.bundle("RRVTVV")),
+            "no Puiseux characteristic yields (8, 8, 3, 3, 2, 1)",
+        ),
+    })
+
     failures = 0
     for name, (error, call, message) in cases.items():
         try:
@@ -173,6 +299,28 @@ SCRIPT = textwrap.dedent(
             print(f"{name}: raised {type(exc).__name__}, expected {error.__name__}")
         else:
             print(f"{name}: returned without raising {error.__name__}")
+        failures += 1
+
+    # An edge (0, 2) changes only vertex 0's multiplicity, which prox
+    # prints and no invariant reads: no bundle may change, prox must.
+    def wired_bundle(w):
+        try:
+            return cli._wired(invariants.bundle, w)
+        except Exception as exc:
+            return repr(exc)
+
+    def wired_bundles():
+        return [wired_bundle(w) for k in range(2, 9) for w in enumerate_rvt_words(k)]
+
+    before = wired_bundles()
+    prox_before = proximity.build_diagram("RRVTVV").mult
+    with mutated(proximity, "build_diagram", "edges = frozenset(edges)",
+                 "edges = frozenset(edges | {(0, 2)})"):
+        after = wired_bundles()
+        prox_after = proximity.build_diagram("RRVTVV").mult
+    if len(before) != 986 or after != before or prox_after == prox_before:
+        print(f"the (0, 2) edge: {sum(map(operator.ne, before, after))} of "
+              f"{len(before)} bundles changed, prox {prox_before} -> {prox_after}")
         failures += 1
     raise SystemExit(failures)
     """
