@@ -202,8 +202,7 @@ class StepSequence(LazySequence):
         return self._base + bisect_right(self._points, self._first + index)
 
     def runs(self) -> Iterator[tuple[int, int]]:
-        """(value, count) for each run of equal items, in order: one pair
-        per breakpoint inside the sequence, and one more."""
+        """(value, count) for each run of equal items, in order."""
         start = self._first
         stop = start + self._len
         value = self._base + bisect_right(self._points, start)
