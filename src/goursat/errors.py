@@ -88,6 +88,10 @@ class StepBudgetExceeded(GoursatError):
     """Brute-force rank computation did not stabilize within the step budget."""
 
 
+class ExponentOverflow(GoursatError):
+    """A packed exponent reached the guard bit of its field.  Always a bug."""
+
+
 class LevelLimitExceeded(GoursatError):
     """A word or chart has more levels than a named limit allows."""
 

@@ -105,12 +105,14 @@ def lie_bracket(x: VField, y: VField) -> VField:
 class RankTracker:
     """Incremental exact rank over Q of sparse integer rows.
 
-    A row maps sortable keys (a column index, or a (component, monomial)
-    pair) to int coefficients; absent keys are zero.  Elimination is
-    fraction-free: every kept row is stored primitive under its pivot, its
-    least key, and a new row is cleared of pivots from its least key upward,
-    so each step only brings in keys above the one it removes.  This is the
-    one place rows are normalized: callers pass them unscaled.
+    A row maps int keys to int coefficients; absent keys are zero.  A key
+    is a component index (a field's value at a point) or a packed monomial
+    key (oracle.GeneratorSet's rows), so the heap compares ints.
+    Elimination is fraction-free: every kept row is stored primitive under
+    its pivot, its least key, and a new row is cleared of pivots from its
+    least key upward, so each step only brings in keys above the one it
+    removes.  This is the one place rows are normalized: callers pass them
+    unscaled.
     """
 
     def __init__(self):
@@ -120,7 +122,7 @@ class RankTracker:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, row: Mapping) -> bool:
+    def add(self, row: Mapping[int, int]) -> bool:
         """Add a row; True iff it is independent of the rows kept so far."""
         rows = self._rows
         row = {key: c for key, c in row.items() if c}

@@ -7,7 +7,9 @@ of every generator kept before it.  `reference_steps` is the growth it
 replaced: a bracket is dropped only when it is a scalar multiple of an
 earlier generator.  Every generator of the reference must lie in the span
 of the basis kept over the same steps, and the two small growth vectors
-must agree.
+must agree.  `GeneratorSet` keeps its generators as packed rows and
+brackets them with its own focal-pair kernel; `symcalc.lie_bracket` is the
+kernel's reference.
 """
 
 import math
@@ -21,7 +23,8 @@ from goursat.codeword import canonical_chart_point, enumerate_goursat_words
 from goursat.polynomial import Poly
 from goursat.symcalc import RankTracker, VField, lie_bracket, point_row, std_fields
 
-from worked_fixtures import evaluate
+from worked_fixtures import EXHAUSTION_BUDGET, evaluate
+
 
 
 class FractionSpan:
@@ -140,17 +143,38 @@ def test_point_row_is_the_value_at_the_point():
         assert row == {i: v for i, v in enumerate(evaluate(field, point)) if v}
 
 
+def grown(chart, nsteps=None):
+    """The GeneratorSet of a chart, grown to nsteps batches, or else until
+    a batch comes out empty."""
+    gens = oracle.GeneratorSet(chart, EXHAUSTION_BUDGET)
+    while len(gens.steps) < nsteps if nsteps else gens.steps[-1]:
+        gens.grow()
+    return gens
+
+
 def test_kept_generators_are_independent():
     # Each batch, grown until one comes out empty, is independent of all
     # earlier ones.
     for word in ("RRVTVV", "RRVVVV"):
-        gens = oracle.GeneratorSet(canonical_chart_point(word).chart)
-        while gens.steps[-1]:
-            gens.grow()
+        gens = grown(canonical_chart_point(word).chart)
         span = FractionSpan()
         for step, batch in enumerate(gens.steps, start=1):
             for gen in batch:
-                assert span.add(generator_row(gen)), (word, step)
+                assert span.add(generator_row(gens.field(gen))), (word, step)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_kernel_brackets_are_lie_brackets(k):
+    # Both focal-pair brackets of every generator kept to exhaustion, from
+    # the packed kernel, against lie_bracket on the unpacked field.
+    for w in enumerate_goursat_words(k):
+        chart = canonical_chart_point(w).chart
+        fs, vs = std_fields(chart)
+        gens = grown(chart)
+        for gen in (g for batch in gens.steps for g in batch):
+            y = gens.field(gen)
+            assert gens.field(gens.bracket_f(gen)) == lie_bracket(fs[k], y), w
+            assert gens.field(gens.bracket_v(gen)) == lie_bracket(vs[k], y), w
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -161,12 +185,10 @@ def test_reference_generators_lie_in_the_basis(k):
         ref = reference_steps(p.chart, len(sg))
         assert reference_sg(ref, p.coords) == sg == tuple(invariants.bundle(w).sg), w
 
-        gens = oracle.GeneratorSet(p.chart)
-        while len(gens.steps) < len(ref):
-            gens.grow()
+        gens = grown(p.chart, len(ref))
         span = FractionSpan()
         for step, (kept, old) in enumerate(zip(gens.steps, ref), start=1):
             for gen in kept:
-                span.add(generator_row(gen))
+                span.add(generator_row(gens.field(gen)))
             for gen in old:
                 assert not span.add(generator_row(gen)), (w, step)

@@ -30,6 +30,7 @@ from goursat.oracle import (
 from goursat.polynomial import Poly, var_names
 
 from worked_fixtures import (
+    EXHAUSTION_BUDGET,
     ORDERS_RRVRVV,
     ORDERS_RRVTVV,
     PATHWAY_RRVTVV_I7,
@@ -328,9 +329,9 @@ class TestGeneratorSet:
         from goursat.symcalc import std_fields
 
         p = canonical_chart_point("RRV")
-        gens = GeneratorSet(p.chart)
+        gens = GeneratorSet(p.chart, 5)
         fs, vs = std_fields(p.chart)
-        assert gens.steps[0] == [fs[3], vs[3]]
+        assert [gens.field(g) for g in gens.steps[0]] == [fs[3], vs[3]]
 
     # Batch sizes per step with each bracket kept only when it is
     # independent of everything kept before it.  They sum to 97 and 170,
@@ -347,7 +348,7 @@ class TestGeneratorSet:
     def test_batch_sizes_pinned(self, word, sizes):
         from goursat.oracle import GeneratorSet
 
-        gens = GeneratorSet(canonical_chart_point(word).chart)
+        gens = GeneratorSet(canonical_chart_point(word).chart, len(sizes))
         for _ in sizes[1:]:
             gens.grow()
         assert [len(batch) for batch in gens.steps] == sizes
@@ -361,15 +362,47 @@ class TestGeneratorSet:
         def int_coeffs(fields):
             return all(type(c) is int for g in fields for p in g.comps for c in p.terms.values())
 
+        def int_rows(rows):
+            return all(type(c) is int for row in rows for c in row.values())
+
         for k in range(6):
             for bits in itertools.product("oi", repeat=k):
                 chart = Chart("".join(bits))
                 fs, vs = std_fields(chart)
                 assert int_coeffs(fs + vs), chart
-                gens = GeneratorSet(chart)
-                assert int_coeffs(gens.steps[0]), chart
-                while gens.steps[-1]:
-                    assert int_coeffs(gens.grow()), chart
+                gens = GeneratorSet(chart, EXHAUSTION_BUDGET)
+                batch = gens.steps[0]
+                while batch:
+                    assert int_rows(batch), chart
+                    assert int_coeffs([gens.field(g) for g in batch]), chart
+                    batch = gens.grow()
+
+    def test_symbolic_counters_pinned(self, monkeypatch):
+        # What the brute force of verify --all-words 6 --symbolic does, with
+        # verify's step budget: README quotes these counts.
+        from goursat.oracle import GeneratorSet
+
+        counts = {"words": 0, "generators": 0, "brackets": 0}
+
+        def counting(name, counter, count):
+            method = getattr(GeneratorSet, name)
+
+            def counted(self, *args):
+                out = method(self, *args)
+                counts[counter] += count(out)
+                return out
+
+            monkeypatch.setattr(GeneratorSet, name, counted)
+
+        counting("_admit", "generators", len)
+        counting("bracket_f", "brackets", lambda _: 1)
+        counting("bracket_v", "brackets", lambda _: 1)
+        for w in enumerate_goursat_words(6):
+            counts["words"] += 1
+            small_growth_bruteforce(
+                canonical_chart_point(w), invariants.nonholonomy_degree(w) + 2
+            )
+        assert counts == {"words": 34, "generators": 1377, "brackets": 2608}
 
 
 def test_oracle_equivalence_every_length_six_word():

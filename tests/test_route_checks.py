@@ -27,7 +27,14 @@ SCRIPT = textwrap.dedent(
 
     from goursat import cli, codeword, invariants, oracle, proximity
     from goursat.codeword import Chart, canonical_chart_point, enumerate_rvt_words, parse_word
-    from goursat.errors import OrderMismatch, RouteMismatch, TruncationTooSmall
+    from goursat.errors import (
+        ExponentOverflow,
+        OrderMismatch,
+        RouteMismatch,
+        TruncationTooSmall,
+    )
+    from goursat.polynomial import Poly
+    from goursat.symcalc import VField
 
     assert False, "asserts are live: the script must run under -O"
 
@@ -148,7 +155,38 @@ SCRIPT = textwrap.dedent(
             check("RRVTTVVV", 9)
 
 
+    # On chart o, f_1 = d/dr_0 + n_1 d/dn_0 and [f_1, n_0 n_1 d/dr_0] is
+    # n_1^2 d/dr_0.  A budget of one step packs each exponent in 2 bits,
+    # the upper one the guard, so n_1^2 reaches it: the kernel must raise
+    # before a carry would turn the exponent into another coordinate's.
+    # With a budget of two steps the same bracket fits.
+    def n0_n1_d_r0(gens):
+        zero = Poly.zero(3)
+        return gens.pack(VField(3, (Poly(3, {(0, 1, 1): 1}), zero, zero)))
+
+    def bracket_past_the_guard():
+        roomy = oracle.GeneratorSet(Chart("o"), 2)
+        expected = VField(3, (Poly(3, {(0, 0, 2): 1}), Poly.zero(3), Poly.zero(3)))
+        if roomy.field(roomy.bracket_f(n0_n1_d_r0(roomy))) != expected:
+            raise SystemExit("[f_1, n0*n1 d/dr0] is not n1^2 d/dr0 with room to spare")
+        gens = oracle.GeneratorSet(Chart("o"), 1)
+        gens.bracket_f(n0_n1_d_r0(gens))
+
+    def pack_past_the_guard():
+        gens = oracle.GeneratorSet(Chart("o"), 1)
+        gens.pack(VField(3, (Poly(3, {(0, 0, 2): 1}), Poly.zero(3), Poly.zero(3))))
+
     cases = {
+        "oracle.GeneratorSet.bracket_f at the guard": (
+            ExponentOverflow,
+            bracket_past_the_guard,
+            "exponents (0, 0, 2) reach 2, the guard bit of their 2-bit fields, on chart o",
+        ),
+        "oracle.GeneratorSet.pack at the guard": (
+            ExponentOverflow,
+            pack_past_the_guard,
+            "exponents (0, 0, 2) reach 2",
+        ),
         # der and der2 are the differences of beta, so a wrong beta shows in
         # der against the front end's (1, m_{k-1}, ..., m_1)
         "invariants.beta_backend R adds 2": (

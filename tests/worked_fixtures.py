@@ -78,6 +78,11 @@ ETABLE_RRRVV = {
 }
 
 # SG column of the RRVTVV table, h = 2..19
+# A GeneratorSet step budget for growth to exhaustion: every Goursat word
+# with k <= 7 exhausts within 35 steps, so its exponents stay far below
+# the packed rows' guard bits.
+EXHAUSTION_BUDGET = 64
+
 SG_RRVTVV = (3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 8)
 
 # back-end derived-vector recursion, every prefix of the long word
