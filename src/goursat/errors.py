@@ -89,7 +89,8 @@ class StepBudgetExceeded(GoursatError):
 
 
 class ExponentOverflow(GoursatError):
-    """A packed exponent reached the guard bit of its field.  Always a bug."""
+    """A packed exponent reached the guard bit of its field: the exponents
+    outgrew the width that the step budget gave."""
 
 
 class LevelLimitExceeded(GoursatError):

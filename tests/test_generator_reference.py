@@ -26,7 +26,6 @@ from goursat.symcalc import RankTracker, VField, lie_bracket, point_row, std_fie
 from worked_fixtures import EXHAUSTION_BUDGET, evaluate
 
 
-
 class FractionSpan:
     """The span of sparse rational rows.  Each kept row has a 1 at its
     pivot and zeros at the pivots kept before it, so one pass in insertion

@@ -1,5 +1,7 @@
 """Route checks raise errors rather than assert, so they hold under
-`python -O`, which strips assert statements.
+`python -O`, which strips assert statements.  So does the guard of
+oracle.GeneratorSet's packed rows, which raises where an exponent would
+otherwise carry into the next field.
 
 The field matrix mutates, for each field of InvariantBundle, the route
 that produces it, and names the check in bundle or verify that catches
