@@ -2,10 +2,12 @@
 
 Everything here recomputes an invariant from first principles so it can
 be compared against the closed-form routes: small-growth ranks by
-actually bracketing generator sets, focal orders by the backwards chart
-procedure and by probing with generic jets, multiplicity sequences by
-simulating blowups of parameterized curves, and the pathway construction
-that pins each e-table entry to a concrete section coefficient.
+actually bracketing generator sets (symcalc's packed rows, with the
+bracket routine the structure lemmas use), focal orders by the backwards
+chart procedure and by probing with generic jets, multiplicity sequences
+by simulating blowups of parameterized curves, and the pathway
+construction that pins each e-table entry to a concrete section
+coefficient.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .codeword import Chart, ChartPoint, Frozen
 from .errors import (
-    ExponentOverflow,
     IndexRange,
     OrderMismatch,
     StepBudgetExceeded,
@@ -25,9 +26,10 @@ from .errors import (
 )
 from .invariants import PuiseuxCharacteristic
 from .polynomial import Poly, var_names
-from .symcalc import RankTracker, VField, focal_slots, std_fields
-# The general bracket, against which GeneratorSet's focal-pair kernel is
-# tested; bench/trace_worker.py patches it under this name.
+from .symcalc import Packing, RankTracker, Row, focal_slots
+# GeneratorSet brackets through Packing.bracket, prepared once per focal
+# field, and makes no lie_bracket call; bench/trace_worker.py patches the
+# name here.
 from .symcalc import lie_bracket  # noqa: F401
 
 # ---------------------------------------------------------------------------
@@ -177,13 +179,9 @@ class GeneratorSet:
     kept as the brackets come, unscaled: scaling changes neither
     independence nor rank, and RankTracker normalizes the rows it keeps.
 
-    Packing.  A generator is a packed row: a dict from an int key to a
-    nonzero int coefficient, one entry per term x^m d/dx_c.  The key holds
-    the component c in its low bits, enough of them for the k+2
-    components, and above them the exponent m_v of each coordinate
-    v = 0..k+1 (r_0, n_0, ..., n_k) in a field of a fixed width, so a
-    monomial product is one int addition.  pack and field convert from and
-    to VField.
+    Packing.  A generator is a row of a Packing (symcalc), and the two
+    focal-pair brackets are Packing.bracket prepared once, on x = f_k and
+    on x = v_k.
 
     Width.  Each slot of f_k is a monomial (focal_slots); let rise be the
     largest exponent in any slot (1, as a slot is a product of distinct
@@ -191,147 +189,36 @@ class GeneratorSet:
     rise: v_k = d/dn_k only lowers one, f_k(Y_c) multiplies a term by slot
     v over x_v, and Y(f_k,c) by slot c over x_v.  So every exponent at step
     j is at most j * rise, and fields of (max_steps * rise).bit_length() + 1
-    bits hold the first max_steps steps, the top bit of each field its
-    guard.  An exponent below the guard grows by at most rise, less than
-    the guard, so it can reach the guard bit but not carry past its field.
-    Every key bracket_f produces is checked, and one that reaches a guard
-    raises ExponentOverflow; past max_steps, growth goes on until that
-    happens.  bracket_v lowers an exponent of at least one, so it reaches
-    no guard.
+    bits hold the first max_steps steps below their guard bits.  Past
+    max_steps, growth goes on until a bracket reaches a guard bit and
+    raises ExponentOverflow (Packing's guard argument).
     """
 
     def __init__(self, chart: Chart, max_steps: int):
-        nv = chart.nvars
         fk = focal_slots(chart)[chart.k]
         rise = max(e for s in fk if s is not None for e in s)
-        width = (max_steps * rise).bit_length() + 1
-        cbits = (nv - 1).bit_length()
-        self.chart = chart
-        self._shifts = shifts = tuple(cbits + v * width for v in range(nv))
-        self._cmask = (1 << cbits) - 1
-        self._fmask = (1 << width) - 1
-        self._limit = 1 << (width - 1)
-        self._guards = sum(self._limit << s for s in shifts)
-        unit = [1 << s for s in shifts]
-
-        def mono(exps):
-            return sum(e << s for e, s in zip(exps, shifts))
-
-        # f_k(Y_c): a term holding x_v gains slot v over x_v, times e_v.
-        self._lower = tuple(
-            (shifts[v], mono(s) - unit[v]) for v, s in enumerate(fk) if s is not None
-        )
-        # -Y_v d(slot c)/dx_v: a term of component v moves to component c
-        # and gains slot c over x_v, times -(the exponent of x_v in slot c).
-        self._move = tuple(
-            tuple(
-                (mono(s) - unit[v] + c - v, s[v])
-                for c, s in enumerate(fk)
-                if s is not None and s[v]
-            )
-            for v in range(nv)
-        )
-        nk = Chart.n_var(chart.k)
-        self._nk = (shifts[nk], unit[nk])
+        self.packing = Packing(chart, (max_steps * rise).bit_length() + 1)
+        fs, vs = self.packing.frames
+        self._f = self.packing.bracket(fs[chart.k])
+        self._v = self.packing.bracket(vs[chart.k])
         self._basis = RankTracker()
-        self.steps: list[list[dict[int, int]]] = []
-        fs, vs = std_fields(chart)
-        self._admit([self.pack(fs[chart.k]), self.pack(vs[chart.k])])
+        self.steps: list[list[Row]] = []
+        self._admit([fs[chart.k], vs[chart.k]])
 
-    def _overflow(self, key: int) -> ExponentOverflow:
-        exps = tuple(key >> s & self._fmask for s in self._shifts)
-        return ExponentOverflow(
-            f"exponents {exps} reach {self._limit}, the guard bit of their "
-            f"{self._fmask.bit_length()}-bit fields, on chart {self.chart.choices}"
-        )
+    def bracket_f(self, gen: Row) -> Row:
+        """[f_k, gen]."""
+        return self._f(gen)
 
-    def pack(self, field: VField) -> dict[int, int]:
-        """The packed row of a field; ExponentOverflow if an exponent
-        reaches the guard bit."""
-        row = {}
-        for c, p in enumerate(field.comps):
-            for m, coeff in p.terms.items():
-                key = c + sum(e << s for e, s in zip(m, self._shifts))
-                if max(m) >= self._limit:
-                    raise self._overflow(key)
-                row[key] = coeff
-        return row
+    def bracket_v(self, gen: Row) -> Row:
+        """[v_k, gen] = d gen/dn_k."""
+        return self._v(gen)
 
-    def field(self, gen: dict[int, int]) -> VField:
-        """The VField of a packed row."""
-        nv = self.chart.nvars
-        comps: list[dict] = [{} for _ in range(nv)]
-        for key, c in gen.items():
-            comps[key & self._cmask][tuple(key >> s & self._fmask for s in self._shifts)] = c
-        return VField(nv, tuple(Poly(nv, terms) for terms in comps))
-
-    def bracket_f(self, gen: dict[int, int]) -> dict[int, int]:
-        """[f_k, gen] = f_k(gen_c) - gen(f_k,c) in each component c."""
-        fmask, move = self._fmask, self._move
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in gen.items():
-            for shift, delta in self._lower:
-                e = key >> shift & fmask
-                if e:
-                    new = key + delta
-                    out[new] = get(new, 0) + c * e
-            for delta, s in move[key & self._cmask]:
-                new = key + delta
-                out[new] = get(new, 0) - c * s
-        guards = self._guards
-        row = {}
-        for key, c in out.items():
-            if key & guards:
-                raise self._overflow(key)
-            if c:
-                row[key] = c
-        return row
-
-    def bracket_v(self, gen: dict[int, int]) -> dict[int, int]:
-        """[v_k, gen] = d gen/dn_k; lowering one exponent keeps distinct
-        keys distinct."""
-        shift, unit = self._nk
-        fmask = self._fmask
-        out = {}
-        for key, c in gen.items():
-            e = key >> shift & fmask
-            if e:
-                out[key - unit] = c * e
-        return out
-
-    def at_point(self, coords: Sequence[int]) -> Callable[[dict[int, int]], dict[int, int]]:
-        """The function taking a packed row to its value at the integer
-        point coords, a row keyed by component for RankTracker.  One mask
-        skips every term holding a coordinate that is 0 there."""
-        zero = 0
-        powers = []
-        for x, s in zip(coords, self._shifts):
-            if x == 0:
-                zero |= self._fmask << s
-            elif x != 1:
-                powers.append((s, x))
-        cmask, fmask = self._cmask, self._fmask
-
-        def at(gen: dict[int, int]) -> dict[int, int]:
-            row: dict[int, int] = {}
-            for key, c in gen.items():
-                if key & zero:
-                    continue
-                for s, x in powers:
-                    c *= x ** (key >> s & fmask)
-                comp = key & cmask
-                row[comp] = row.get(comp, 0) + c
-            return row
-
-        return at
-
-    def _admit(self, candidates: list[dict[int, int]]) -> list[dict[int, int]]:
+    def _admit(self, candidates: list[Row]) -> list[Row]:
         batch = [gen for gen in candidates if self._basis.add(gen)]
         self.steps.append(batch)
         return batch
 
-    def grow(self) -> list[dict[int, int]]:
+    def grow(self) -> list[Row]:
         """Bracket the newest batch against the focal pair; returns the
         generators kept at this step."""
         # A zero bracket has an empty row, which RankTracker never keeps.
@@ -353,7 +240,7 @@ def small_growth_bruteforce(p: ChartPoint, max_steps: int) -> tuple[int, ...]:
         raise StepBudgetExceeded("max_steps must be at least 1")
     full_rank = p.chart.nvars
     gens = GeneratorSet(p.chart, max_steps)
-    at = gens.at_point(p.coords)
+    at = gens.packing.at_point(p.coords)
     tracker = RankTracker()
     sg: list[int] = []
     batch = gens.steps[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import NonExactDivision, VariableMismatch
+from .errors import VariableMismatch
 
 Monomial = tuple[int, ...]
 
@@ -165,16 +165,6 @@ class Poly:
                 if m[var]
             },
         )
-
-    def divide_monomial(self, exps: Monomial) -> "Poly":
-        """Exact division by a monic monomial; NonExactDivision if any term fails."""
-        terms: dict[Monomial, int] = {}
-        for m, coeff in self.terms.items():
-            lowered = tuple(a - b for a, b in zip(m, exps))
-            if any(e < 0 for e in lowered):
-                raise NonExactDivision(f"term with exponents {m} not divisible by {exps}")
-            terms[lowered] = coeff
-        return Poly(self.nvars, terms)
 
     # -- rendering ----------------------------------------------------------
 

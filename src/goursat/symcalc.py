@@ -1,113 +1,43 @@
 """Exact symbolic calculus on monster-tower charts.
 
-Vector fields are stored by their polynomial coefficients on the
-coordinate frame (d/dr_0, d/dn_0, ..., d/dn_k).  The module builds the
-two standard frames of a chart -- the vertical fields v_i = d/dn_i and
-the focal fields f_i defined by the ordinary/inverted recursion -- takes
-Lie brackets, constructs the mixed g-basis in which all brackets against
+A vector field is a packed row (Packing): its terms x^m d/dx_c on the
+coordinate frame (d/dr_0, d/dn_0, ..., d/dn_k), each an int key holding
+c and m, with an int coefficient.  The module builds the two standard
+frames of a chart -- the vertical fields v_i = d/dn_i and the focal
+fields f_i defined by the ordinary/inverted recursion -- takes Lie
+brackets with one routine (Packing.bracket), which the brute force in
+oracle shares, constructs the mixed g-basis in which all brackets against
 g_0 collapse to a single monomial multiple, and mechanically verifies the
-structure lemmas that the invariant computations rest on.
+structure lemmas that the invariant computations rest on.  The
+closed-form coefficients stay Poly monomials, which the bracket table
+renders.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add
-from typing import Mapping, NamedTuple, Sequence
+from operator import lshift, or_
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .codeword import Chart, Frozen
-from .errors import IndexRange, NonExactDivision, RouteMismatch, VariableMismatch
+from .errors import (
+    ExponentOverflow,
+    IndexRange,
+    NonExactDivision,
+    RouteMismatch,
+    VariableMismatch,
+)
 from .polynomial import Monomial, Poly, var_names
-
-
-class VField(Frozen):
-    """A vector field with polynomial coefficients on the coordinate frame."""
-
-    __slots__ = _fields = ("nvars", "comps")
-
-    def __init__(self, nvars: int, comps: tuple[Poly, ...]):
-        if len(comps) != nvars:
-            raise VariableMismatch(f"expected {nvars} components, got {len(comps)}")
-        if any(p.nvars != nvars for p in comps):
-            raise VariableMismatch("component polynomial over wrong variable set")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "comps", comps)
-
-    @classmethod
-    def frame(cls, nvars: int, var: int) -> "VField":
-        comps = [Poly.zero(nvars)] * nvars
-        comps[var] = Poly.const(nvars, 1)
-        return cls(nvars, tuple(comps))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.comps)
-
-    def _check(self, other: "VField") -> None:
-        if self.nvars != other.nvars:
-            raise VariableMismatch(
-                f"fields over {self.nvars} and {other.nvars} variables"
-            )
-
-    def __add__(self, other: "VField") -> "VField":
-        self._check(other)
-        return VField(self.nvars, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self) -> "VField":
-        return VField(self.nvars, tuple(-p for p in self.comps))
-
-    def __mul__(self, a) -> "VField":
-        if isinstance(a, Poly):
-            if a.nvars != self.nvars:
-                raise VariableMismatch("scaling polynomial over wrong variable set")
-        elif not isinstance(a, int):
-            return NotImplemented
-        return VField(self.nvars, tuple(p * a for p in self.comps))
-
-    __rmul__ = __mul__
-
-
-def _derive_into(acc: dict, comps: tuple[Poly, ...], a_terms: dict, sign: int) -> None:
-    """Add sign * X(a) into the term dict acc, where X has components comps.
-
-    X(a) = sum over v of comps[v] * da/dx_v, expanded term by term with no
-    intermediate polynomial.  Coefficients that cancel are left as zeros.
-    """
-    for var, comp in enumerate(comps):
-        c_terms = comp.terms
-        if not c_terms:
-            continue
-        for ma, ca in a_terms.items():
-            e = ma[var]
-            if not e:
-                continue
-            lowered = ma[:var] + (e - 1,) + ma[var + 1 :]
-            factor = sign * e * ca
-            for mc, cc in c_terms.items():
-                m = tuple(map(add, mc, lowered))
-                acc[m] = acc.get(m, 0) + factor * cc
-
-
-def lie_bracket(x: VField, y: VField) -> VField:
-    """[x, y], computed componentwise as x(y_c) - y(x_c)."""
-    x._check(y)
-    comps = []
-    for xc, yc in zip(x.comps, y.comps):
-        acc: dict = {}
-        _derive_into(acc, x.comps, yc.terms, 1)
-        _derive_into(acc, y.comps, xc.terms, -1)
-        comps.append(Poly._wrap(x.nvars, {m: c for m, c in acc.items() if c}))
-    return VField(x.nvars, tuple(comps))
 
 
 class RankTracker:
     """Incremental exact rank over Q of sparse integer rows.
 
     A row maps int keys to int coefficients; absent keys are zero.  A key
-    is a component index (a field's value at a point) or a packed monomial
-    key (oracle.GeneratorSet's rows), so the heap compares ints.
+    is a component index (a field's value at a point) or a packed key
+    (Packing), so the heap compares ints.
     Elimination is fraction-free: every kept row is stored primitive under
     its pivot, its least key, and a new row is cleared of pivots from its
     least key upward, so each step only brings in keys above the one it
@@ -165,25 +95,6 @@ class RankTracker:
         return False
 
 
-def point_row(field: VField, point: Sequence[int]) -> dict[int, int]:
-    """field at an integer point as a sparse integer row keyed by
-    component, for RankTracker."""
-    row = {}
-    for index, p in enumerate(field.comps):
-        total = 0
-        for m, c in p.terms.items():
-            term = c
-            for x, e in zip(point, m):
-                if e:
-                    term *= x**e
-                    if not term:
-                        break
-            total += term
-        if total:
-            row[index] = total
-    return row
-
-
 # ---------------------------------------------------------------------------
 # Standard frames
 
@@ -216,18 +127,201 @@ def focal_slots(chart: Chart) -> tuple[tuple[Monomial | None, ...], ...]:
     return tuple(frame)
 
 
+# ---------------------------------------------------------------------------
+# Packed rows
+
+Row = dict[int, int]
+
+
+class Packing(Frozen):
+    """The layout of packed rows on one chart, in fields of width bits.
+
+    A vector field is a row: a dict from an int key to a nonzero int
+    coefficient, one entry per term x^m d/dx_c.  The key holds the
+    component c in its low bits, enough of them for the k+2 components,
+    and above them the exponent m_v of each coordinate v = 0..k+1 (r_0,
+    n_0, ..., n_k) in a field of width bits, so a monomial product is one
+    int addition.  Field v starts at bit shifts[v]; cmask selects the
+    component, fmask one field (once shifted down), limit is a field's
+    top bit and guards holds the top bit of every field.
+
+    Guard.  The top bit of each field is its guard: every exponent of a
+    row stays below it.  Two exponents below the guard sum to less than
+    twice the guard, the size of the field, so adding the keys of two rows
+    below the guard cannot carry past a field; a sum can reach a guard bit,
+    and one mask finds it.  mono, bracket and combination check every key
+    they make and raise ExponentOverflow at a guard bit, so what they
+    return is again below the guard.  The same bits make divide's
+    exactness test: with every guard bit set, subtracting a monomial below
+    the guard clears the guard bit of exactly the fields it does not fit.
+    """
+
+    _fields = ("chart", "width")
+    # the dict holds the cached frames
+    __slots__ = (*_fields, "shifts", "cmask", "fmask", "limit", "guards", "__dict__")
+
+    def __init__(self, chart: Chart, width: int):
+        if width < 1:
+            raise ValueError(f"a packed field needs its guard bit, got width {width}")
+        cbits = (chart.nvars - 1).bit_length()
+        shifts = tuple(cbits + v * width for v in range(chart.nvars))
+        limit = 1 << (width - 1)
+        guards = sum(limit << s for s in shifts)
+        values = (chart, width, shifts, (1 << cbits) - 1, (1 << width) - 1, limit, guards)
+        for name, value in zip(Packing.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def exponents(self, key: int) -> Monomial:
+        """The exponent tuple of a key."""
+        return tuple(key >> s & self.fmask for s in self.shifts)
+
+    def _overflow(self, key: int) -> ExponentOverflow:
+        return ExponentOverflow(
+            f"exponents {self.exponents(key)} reach {self.limit}, the guard bit of "
+            f"their {self.width}-bit fields, on chart {self.chart.choices}"
+        )
+
+    def _checked(self, out: Row) -> Row:
+        """out without its zero terms; ExponentOverflow at a guard bit."""
+        guards = self.guards
+        if reduce(or_, out, 0) & guards:
+            raise self._overflow(next(key for key in out if key & guards))
+        if 0 in out.values():
+            return {key: c for key, c in out.items() if c}
+        return out
+
+    def mono(self, exps: Monomial) -> int:
+        """The key of x^exps in component 0."""
+        if len(exps) != len(self.shifts):
+            raise VariableMismatch(f"expected {len(self.shifts)} exponents, got {len(exps)}")
+        key = sum(map(lshift, exps, self.shifts))
+        if max(exps) >= self.limit:
+            raise self._overflow(key)
+        return key
+
+    @cached_property
+    def frames(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+        """The focal frame (f_0..f_k) and vertical frame (v_0..v_k), the
+        focal fields built from focal_slots."""
+        fs = tuple(
+            {c + self.mono(s): 1 for c, s in enumerate(slots) if s is not None}
+            for slots in focal_slots(self.chart)
+        )
+        vs = tuple({Chart.n_var(j): 1} for j in range(self.chart.k + 1))
+        return fs, vs
+
+    def combination(self, terms: Iterable[tuple[Poly, Row]]) -> Row:
+        """The sum of a * row over the pairs (a, row)."""
+        out: Row = {}
+        for a, row in terms:
+            for m, c in a.terms.items():
+                d = self.mono(m)
+                for key, b in row.items():
+                    out[key + d] = out.get(key + d, 0) + c * b
+        return self._checked(out)
+
+    def bracket(self, x: Row) -> Callable[[Row], Row]:
+        """The function y -> [x, y], with x prepared once.
+
+        In component c, [x, y] = x(y_c) - y(x_c).  For x(y_c), a term
+        a x^m d/dx_v of x turns each term of y holding x_v to the power
+        e > 0 into a*e times that term over x_v times x^m: one key delta
+        per term of x, kept with the field of the v it differentiates.  For -y(x_c), a
+        term of y in component v meets each term a x^m d/dx_c of x holding
+        x_v to the power s > 0: the term moves to component c and gains
+        x^m over x_v, times -a*s, again one key delta.
+        """
+        shifts, cmask, fmask = self.shifts, self.cmask, self.fmask
+        lowering = []
+        move: list[list] = [[] for _ in shifts]
+        for key, a in x.items():
+            c = key & cmask
+            m = key - c
+            lowering.append((shifts[c], m - (1 << shifts[c]), a))
+            for v, s in enumerate(shifts):
+                e = key >> s & fmask
+                if e:
+                    move[v].append((m - (1 << s) + c - v, a * e))
+        # None when x has constant coefficients, as v_k has
+        moving = tuple(map(tuple, move)) if any(move) else None
+        checked = self._checked
+
+        def bracket_with_x(y: Row) -> Row:
+            out: Row = {}
+            get = out.get
+            for key, b in y.items():
+                for shift, delta, a in lowering:
+                    e = key >> shift & fmask
+                    if e:
+                        new = key + delta
+                        out[new] = get(new, 0) + a * b * e
+                if moving:
+                    for delta, a in moving[key & cmask]:
+                        new = key + delta
+                        out[new] = get(new, 0) - a * b
+            return checked(out)
+
+        return bracket_with_x
+
+    def divide(self, row: Row, exps: Monomial) -> Row:
+        """row over the monomial x^exps, exactly; NonExactDivision if a
+        term holds a coordinate to a lower power."""
+        d, guards = self.mono(exps), self.guards
+        out = {}
+        for key, c in row.items():
+            q = (key | guards) - d
+            if q & guards != guards:
+                raise NonExactDivision(
+                    f"term with exponents {self.exponents(key)} not divisible by {exps}"
+                )
+            out[q ^ guards] = c
+        return out
+
+    def at_point(self, coords: Sequence[int]) -> Callable[[Row], Row]:
+        """The function taking a row to its value at the integer point
+        coords, a row keyed by component for RankTracker.  One mask skips
+        every term holding a coordinate that is 0 there."""
+        zero = 0
+        powers = []
+        for x, s in zip(coords, self.shifts):
+            if x == 0:
+                zero |= self.fmask << s
+            elif x != 1:
+                powers.append((s, x))
+        cmask, fmask = self.cmask, self.fmask
+
+        def at(row: Row) -> Row:
+            value: Row = {}
+            for key, c in row.items():
+                if key & zero:
+                    continue
+                for s, x in powers:
+                    c *= x ** (key >> s & fmask)
+                comp = key & cmask
+                value[comp] = value.get(comp, 0) + c
+            return value
+
+        return at
+
+
+def lie_bracket(pk: Packing, x: Row, y: Row) -> Row:
+    """[x, y] of two rows of the packing pk, preparing x for this one
+    bracket; GeneratorSet prepares its two left operands once."""
+    return pk.bracket(x)(y)
+
+
 @lru_cache(maxsize=None)
-def std_fields(chart: Chart) -> tuple[tuple[VField, ...], tuple[VField, ...]]:
-    """The focal frame (f_0..f_k) and vertical frame (v_0..v_k) of a chart,
-    the focal fields built from focal_slots."""
-    nv = chart.nvars
-    zero = Poly.zero(nv)
-    fs = tuple(
-        VField(nv, tuple(zero if s is None else Poly._wrap(nv, {s: 1}) for s in slots))
-        for slots in focal_slots(chart)
-    )
-    vs = tuple(VField.frame(nv, Chart.n_var(j)) for j in range(chart.k + 1))
-    return fs, vs
+def lemma_packing(chart: Chart) -> Packing:
+    """The packing the structure lemmas run on, one per chart.  Their rows
+    are the frame fields, with exponents of at most 1, and products of two
+    such (the closed forms, the brackets and the g-basis before its
+    division), so 3-bit fields, which hold exponents up to 3, leave room
+    to spare."""
+    return Packing(chart, 3)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form coefficients
 
 
 def _inverted_product(chart: Chart, levels: range) -> Poly:
@@ -313,22 +407,26 @@ def bracket_table(chart: Chart) -> BracketTable:
     Every [v_i, f_j] is computed, and [f_i, f_j] for i < j only: the
     mirrors i > j and the zeros i == j follow from the antisymmetry of the
     bracket, so computing them would only re-check lie_bracket itself.
-    Raises RouteMismatch if a computed bracket deviates from its closed
-    form -- that would falsify the bracket lemmas and always means a bug.
+    Each closed form is packed from its coefficient, a_coeff or b_coeff,
+    and the frame field it multiplies.  Raises RouteMismatch if a computed
+    bracket deviates from its closed form -- that would falsify the
+    bracket lemmas and always means a bug.
     """
-    fs, vs = std_fields(chart)
+    pk = lemma_packing(chart)
+    fs, vs = pk.frames
 
-    def agrees(bracket: VField, entry: BracketEntry) -> bool:
+    def agrees(bracket: Row, entry: BracketEntry) -> bool:
         if entry.kind is None:
-            return bracket.is_zero
-        return bracket == entry.coeff * (fs if entry.kind == "f" else vs)[entry.index]
+            return not bracket
+        frame = (fs if entry.kind == "f" else vs)[entry.index]
+        return bracket == pk.combination([(entry.coeff, frame)])
 
     entries: dict[tuple[str, int, int], BracketEntry] = {}
     for i in range(chart.k + 1):
         for j in range(chart.k + 1):
             for kind, left, predicted in (("v", vs, predicted_vf), ("f", fs, predicted_ff)):
                 entry = entries[(kind, i, j)] = predicted(chart, i, j)
-                if (kind == "v" or i < j) and not agrees(lie_bracket(left[i], fs[j]), entry):
+                if (kind == "v" or i < j) and not agrees(lie_bracket(pk, left[i], fs[j]), entry):
                     raise RouteMismatch(f"[{kind}_{i}, f_{j}] deviates from its closed form")
     return BracketTable(chart, entries)
 
@@ -340,12 +438,13 @@ def bracket_table(chart: Chart) -> BracketTable:
 class GBasis(NamedTuple):
     """The mixed basis g_0, ..., g_{k+1} with its divisors and identities.
 
-    divisors[i-1] is the monomial removed when passing from [g_0, g_i] to
-    g_{i+1}; idents[i-2] identifies g_i as (sign, 'f'|'v', index).
+    fields are rows of lemma_packing(chart); divisors[i-1] is the monomial
+    removed when passing from [g_0, g_i] to g_{i+1}; idents[i-2]
+    identifies g_i as (sign, 'f'|'v', index).
     """
 
     chart: Chart
-    fields: tuple[VField, ...]
+    fields: tuple[Row, ...]
     divisors: tuple[Poly, ...]
     idents: tuple[tuple[int, str, int], ...]
 
@@ -359,15 +458,15 @@ def g_basis(chart: Chart) -> GBasis:
     """
     if chart.k < 1:
         raise IndexRange("g_basis needs k >= 1", chart.k, 1, chart.k)
-    fs, vs = std_fields(chart)
+    pk = lemma_packing(chart)
+    fs, vs = pk.frames
     fields = [fs[chart.k], vs[chart.k]]
     divisors = []
     for i in range(1, chart.k + 1):
         div = _inverted_product(chart, range(max(chart.k - i + 3, 1), chart.k + 1))
-        bracket = lie_bracket(fields[0], fields[i])
         (mono,) = div.terms  # a monic monomial
-        # divide_monomial raises NonExactDivision unless every term divides.
-        fields.append(VField(chart.nvars, tuple(p.divide_monomial(mono) for p in bracket.comps)))
+        # divide raises NonExactDivision unless every term divides.
+        fields.append(pk.divide(lie_bracket(pk, fields[0], fields[i]), mono))
         divisors.append(div)
 
     idents = []
@@ -376,7 +475,7 @@ def g_basis(chart: Chart) -> GBasis:
         target = (fs if kind == "f" else vs)[chart.k - i + 1]
         if fields[i] == target:
             idents.append((1, kind, chart.k - i + 1))
-        elif fields[i] == -target:
+        elif fields[i] == {key: -c for key, c in target.items()}:
             idents.append((-1, kind, chart.k - i + 1))
         else:
             raise RouteMismatch(
@@ -389,24 +488,30 @@ def g_basis(chart: Chart) -> GBasis:
 # Annihilator pairing and structure verification
 
 
-def annihilator_check(chart: Chart, x: VField, imax: int) -> bool:
-    """True iff x is annihilated by the forms d d_i - n_i d r_i, i = 1..imax."""
+def annihilator_check(chart: Chart, x: Row, imax: int) -> bool:
+    """True iff x, a row of lemma_packing(chart), is annihilated by the
+    forms d d_i - n_i d r_i, i = 1..imax: its d_i component equals n_i
+    times its r_i component, term for term."""
     if not 0 <= imax <= chart.k:
         raise IndexRange("imax", imax, 0, chart.k)
+    pk = lemma_packing(chart)
+    cmask = pk.cmask
     for i in range(1, imax + 1):
-        ni = Poly.variable(chart.nvars, Chart.n_var(i))
-        pairing = x.comps[chart.deactivated_var(i)] - ni * x.comps[chart.retained_var(i)]
-        if not pairing.is_zero:
+        d, r = chart.deactivated_var(i), chart.retained_var(i)
+        n_i = 1 << pk.shifts[Chart.n_var(i)]
+        if {key - d: c for key, c in x.items() if key & cmask == d} != {
+            key - r + n_i: c for key, c in x.items() if key & cmask == r
+        }:
             return False
     return True
 
 
-def delta_basis(chart: Chart, i: int) -> tuple[VField, ...]:
+def delta_basis(chart: Chart, i: int) -> tuple[Row, ...]:
     """The standard basis (f_{k-i+1}, v_{k-i+1}, ..., v_k) of the i-th
     sheaf in the Lie square sequence (i = k+1 gives the full frame)."""
     if not 1 <= i <= chart.k + 1:
         raise IndexRange("delta index", i, 1, chart.k + 1)
-    fs, vs = std_fields(chart)
+    fs, vs = lemma_packing(chart).frames
     m = chart.k - i + 1
     return (fs[m],) + tuple(vs[m : chart.k + 1])
 
@@ -416,22 +521,22 @@ def _bracket_closed_forms(chart: Chart) -> None:
 
 
 def _f_expansion(chart: Chart) -> None:
-    fs, vs = std_fields(chart)
+    pk = lemma_packing(chart)
+    fs, vs = pk.frames
     for j in range(1, chart.k + 1):
         # f_0's coefficient takes n_h over every inverted level h <= j.
-        expansion = _inverted_product(chart, range(1, j + 1)) * fs[0]
-        for i in range(j):
-            expansion = expansion + b_coeff(chart, i, j) * vs[i]
-        if expansion != fs[j]:
+        terms = [(_inverted_product(chart, range(1, j + 1)), fs[0])]
+        terms += [(b_coeff(chart, i, j), vs[i]) for i in range(j)]
+        if pk.combination(terms) != fs[j]:
             raise RouteMismatch(f"f_{j} expansion mismatch")
 
 
 def _g_independence(chart: Chart) -> None:
     # Independence at a generic integer point (all coordinates nonzero).
-    point = [v + 2 for v in range(chart.nvars)]
+    at = lemma_packing(chart).at_point([v + 2 for v in range(chart.nvars)])
     tracker = RankTracker()
     for f in g_basis(chart).fields:
-        tracker.add(point_row(f, point))
+        tracker.add(at(f))
     if tracker.rank != chart.nvars:
         raise RouteMismatch("g fields are not independent at a generic point")
 
@@ -460,10 +565,13 @@ def verify_structure(chart: Chart) -> None:
     - f_k and v_k = d/dn_k map a monomial to a polynomial with positive
       coefficients: each slot of f_k is 0 or a monomial with coefficient 1
       by construction, because focal_slots stores no other kind of slot,
-      and std_fields builds the frame from it.
+      and Packing.frames builds the frame from it.
 
-    A failed lemma raises RouteMismatch (NonExactDivision from the g-basis)
-    naming the lemma and the chart; any failure is an implementation bug.
+    The lemmas run on rows of lemma_packing(chart) and Packing.bracket,
+    the routine the brute force in oracle brackets with.  A failed lemma
+    raises RouteMismatch (NonExactDivision from the g-basis, and
+    ExponentOverflow where a row outgrows its fields) naming the lemma and
+    the chart; any failure is an implementation bug.
     The lemmas depend on the chart alone, so the sweep runs once per chart;
     a raise is not cached, so a failure is raised on every call.
     """
@@ -475,7 +583,7 @@ def verify_structure(chart: Chart) -> None:
     ):
         try:
             lemma(chart)
-        except (RouteMismatch, NonExactDivision) as exc:
+        except (RouteMismatch, NonExactDivision, ExponentOverflow) as exc:
             name = lemma.__name__.lstrip("_")
             raise type(exc)(
                 f"structure lemma {name} fails on chart {chart.choices}: {exc}"

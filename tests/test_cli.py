@@ -14,6 +14,7 @@ import pytest
 from goursat import invariants, symcalc
 from goursat.codeword import (
     MAX_LEVELS,
+    Chart,
     canonical_chart_point,
     enumerate_goursat_words,
     enumerate_rvt_words,
@@ -37,7 +38,6 @@ from goursat.cli import (
     verify_word,
 )
 from goursat.errors import LevelLimitExceeded, NonExactDivision, NotRealizable, RouteMismatch
-from goursat.polynomial import Poly
 from test_cli_corpus import corpus_commands
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -455,42 +455,65 @@ class TestOtherCommands:
         assert code == EXIT_INVALID
 
 
+def _lemma_frames(monkeypatch, mutate):
+    # The structure lemmas take their packing from lemma_packing, and the
+    # brute force builds its own, so it keeps the true frames.
+    class Mutated(symcalc.Packing):
+        __slots__ = ()
+
+        @property
+        def frames(self):
+            fs, vs = super().frames
+            return mutate(self, fs, vs)
+
+    monkeypatch.setattr(symcalc, "lemma_packing", lambda chart: Mutated(chart, 3))
+
+
 def _doubled_top_field(monkeypatch):
-    std_fields = symcalc.std_fields
-
-    def mutated(chart):
-        fs, vs = std_fields(chart)
-        return fs[:-1] + (2 * fs[-1],), vs
-
-    monkeypatch.setattr(symcalc, "std_fields", mutated)
+    _lemma_frames(
+        monkeypatch, lambda pk, fs, vs: (fs[:-1] + ({key: 2 * c for key, c in fs[-1].items()},), vs)
+    )
 
 
 def _negated_top_slot(monkeypatch):
     # The r_0 slot of f_k turns negative, so f_k maps r_0 to a negative
     # coefficient: what the monomial-positivity check used to catch.
-    std_fields = symcalc.std_fields
+    def negate(pk, fs, vs):
+        top = {key: -c if key & pk.cmask == 0 else c for key, c in fs[-1].items()}
+        return fs[:-1] + (top,), vs
 
-    def mutated(chart):
-        fs, vs = std_fields(chart)
-        top = fs[-1]
-        return fs[:-1] + (symcalc.VField(top.nvars, (-top.comps[0],) + top.comps[1:]),), vs
+    _lemma_frames(monkeypatch, negate)
 
-    monkeypatch.setattr(symcalc, "std_fields", mutated)
+
+def _top_field_gains_f0(monkeypatch):
+    # f_k gains f_0 = d/dr_0, which commutes with every frame field (no
+    # slot holds r_0), and f_k is the left slot of no computed bracket nor
+    # the field of any closed form, so the bracket table still agrees; only
+    # the expansion of f_k reads f_k itself.
+    def gain(pk, fs, vs):
+        top = dict(fs[-1])
+        top[0] = top.get(0, 0) + 1
+        return fs[:-1] + (top,), vs
+
+    _lemma_frames(monkeypatch, gain)
 
 
 def _g_field_off_the_frame(monkeypatch):
-    # Every g_i with i >= 2 gains Q times the sum of the frame fields, for a
-    # monomial Q in n_0..n_k of high degree (so every later division stays
-    # exact).  Then g_i fails [g_1, g_i] = 0 and lies in no Delta^i: what the
-    # [g_1, g_i] and g-membership checks used to catch.  The g-basis is the
-    # only caller of divide_monomial.
-    divide_monomial = Poly.divide_monomial
+    # Every g_i with i >= 2 gains n_k d/dr_0.  It commutes with g_0 = f_k
+    # (f_k has no d/dn_k component, and no slot holds r_0), so every later
+    # bracket and division is unchanged.  Then g_i fails [g_1, g_i] = 0
+    # ([v_k, n_k d/dr_0] = d/dr_0) and lies in no Delta^i: what the
+    # [g_1, g_i] and g-membership checks used to catch.  The g-basis is
+    # the only caller of Packing.divide.
+    divide = symcalc.Packing.divide
 
-    def mutated(self, exps):
-        nv = self.nvars
-        return divide_monomial(self, exps) + Poly.monomial(nv, {v: 2 * nv for v in range(1, nv)})
+    def mutated(self, row, exps):
+        out = dict(divide(self, row, exps))
+        n_k = 1 << self.shifts[Chart.n_var(self.chart.k)]
+        out[n_k] = out.get(n_k, 0) + 1
+        return out
 
-    monkeypatch.setattr(Poly, "divide_monomial", mutated)
+    monkeypatch.setattr(symcalc.Packing, "divide", mutated)
 
 
 def _constant_fields_fail_to_commute(monkeypatch):
@@ -498,13 +521,25 @@ def _constant_fields_fail_to_commute(monkeypatch):
     # vertical g_i brackets two constant fields, as [v_i, f_0] does.
     lie_bracket = symcalc.lie_bracket
 
-    def constant(x):
-        return not any(any(m) for p in x.comps for m in p.terms)
+    def constant(pk, x):
+        return all(key <= pk.cmask for key in x)
 
-    def mutated(x, y):
-        return x if constant(x) and constant(y) else lie_bracket(x, y)
+    def mutated(pk, x, y):
+        return x if constant(pk, x) and constant(pk, y) else lie_bracket(pk, x, y)
 
     monkeypatch.setattr(symcalc, "lie_bracket", mutated)
+
+
+def _delta_basis_one_level_deep(monkeypatch):
+    # The basis of the i-th sheaf is read one level too deep, as
+    # (f_{k-i}, v_{k-i}, ..., v_k) for i <= k; f_{k-i} and v_{k-i} fail the
+    # pairing at level k-i+1.  Only the Delta^i lemma reads delta_basis.
+    delta_basis = symcalc.delta_basis
+
+    def mutated(chart, i):
+        return delta_basis(chart, min(i + 1, chart.k + 1))
+
+    monkeypatch.setattr(symcalc, "delta_basis", mutated)
 
 
 class TestVerifyCommand:
@@ -656,11 +691,14 @@ class TestVerifyCommand:
         [
             (_doubled_top_field, "bracket_closed_forms"),
             (_negated_top_slot, "bracket_closed_forms"),
+            (_top_field_gains_f0, "f_expansion"),
             (_g_field_off_the_frame, "g_independence"),
             (_constant_fields_fail_to_commute, "bracket_closed_forms"),
+            (_delta_basis_one_level_deep, "delta_annihilators"),
         ],
-        ids=["doubled-top-field", "negated-top-slot", "g-field-off-the-frame",
-             "constant-fields-fail-to-commute"],
+        ids=["doubled-top-field", "negated-top-slot", "top-field-gains-f0",
+             "g-field-off-the-frame", "constant-fields-fail-to-commute",
+             "delta-basis-one-level-deep"],
     )
     def test_broken_structure_lemma_fails_verify(self, mutate, lemma, monkeypatch, capsys):
         # Each mutation breaks one structure fact; the lemma that catches it

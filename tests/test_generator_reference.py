@@ -7,9 +7,11 @@ of every generator kept before it.  `reference_steps` is the growth it
 replaced: a bracket is dropped only when it is a scalar multiple of an
 earlier generator.  Every generator of the reference must lie in the span
 of the basis kept over the same steps, and the two small growth vectors
-must agree.  `GeneratorSet` keeps its generators as packed rows and
-brackets them with its own focal-pair kernel; `symcalc.lie_bracket` is the
-kernel's reference.
+must agree; the reference brackets with `symcalc.lie_bracket`, so what
+it tests is the basis, not the bracket.  `GeneratorSet` keeps its
+generators as packed rows and brackets them with `symcalc.Packing.bracket`,
+prepared on f_k and on v_k; the Poly-only bracket of `reference_fields` is
+its reference.
 """
 
 import math
@@ -19,11 +21,12 @@ from fractions import Fraction
 import pytest
 
 from goursat import invariants, oracle
-from goursat.codeword import canonical_chart_point, enumerate_goursat_words
+from goursat.codeword import Chart, canonical_chart_point, enumerate_goursat_words
 from goursat.polynomial import Poly
-from goursat.symcalc import RankTracker, VField, lie_bracket, point_row, std_fields
+from goursat.symcalc import Packing, RankTracker, lie_bracket
 
-from worked_fixtures import EXHAUSTION_BUDGET, evaluate
+from reference_fields import Field, bracket, evaluate, pack, std_fields, unpack
+from worked_fixtures import EXHAUSTION_BUDGET
 
 
 class FractionSpan:
@@ -50,38 +53,27 @@ class FractionSpan:
         return True
 
 
-def generator_row(gen):
-    return {(i, m): c for i, p in enumerate(gen.comps) for m, c in p.terms.items()}
-
-
-def primitive(field):
-    """The field divided by the content of its int coefficients, signed so
-    that the leading coefficient is positive: the canonical form of its
-    scalar multiples."""
-    content = 0
-    for p in field.comps:
-        content = math.gcd(content, *p.terms.values())
-    if not content:
-        return field
-    if next(p for p in field.comps if p.terms).leading()[1] < 0:
+def primitive(row):
+    """The row divided by the content of its coefficients, signed so that
+    the coefficient at its least key is positive: the canonical form of
+    its scalar multiples."""
+    content = math.gcd(*row.values())
+    if row[min(row)] < 0:
         content = -content
-    return VField(
-        field.nvars,
-        tuple(Poly(p.nvars, {m: c // content for m, c in p.terms.items()}) for p in field.comps),
-    )
+    return {key: c // content for key, c in row.items()}
 
 
-def reference_steps(chart, nsteps):
-    """The first nsteps batches, deduplicated by canonical form up to
-    scalar multiples."""
-    fs, vs = std_fields(chart)
-    focal_pair = (fs[chart.k], vs[chart.k])
+def reference_steps(pk, nsteps):
+    """The first nsteps batches, as rows of the packing pk, deduplicated by
+    canonical form up to scalar multiples."""
+    fs, vs = pk.frames
+    focal_pair = (fs[pk.chart.k], vs[pk.chart.k])
     seen = set()
 
     def admit(candidates):
         batch = []
         for gen in candidates:
-            key = tuple(p.key() for p in gen.comps)
+            key = frozenset(gen.items())
             if key not in seen:
                 seen.add(key)
                 batch.append(gen)
@@ -92,20 +84,20 @@ def reference_steps(chart, nsteps):
         candidates = []
         for y in steps[-1]:
             for z in focal_pair:
-                bracket = lie_bracket(z, y)
-                if not bracket.is_zero:
-                    candidates.append(primitive(bracket))
+                b = lie_bracket(pk, z, y)
+                if b:
+                    candidates.append(primitive(b))
         steps.append(admit(candidates))
     return steps
 
 
-def reference_sg(steps, coords):
+def reference_sg(pk, steps, coords):
     """Rank of the generators up to each step, evaluated at the point."""
     span = FractionSpan()
     sg = []
     for batch in steps:
         for gen in batch:
-            span.add(dict(enumerate(evaluate(gen, coords))))
+            span.add(dict(enumerate(evaluate(unpack(pk, gen), coords))))
         sg.append(len(span.pivots))
     return tuple(sg)
 
@@ -125,9 +117,10 @@ def test_rank_tracker_against_fraction_elimination():
         assert tracker.rank == len(span.pivots)
 
 
-def test_point_row_is_the_value_at_the_point():
+def test_at_point_is_the_value_at_the_point():
     rng = random.Random(9)
     nv = 4
+    pk = Packing(Chart("oo"), 3)
     for _ in range(200):
         comps = []
         for _ in range(nv):
@@ -135,11 +128,13 @@ def test_point_row_is_the_value_at_the_point():
             for _ in range(rng.randrange(0, 4)):
                 terms[tuple(rng.randrange(0, 3) for _ in range(nv))] = rng.randint(-5, 5)
             comps.append(Poly(nv, terms))
-        field = VField(nv, tuple(comps))
+        field = Field(comps)
         point = [rng.randint(-5, 5) for _ in range(nv)]
-        row = point_row(field, point)
+        row = pk.at_point(point)(pack(pk, field))
         assert all(type(c) is int for c in row.values())
-        assert row == {i: v for i, v in enumerate(evaluate(field, point)) if v}
+        assert {i: v for i, v in row.items() if v} == {
+            i: v for i, v in enumerate(evaluate(field, point)) if v
+        }
 
 
 def grown(chart, nsteps=None):
@@ -159,21 +154,23 @@ def test_kept_generators_are_independent():
         span = FractionSpan()
         for step, batch in enumerate(gens.steps, start=1):
             for gen in batch:
-                assert span.add(generator_row(gens.field(gen))), (word, step)
+                assert span.add(gen), (word, step)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_kernel_brackets_are_lie_brackets(k):
     # Both focal-pair brackets of every generator kept to exhaustion, from
-    # the packed kernel, against lie_bracket on the unpacked field.
+    # the packed routine, against the reference bracket on the unpacked
+    # field.
     for w in enumerate_goursat_words(k):
         chart = canonical_chart_point(w).chart
         fs, vs = std_fields(chart)
         gens = grown(chart)
+        pk = gens.packing
         for gen in (g for batch in gens.steps for g in batch):
-            y = gens.field(gen)
-            assert gens.field(gens.bracket_f(gen)) == lie_bracket(fs[k], y), w
-            assert gens.field(gens.bracket_v(gen)) == lie_bracket(vs[k], y), w
+            y = unpack(pk, gen)
+            assert unpack(pk, gens.bracket_f(gen)) == bracket(fs[k], y), w
+            assert unpack(pk, gens.bracket_v(gen)) == bracket(vs[k], y), w
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -181,13 +178,13 @@ def test_reference_generators_lie_in_the_basis(k):
     for w in enumerate_goursat_words(k):
         p = canonical_chart_point(w)
         sg = oracle.small_growth_bruteforce(p, invariants.nonholonomy_degree(w) + 2)
-        ref = reference_steps(p.chart, len(sg))
-        assert reference_sg(ref, p.coords) == sg == tuple(invariants.bundle(w).sg), w
+        gens = grown(p.chart, len(sg))
+        ref = reference_steps(gens.packing, len(sg))
+        assert reference_sg(gens.packing, ref, p.coords) == sg == tuple(invariants.bundle(w).sg), w
 
-        gens = grown(p.chart, len(ref))
         span = FractionSpan()
         for step, (kept, old) in enumerate(zip(gens.steps, ref), start=1):
             for gen in kept:
-                span.add(generator_row(gens.field(gen)))
+                span.add(gen)
             for gen in old:
-                assert not span.add(generator_row(gen)), (w, step)
+                assert not span.add(gen), (w, step)

@@ -29,6 +29,7 @@ from goursat.oracle import (
 )
 from goursat.polynomial import Poly, var_names
 
+from reference_fields import std_fields, unpack
 from worked_fixtures import (
     EXHAUSTION_BUDGET,
     ORDERS_RRVRVV,
@@ -326,12 +327,11 @@ class TestNormalizationGermEquivalence:
 class TestGeneratorSet:
     def test_step_one_is_the_focal_pair(self):
         from goursat.oracle import GeneratorSet
-        from goursat.symcalc import std_fields
 
         p = canonical_chart_point("RRV")
         gens = GeneratorSet(p.chart, 5)
         fs, vs = std_fields(p.chart)
-        assert [gens.field(g) for g in gens.steps[0]] == [fs[3], vs[3]]
+        assert [unpack(gens.packing, g) for g in gens.steps[0]] == [fs[3], vs[3]]
 
     # Batch sizes per step with each bracket kept only when it is
     # independent of everything kept before it.  They sum to 97 and 170,
@@ -357,10 +357,9 @@ class TestGeneratorSet:
         # Generators are kept as bracketed: every frame and every bracket of
         # int fields has int coefficients.
         from goursat.oracle import GeneratorSet
-        from goursat.symcalc import std_fields
 
         def int_coeffs(fields):
-            return all(type(c) is int for g in fields for p in g.comps for c in p.terms.values())
+            return all(type(c) is int for g in fields for p in g for c in p.terms.values())
 
         def int_rows(rows):
             return all(type(c) is int for row in rows for c in row.values())
@@ -368,13 +367,13 @@ class TestGeneratorSet:
         for k in range(6):
             for bits in itertools.product("oi", repeat=k):
                 chart = Chart("".join(bits))
-                fs, vs = std_fields(chart)
-                assert int_coeffs(fs + vs), chart
                 gens = GeneratorSet(chart, EXHAUSTION_BUDGET)
+                fs, vs = gens.packing.frames
+                assert int_rows(fs + vs), chart
                 batch = gens.steps[0]
                 while batch:
                     assert int_rows(batch), chart
-                    assert int_coeffs([gens.field(g) for g in batch]), chart
+                    assert int_coeffs([unpack(gens.packing, g) for g in batch]), chart
                     batch = gens.grow()
 
     def test_symbolic_counters_pinned(self, monkeypatch):

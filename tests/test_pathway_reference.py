@@ -7,8 +7,8 @@ that step lowers the order by one.  The reference below assumes no lemma
 and searches: every candidate is a `Poly` built by differentiating and
 multiplying by the focal-frame slot, every order is recomputed from the
 monomial, a candidate of the wrong order is passed over, a dead end is
-backtracked out of, and f_k comes from the test-local VField recursion,
-not from `symcalc`.  Both must return the same rows.
+backtracked out of, and f_k comes from the test-local Field recursion
+(`reference_fields`), not from `symcalc`.  Both must return the same rows.
 """
 
 from goursat import invariants, oracle
@@ -21,7 +21,7 @@ from goursat.codeword import (
 )
 from goursat.polynomial import Poly
 
-from worked_fixtures import reference_std_fields
+from reference_fields import std_fields as reference_std_fields
 
 
 def reference_pathway(p, i):
@@ -59,7 +59,7 @@ def reference_pathway(p, i):
         mono, _ = coeff.leading()
         for var, e in enumerate(mono):
             if e and var != nk_var:
-                out.append(fk.comps[var] * coeff.diff(var))
+                out.append(fk[var] * coeff.diff(var))
         return out
 
     b_i = i + sums[i]

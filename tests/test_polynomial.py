@@ -1,6 +1,6 @@
 import pytest
 
-from goursat.errors import NonExactDivision, VariableMismatch
+from goursat.errors import VariableMismatch
 from goursat.polynomial import Poly, var_names
 
 
@@ -56,19 +56,6 @@ class TestCalculus:
         p = x * x * y + 3 * y
         assert p.diff(0) == 2 * x * y
         assert p.diff(1) == x * x + Poly.const(4, 3)
-
-
-class TestDivision:
-    def test_exact(self):
-        x, y = p_var(0), p_var(1)
-        p = x * x * y + x * y * y
-        q = p.divide_monomial((1, 1, 0, 0))
-        assert q == x + y
-
-    def test_not_exact(self):
-        x, y = p_var(0), p_var(1)
-        with pytest.raises(NonExactDivision):
-            (x + y).divide_monomial((1, 0, 0, 0))
 
 
 class TestRender:

@@ -1,7 +1,7 @@
 """Route checks raise errors rather than assert, so they hold under
-`python -O`, which strips assert statements.  So does the guard of
-oracle.GeneratorSet's packed rows, which raises where an exponent would
-otherwise carry into the next field.
+`python -O`, which strips assert statements.  So do the guard of
+symcalc.Packing's rows, which raises where an exponent would otherwise
+carry into the next field, and the structure lemmas on those rows.
 
 The field matrix mutates, for each field of InvariantBundle, the route
 that produces it, and names the check in bundle or verify that catches
@@ -27,16 +27,15 @@ SCRIPT = textwrap.dedent(
     import textwrap
     from contextlib import contextmanager
 
-    from goursat import cli, codeword, invariants, oracle, proximity
+    from goursat import cli, codeword, invariants, oracle, proximity, symcalc
     from goursat.codeword import Chart, canonical_chart_point, enumerate_rvt_words, parse_word
     from goursat.errors import (
         ExponentOverflow,
+        NonExactDivision,
         OrderMismatch,
         RouteMismatch,
         TruncationTooSmall,
     )
-    from goursat.polynomial import Poly
-    from goursat.symcalc import VField
 
     assert False, "asserts are live: the script must run under -O"
 
@@ -159,24 +158,40 @@ SCRIPT = textwrap.dedent(
 
     # On chart o, f_1 = d/dr_0 + n_1 d/dn_0 and [f_1, n_0 n_1 d/dr_0] is
     # n_1^2 d/dr_0.  A budget of one step packs each exponent in 2 bits,
-    # the upper one the guard, so n_1^2 reaches it: the kernel must raise
+    # the upper one the guard, so n_1^2 reaches it: the bracket must raise
     # before a carry would turn the exponent into another coordinate's.
     # With a budget of two steps the same bracket fits.
-    def n0_n1_d_r0(gens):
-        zero = Poly.zero(3)
-        return gens.pack(VField(3, (Poly(3, {(0, 1, 1): 1}), zero, zero)))
-
     def bracket_past_the_guard():
         roomy = oracle.GeneratorSet(Chart("o"), 2)
-        expected = VField(3, (Poly(3, {(0, 0, 2): 1}), Poly.zero(3), Poly.zero(3)))
-        if roomy.field(roomy.bracket_f(n0_n1_d_r0(roomy))) != expected:
+        pk = roomy.packing
+        if roomy.bracket_f({pk.mono((0, 1, 1)): 1}) != {pk.mono((0, 0, 2)): 1}:
             raise SystemExit("[f_1, n0*n1 d/dr0] is not n1^2 d/dr0 with room to spare")
         gens = oracle.GeneratorSet(Chart("o"), 1)
-        gens.bracket_f(n0_n1_d_r0(gens))
+        gens.bracket_f({gens.packing.mono((0, 1, 1)): 1})
 
     def pack_past_the_guard():
-        gens = oracle.GeneratorSet(Chart("o"), 1)
-        gens.pack(VField(3, (Poly(3, {(0, 0, 2): 1}), Poly.zero(3), Poly.zero(3))))
+        oracle.GeneratorSet(Chart("o"), 1).packing.mono((0, 0, 2))
+
+    def structure_lemma(mutation):
+        # verify_structure on RRVTV's chart under a mutation of its lemmas
+        def run():
+            symcalc.verify_structure.cache_clear()
+            with mutation:
+                symcalc.verify_structure(canonical_chart_point("RRVTV").chart)
+        return run
+
+    def constant_fields_fail_to_commute(lie_bracket):
+        def mutated(pk, x, y):
+            if all(key <= pk.cmask for key in (*x, *y)):
+                return x
+            return lie_bracket(pk, x, y)
+        return mutated
+
+    def quotient_one_level_short(divide):
+        # each g-basis division takes off n_1 as well, which no term holds
+        def mutated(self, row, exps):
+            return divide(self, row, exps[:2] + (1,) + exps[3:])
+        return mutated
 
     cases = {
         "oracle.GeneratorSet.bracket_f at the guard": (
@@ -184,10 +199,21 @@ SCRIPT = textwrap.dedent(
             bracket_past_the_guard,
             "exponents (0, 0, 2) reach 2, the guard bit of their 2-bit fields, on chart o",
         ),
-        "oracle.GeneratorSet.pack at the guard": (
+        "symcalc.Packing.mono at the guard": (
             ExponentOverflow,
             pack_past_the_guard,
             "exponents (0, 0, 2) reach 2",
+        ),
+        "symcalc.verify_structure: constant fields fail to commute": (
+            RouteMismatch,
+            structure_lemma(patched(symcalc, "lie_bracket", constant_fields_fail_to_commute)),
+            "structure lemma bracket_closed_forms fails on chart ooioi: "
+            "[v_0, f_0] deviates from its closed form",
+        ),
+        "symcalc.verify_structure: a g-basis division one level short": (
+            NonExactDivision,
+            structure_lemma(patched(symcalc.Packing, "divide", quotient_one_level_short)),
+            "structure lemma g_independence fails on chart ooioi: term with exponents",
         ),
         # der and der2 are the differences of beta, so a wrong beta shows in
         # der against the front end's (1, m_{k-1}, ..., m_1)

@@ -3,30 +3,44 @@ import random
 
 import pytest
 
+from goursat import symcalc
 from goursat.codeword import Chart
-from goursat.errors import IndexRange, VariableMismatch
+from goursat.errors import (
+    ExponentOverflow,
+    IndexRange,
+    NonExactDivision,
+    VariableMismatch,
+)
 from goursat.polynomial import Poly, var_names
 from goursat.symcalc import (
-    VField,
+    Packing,
     a_coeff,
     annihilator_check,
     b_coeff,
     bracket_table,
     delta_basis,
     g_basis,
+    lemma_packing,
     lie_bracket,
-    std_fields,
     verify_structure,
 )
 
 CHART = Chart("ooioii")
 NAMES = var_names(6)
+PK = lemma_packing(CHART)
 
-from worked_fixtures import BRACKETS_OOIOII, evaluate, reference_std_fields
+from reference_fields import Field, bracket, pack, unpack, unpacked_frames
+from reference_fields import std_fields as reference_std_fields
+from worked_fixtures import BRACKETS_OOIOII
 
 
 def monomial(exps, c=1):
     return Poly.monomial(8, {NAMES.index(n): e for n, e in exps.items()}, c)
+
+
+def std_fields(chart):
+    """The frames of the structure lemmas, as Fields."""
+    return unpacked_frames(lemma_packing(chart))
 
 
 class TestStdFields:
@@ -55,11 +69,11 @@ class TestStdFields:
     def test_f0(self):
         for chart in (CHART, Chart("iiii"), Chart("o")):
             fs, _ = std_fields(chart)
-            assert fs[0] == VField.frame(chart.nvars, 0)
+            assert fs[0] == Field.frame(chart.nvars, 0)
 
     def test_frames_match_the_vfield_recursion(self):
-        # std_fields builds the focal frame from focal_slots' exponent
-        # tuples; the reference builds it by VField arithmetic.
+        # Packing.frames builds the focal frame from focal_slots' exponent
+        # tuples; the reference builds it by Field arithmetic.
         charts = [
             Chart("".join(bits))
             for k in range(1, 11)
@@ -92,57 +106,67 @@ class TestCoefficients:
         fs, _ = std_fields(CHART)
         for i in range(6):
             for j in range(i + 1, 7):
-                assert fs[j].comps[Chart.n_var(i)] == b_coeff(CHART, i, j)
+                assert fs[j][Chart.n_var(i)] == b_coeff(CHART, i, j)
 
 
 class TestLieBracket:
     def test_v1_f1(self):
-        fs, vs = std_fields(CHART)
-        assert lie_bracket(vs[1], fs[1]) == vs[0]
+        fs, vs = PK.frames
+        assert lie_bracket(PK, vs[1], fs[1]) == vs[0]
 
     def test_f3_f5(self):
-        fs, vs = std_fields(CHART)
-        assert lie_bracket(fs[3], fs[5]) == monomial({"n4": 1, "n5": 1}, -1) * fs[2]
+        fs, _ = PK.frames
+        assert lie_bracket(PK, fs[3], fs[5]) == PK.combination(
+            [(monomial({"n4": 1, "n5": 1}, -1), fs[2])]
+        )
 
     def test_self_bracket_vanishes(self):
-        fs, _ = std_fields(CHART)
+        fs, _ = PK.frames
         for f in fs:
-            assert lie_bracket(f, f).is_zero
+            assert lie_bracket(PK, f, f) == {}
 
     def test_variable_mismatch(self):
+        # Exponents over another variable set cannot be packed.
         with pytest.raises(VariableMismatch):
-            lie_bracket(VField.frame(3, 0), VField.frame(4, 0))
+            Packing(Chart("o"), 3).mono((0, 0, 0, 0))
 
     def test_antisymmetry_and_jacobi_random_fields(self):
+        # The packed bracket of random fields equals the reference's, and
+        # is antisymmetric and satisfies the Jacobi identity.
         rng = random.Random(7)
         for chart in (Chart("oi"), Chart("ooio"), CHART):
             nv = chart.nvars
+            pk = Packing(chart, 3)
             def rand_field():
                 comps = []
                 for v in range(nv):
                     exps = {u: rng.randrange(0, 2) for u in range(nv)}
                     c = rng.randint(-3, 3)
                     comps.append(Poly.monomial(nv, exps, c) if c else Poly.zero(nv))
-                return VField(nv, tuple(comps))
+                return Field(comps)
             for _ in range(100):
-                x, y, z = rand_field(), rand_field(), rand_field()
-                assert (lie_bracket(x, y) + lie_bracket(y, x)).is_zero
+                fields = rand_field(), rand_field(), rand_field()
+                x, y, z = (pack(pk, f) for f in fields)
+
+                def br(a, b):
+                    return unpack(pk, lie_bracket(pk, a, b))
+
+                assert br(x, y) == bracket(fields[0], fields[1])
+                assert (br(x, y) + br(y, x)).is_zero
                 jac = (
-                    lie_bracket(x, lie_bracket(y, z))
-                    + lie_bracket(y, lie_bracket(z, x))
-                    + lie_bracket(z, lie_bracket(x, y))
+                    br(x, lie_bracket(pk, y, z))
+                    + br(y, lie_bracket(pk, z, x))
+                    + br(z, lie_bracket(pk, x, y))
                 )
                 assert jac.is_zero
 
     def test_evaluation_consistency(self):
         # no pointwise bracket exists; algebraic identities survive evaluation
-        fs, vs = std_fields(CHART)
-        point = tuple(range(1, 9))
+        fs, _ = PK.frames
+        at = PK.at_point(tuple(range(1, 9)))
         x, y = fs[5], fs[6]
-        xy = lie_bracket(x, y)
-        yx = lie_bracket(y, x)
-        summed = tuple(a + b for a, b in zip(evaluate(xy, point), evaluate(yx, point)))
-        assert all(v == 0 for v in summed)
+        xy, yx = at(lie_bracket(PK, x, y)), at(lie_bracket(PK, y, x))
+        assert all(xy.get(c, 0) + yx.get(c, 0) == 0 for c in range(8))
 
 
 class TestBracketTable:
@@ -162,11 +186,9 @@ class TestBracketTable:
 
     def test_one_lie_bracket_per_pair(self, monkeypatch):
         # Every [v_i, f_j], and [f_i, f_j] for i < j only.
-        from goursat import symcalc
-
         calls = []
         monkeypatch.setattr(
-            symcalc, "lie_bracket", lambda x, y: calls.append(1) or lie_bracket(x, y)
+            symcalc, "lie_bracket", lambda *args: calls.append(1) or lie_bracket(*args)
         )
         for k in range(1, 7):
             for bits in itertools.product("oi", repeat=k):
@@ -185,6 +207,7 @@ class TestGBasis:
     def test_worked_example(self):
         gb = g_basis(CHART)
         fs, vs = std_fields(CHART)
+        gb = gb._replace(fields=tuple(unpack(PK, g) for g in gb.fields))
         assert gb.fields[0] == fs[6]
         assert gb.fields[1] == vs[6]
         assert gb.fields[2] == -fs[5]
@@ -202,19 +225,36 @@ class TestGBasis:
         _, vs = std_fields(chart)
         for i in range(2, chart.k + 2):
             sign = -1 if (i % 2 == 0) else 1
-            assert gb.fields[i] == sign * vs[chart.k - i + 1]
+            assert unpack(lemma_packing(chart), gb.fields[i]) == sign * vs[chart.k - i + 1]
             assert gb.idents[i - 2] == (sign, "v", chart.k - i + 1)
         assert all(d == Poly.const(chart.nvars, 1) for d in gb.divisors)
 
 
+class TestDivision:
+    # Packing.divide on the 4 coordinates of chart oo
+    PK = Packing(Chart("oo"), 3)
+    x, y, zero = Poly.variable(4, 0), Poly.variable(4, 1), Poly.zero(4)
+
+    def test_exact(self):
+        x, y, zero = self.x, self.y, self.zero
+        row = pack(self.PK, Field((x * x * y + x * y * y, x * y, zero, zero)))
+        quotient = self.PK.divide(row, (1, 1, 0, 0))
+        assert unpack(self.PK, quotient) == Field((x + y, Poly.const(4, 1), zero, zero))
+
+    def test_not_exact(self):
+        row = pack(self.PK, Field((self.x + self.y, self.zero, self.zero, self.zero)))
+        with pytest.raises(NonExactDivision):
+            self.PK.divide(row, (1, 0, 0, 0))
+
+
 class TestAnnihilator:
     def test_focal_and_vertical_pass(self):
-        fs, vs = std_fields(CHART)
+        fs, vs = PK.frames
         assert annihilator_check(CHART, fs[6], 6)
         assert annihilator_check(CHART, vs[6], 6)
 
     def test_f0_fails(self):
-        fs, _ = std_fields(CHART)
+        fs, _ = PK.frames
         assert not annihilator_check(CHART, fs[0], 6)
 
     def test_delta_basis_fields_pass_to_their_depth(self):
@@ -233,6 +273,21 @@ class TestVerifyStructure:
     def test_inverted_first_level_chart(self):
         verify_structure(Chart("iio"))
 
+    def test_exponent_overflow_names_the_lemma(self, monkeypatch):
+        # In 2-bit fields a product of two frame monomials can reach the
+        # guard bit; the lemma that formed it is named, as for a mismatch.
+        monkeypatch.setattr(symcalc, "lemma_packing", lambda chart: Packing(chart, 2))
+        verify_structure.cache_clear()
+        try:
+            with pytest.raises(
+                ExponentOverflow,
+                match="structure lemma bracket_closed_forms fails on chart ooioii: "
+                "exponents .* reach 2, the guard bit of their 2-bit fields",
+            ):
+                verify_structure(CHART)
+        finally:
+            verify_structure.cache_clear()
+
     def test_sweep_small_charts(self):
         for k in range(1, 5):
             for bits in itertools.product("oi", repeat=k):
@@ -240,23 +295,8 @@ class TestVerifyStructure:
 
 
 class TestKernelAgainstReference:
-    """lie_bracket against a reference made of Poly ops only."""
-
-    @staticmethod
-    def reference_apply(x, a):
-        out = Poly.zero(x.nvars)
-        for var, comp in enumerate(x.comps):
-            out = out + comp * a.diff(var)
-        return out
-
-    def reference_bracket(self, x, y):
-        return VField(
-            x.nvars,
-            tuple(
-                self.reference_apply(x, yc) - self.reference_apply(y, xc)
-                for xc, yc in zip(x.comps, y.comps)
-            ),
-        )
+    """lie_bracket against the Poly-only reference bracket, through the
+    test-side conversion of reference_fields."""
 
     @staticmethod
     def random_poly(rng, nv):
@@ -268,30 +308,32 @@ class TestKernelAgainstReference:
 
     def random_field(self, rng, nv):
         # About a third of the components are zero.
-        return VField(
-            nv,
-            tuple(
-                self.random_poly(rng, nv) if rng.random() < 0.66 else Poly.zero(nv)
-                for _ in range(nv)
-            ),
+        return Field(
+            self.random_poly(rng, nv) if rng.random() < 0.66 else Poly.zero(nv)
+            for _ in range(nv)
         )
 
     def test_random_fields(self):
+        # Exponents up to 2 bracket to at most 4, below the 4-bit guard.
         rng = random.Random(20251018)
         for nv in (2, 3, 5):
+            pk = Packing(Chart("o" * (nv - 2)), 4)
             for _ in range(200):
                 x, y = self.random_field(rng, nv), self.random_field(rng, nv)
-                assert lie_bracket(x, y) == self.reference_bracket(x, y)
+                assert unpack(pk, lie_bracket(pk, pack(pk, x), pack(pk, y))) == bracket(x, y)
 
     def test_cancelling_terms_leave_no_zeros(self):
-        # A zero coefficient left in a term dict would break is_zero and ==.
+        # A zero coefficient left in a row would break == and the rank.
         rng = random.Random(5)
+        pk = Packing(Chart("oo"), 4)
         for _ in range(50):
-            x = self.random_field(rng, 4)
-            assert all(not p.terms for p in lie_bracket(x, x).comps)
+            x = pack(pk, self.random_field(rng, 4))
+            assert lie_bracket(pk, x, x) == {}
 
     def test_std_fields_brackets_match_reference(self):
-        fs, vs = std_fields(CHART)
+        fs, vs = PK.frames
         for left in fs + vs:
             for right in fs:
-                assert lie_bracket(left, right) == self.reference_bracket(left, right)
+                assert unpack(PK, lie_bracket(PK, left, right)) == bracket(
+                    unpack(PK, left), unpack(PK, right)
+                )
