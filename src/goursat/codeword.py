@@ -28,7 +28,7 @@ convention for these towers.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 
 from .errors import (
@@ -302,9 +302,12 @@ class ChartPoint(Frozen):
 
     __slots__ = _fields = ("chart", "coords")
 
-    def __init__(self, chart: Chart, coords: tuple[int, ...]):
+    def __init__(self, chart: Chart, coords: Iterable[int]):
+        coords = tuple(coords)
         if len(coords) != chart.nvars:
             raise ValueError(f"expected {chart.nvars} coordinates, got {len(coords)}")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in coords):
+            raise ValueError(f"coordinates must be ints, got {coords!r}")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coords", coords)
 

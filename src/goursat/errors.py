@@ -72,8 +72,11 @@ class RouteMismatch(GoursatError):
 
 
 class IndexRange(GoursatError, IndexError):
-    def __init__(self, what, value, lo, hi):
-        super().__init__(f"IndexRange: {what}={value} outside [{lo}, {hi}]")
+    """An index outside [lo, hi], or below lo where hi is None."""
+
+    def __init__(self, what, value, lo, hi=None):
+        bound = f"below {lo}" if hi is None else f"outside [{lo}, {hi}]"
+        super().__init__(f"IndexRange: {what}={value} {bound}")
 
 
 class VariableMismatch(GoursatError, ValueError):

@@ -23,9 +23,10 @@ from .errors import (
     OrderMismatch,
     StepBudgetExceeded,
     TruncationTooSmall,
+    VariableMismatch,
 )
 from .invariants import PuiseuxCharacteristic
-from .polynomial import Poly, var_names
+from .polynomial import Poly, render_term, var_names
 from .symcalc import Packing, RankTracker, Row, focal_slots
 # GeneratorSet brackets through Packing.bracket, prepared once per focal
 # field, and makes no lie_bracket call; bench/trace_worker.py patches the
@@ -149,7 +150,11 @@ class JetCurve(NamedTuple):
         return min(s.prec for s in self.series)
 
     def eval_poly(self, a: Poly) -> Series:
-        """a along the curve; each coefficient enters reduced mod p."""
+        """a, a polynomial in the chart's coordinates, along the curve; each
+        coefficient enters reduced mod p."""
+        n = len(self.series)
+        if a.nvars != n:
+            raise VariableMismatch(f"a polynomial over {a.nvars} variables on {n} coordinates")
         prec = self.prec
         out = Series.from_terms(prec, {})
         for mono, c in a.terms.items():
@@ -450,8 +455,7 @@ class PathwayRow(NamedTuple):
     order: int
 
     def render(self, names: Sequence[str]) -> str:
-        coeff = Poly._wrap(len(self.mono), {self.mono: self.coeff})
-        return coeff.render_times(f"g{self.g_index}", names)
+        return render_term(self.coeff, self.mono, names, f"g{self.g_index}")
 
 
 @lru_cache(maxsize=1)
@@ -525,8 +529,8 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
 
     The tracked coefficient is always a monomial: the diagonal terms are,
     and a step multiplies by a monomial slot of f_k, so the walk runs on
-    exponent tuples with int coefficients, and a row builds a Poly only
-    when it is rendered.  No row needs a search, by induction down the
+    exponent tuples with int coefficients, and a row renders as one term
+    (polynomial.render_term).  No row needs a search, by induction down the
     column: while the order is positive, the monomial holds a coordinate
     of positive order, and by the focal step lemma (checked in
     pathway_frame) its step lowers the order by exactly one.  So the walk

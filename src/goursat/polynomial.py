@@ -4,6 +4,8 @@ Polynomials are stored as a canonical mapping from exponent tuples to
 nonzero int coefficients.  Terms are ordered graded-lexicographically over
 the fixed variable order (r_0, n_0, ..., n_k), which makes serialization
 deterministic: equal polynomials render identically.
+Elsewhere a monomial term is an int and an exponent tuple; render_term
+is the one text form of a term, for those and for each term of a Poly.
 """
 
 from __future__ import annotations
@@ -172,43 +174,28 @@ class Poly:
         """Deterministic text form, e.g. ``-n4*n5^2``."""
         if self.is_zero:
             return "0"
-        parts = []
-        for m, c in self.items():
-            factors = []
-            for name, e in zip(names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                term = str(c)
-            elif c == 1:
-                term = "*".join(factors)
-            elif c == -1:
-                term = "-" + "*".join(factors)
-            else:
-                term = str(c) + "*" + "*".join(factors)
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
-
-    def render_times(self, basis: str, names: Sequence[str]) -> str:
-        """This polynomial times a named field, e.g. ``-n4*n5^2*f2``."""
-        c = self.render(names)
-        if c == "1":
-            return basis
-        if c == "-1":
-            return "-" + basis
-        return f"{c}*{basis}"
+        # No term holds a space or a "+", so each " + -" is a join.
+        terms = " + ".join(render_term(c, m, names) for m, c in self.items())
+        return terms.replace(" + -", " - ")
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.nvars)]
         return f"Poly({self.render(names)})"
+
+
+def render_term(c: int, mono: Monomial, names: Sequence[str], field: str | None = None) -> str:
+    """The text of the term c * x^mono, times the named field if one is
+    given: ``-n4*n5^2``, ``-n4*n5^2*f2``, ``2*g5``, ``g3``, ``1``."""
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+    if field is not None:
+        factors.append(field)
+    if not factors:
+        return str(c)
+    if c == 1:
+        return "*".join(factors)
+    if c == -1:
+        return "-" + "*".join(factors)
+    return f"{c}*" + "*".join(factors)
 
 
 def var_names(k: int) -> tuple[str, ...]:

@@ -8,9 +8,10 @@ fields f_i defined by the ordinary/inverted recursion -- takes Lie
 brackets with one routine (Packing.bracket), which the brute force in
 oracle shares, constructs the mixed g-basis in which all brackets against
 g_0 collapse to a single monomial multiple, and mechanically verifies the
-structure lemmas that the invariant computations rest on.  The
-closed-form coefficients stay Poly monomials, which the bracket table
-renders.
+structure lemmas that the invariant computations rest on.  A
+closed-form coefficient is a term, an int times an exponent tuple
+(polynomial.render_term renders it), which Packing packs like any other
+monomial.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     RouteMismatch,
     VariableMismatch,
 )
-from .polynomial import Monomial, Poly, var_names
+from .polynomial import Monomial, render_term, var_names
 
 
 class RankTracker:
@@ -210,14 +211,13 @@ class Packing(Frozen):
         vs = tuple({Chart.n_var(j): 1} for j in range(self.chart.k + 1))
         return fs, vs
 
-    def combination(self, terms: Iterable[tuple[Poly, Row]]) -> Row:
-        """The sum of a * row over the pairs (a, row)."""
+    def combination(self, terms: Iterable[tuple[int, Monomial, Row]]) -> Row:
+        """The sum of c * x^mono * row over the terms (c, mono, row)."""
         out: Row = {}
-        for a, row in terms:
-            for m, c in a.terms.items():
-                d = self.mono(m)
-                for key, b in row.items():
-                    out[key + d] = out.get(key + d, 0) + c * b
+        for c, mono, row in terms:
+            d = self.mono(mono)
+            for key, b in row.items():
+                out[key + d] = out.get(key + d, 0) + c * b
         return self._checked(out)
 
     def bracket(self, x: Row) -> Callable[[Row], Row]:
@@ -324,25 +324,28 @@ def lemma_packing(chart: Chart) -> Packing:
 # Closed-form coefficients
 
 
-def _inverted_product(chart: Chart, levels: range) -> Poly:
-    """The monomial product of n_h over the inverted levels h in levels."""
-    return Poly.monomial(chart.nvars, {Chart.n_var(h): 1 for h in levels if h in chart.ip})
+def _inverted_product(chart: Chart, levels: range) -> Monomial:
+    """The exponents of the product of n_h over the inverted levels in levels."""
+    ns = {Chart.n_var(h) for h in levels if h in chart.ip}
+    return tuple(int(v in ns) for v in range(chart.nvars))
 
 
-def a_coeff(chart: Chart, i: int, j: int) -> Poly:
+def a_coeff(chart: Chart, i: int, j: int) -> Monomial:
     """The monomial a_{ij}: product of n_h over inverted levels h in (i, j]."""
     if not 1 <= i <= j <= chart.k:
         raise IndexRange("a_coeff needs 1 <= i <= j <= k", (i, j), 1, chart.k)
     return _inverted_product(chart, range(i + 1, j + 1))
 
 
-def b_coeff(chart: Chart, i: int, j: int) -> Poly:
+def b_coeff(chart: Chart, i: int, j: int) -> Monomial:
     """The monomial b_{ij} = f_j(n_i), in closed form."""
     if not 0 <= i < j <= chart.k:
         raise IndexRange("b_coeff needs 0 <= i < j <= k", (i, j), 0, chart.k)
     b = a_coeff(chart, i + 1, j)
     if i + 1 not in chart.ip:
-        b = b * Poly.variable(chart.nvars, Chart.n_var(i + 1))
+        # a_{i+1,j} leaves out level i+1, so its n_{i+1} exponent is 0.
+        v = Chart.n_var(i + 1)
+        b = b[:v] + (1,) + b[v + 1 :]
     return b
 
 
@@ -351,41 +354,39 @@ def b_coeff(chart: Chart, i: int, j: int) -> Poly:
 
 
 class BracketEntry(NamedTuple):
-    """One bracket expressed in the f/v frames: coeff * (f|v)_index, or 0."""
+    """One bracket in the f/v frames: coeff * x^mono * (f|v)_index, or 0."""
 
-    coeff: Poly
+    coeff: int
+    mono: Monomial | None
     kind: str | None  # 'f' or 'v'; None encodes the zero bracket
     index: int | None
 
     def render(self, names: Sequence[str]) -> str:
         if self.kind is None:
             return "0"
-        return self.coeff.render_times(f"{self.kind}{self.index}", names)
+        return render_term(self.coeff, self.mono, names, f"{self.kind}{self.index}")
 
 
-def _zero_entry(nv: int) -> BracketEntry:
-    return BracketEntry(Poly.zero(nv), None, None)
+_ZERO_ENTRY = BracketEntry(0, None, None, None)
 
 
 def predicted_vf(chart: Chart, i: int, j: int) -> BracketEntry:
     """Closed form of [v_i, f_j]."""
-    nv = chart.nvars
     if i > j or i == 0:
-        return _zero_entry(nv)
+        return _ZERO_ENTRY
     kind = "f" if i in chart.ip else "v"
-    return BracketEntry(a_coeff(chart, i, j), kind, i - 1)
+    return BracketEntry(1, a_coeff(chart, i, j), kind, i - 1)
 
 
 def predicted_ff(chart: Chart, i: int, j: int) -> BracketEntry:
     """Closed form of [f_i, f_j]."""
-    nv = chart.nvars
     if i == j or i == 0 or j == 0:
-        return _zero_entry(nv)
+        return _ZERO_ENTRY
     if i > j:
         entry = predicted_ff(chart, j, i)
-        return BracketEntry(-entry.coeff, entry.kind, entry.index)
+        return entry._replace(coeff=-entry.coeff)
     kind = "f" if i in chart.ip else "v"
-    return BracketEntry(-b_coeff(chart, i, j), kind, i - 1)
+    return BracketEntry(-1, b_coeff(chart, i, j), kind, i - 1)
 
 
 class BracketTable(NamedTuple):
@@ -419,7 +420,7 @@ def bracket_table(chart: Chart) -> BracketTable:
         if entry.kind is None:
             return not bracket
         frame = (fs if entry.kind == "f" else vs)[entry.index]
-        return bracket == pk.combination([(entry.coeff, frame)])
+        return bracket == pk.combination([(entry.coeff, entry.mono, frame)])
 
     entries: dict[tuple[str, int, int], BracketEntry] = {}
     for i in range(chart.k + 1):
@@ -438,14 +439,14 @@ def bracket_table(chart: Chart) -> BracketTable:
 class GBasis(NamedTuple):
     """The mixed basis g_0, ..., g_{k+1} with its divisors and identities.
 
-    fields are rows of lemma_packing(chart); divisors[i-1] is the monomial
-    removed when passing from [g_0, g_i] to g_{i+1}; idents[i-2]
-    identifies g_i as (sign, 'f'|'v', index).
+    fields are rows of lemma_packing(chart); divisors[i-1] is the exponent
+    tuple of the monomial removed when passing from [g_0, g_i] to g_{i+1};
+    idents[i-2] identifies g_i as (sign, 'f'|'v', index).
     """
 
     chart: Chart
     fields: tuple[Row, ...]
-    divisors: tuple[Poly, ...]
+    divisors: tuple[Monomial, ...]
     idents: tuple[tuple[int, str, int], ...]
 
 
@@ -457,16 +458,15 @@ def g_basis(chart: Chart) -> GBasis:
     one exactly at levels whose successor made the inverted choice.
     """
     if chart.k < 1:
-        raise IndexRange("g_basis needs k >= 1", chart.k, 1, chart.k)
+        raise IndexRange("g_basis: k", chart.k, 1)
     pk = lemma_packing(chart)
     fs, vs = pk.frames
     fields = [fs[chart.k], vs[chart.k]]
     divisors = []
     for i in range(1, chart.k + 1):
         div = _inverted_product(chart, range(max(chart.k - i + 3, 1), chart.k + 1))
-        (mono,) = div.terms  # a monic monomial
         # divide raises NonExactDivision unless every term divides.
-        fields.append(pk.divide(lie_bracket(pk, fields[0], fields[i]), mono))
+        fields.append(pk.divide(lie_bracket(pk, fields[0], fields[i]), div))
         divisors.append(div)
 
     idents = []
@@ -525,8 +525,8 @@ def _f_expansion(chart: Chart) -> None:
     fs, vs = pk.frames
     for j in range(1, chart.k + 1):
         # f_0's coefficient takes n_h over every inverted level h <= j.
-        terms = [(_inverted_product(chart, range(1, j + 1)), fs[0])]
-        terms += [(b_coeff(chart, i, j), vs[i]) for i in range(j)]
+        terms = [(1, _inverted_product(chart, range(1, j + 1)), fs[0])]
+        terms += [(1, b_coeff(chart, i, j), vs[i]) for i in range(j)]
         if pk.combination(terms) != fs[j]:
             raise RouteMismatch(f"f_{j} expansion mismatch")
 

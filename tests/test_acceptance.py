@@ -35,7 +35,7 @@ from goursat.codeword import (
     enumerate_rvt_words,
 )
 from goursat.invariants import PuiseuxCharacteristic
-from goursat.polynomial import Poly, var_names
+from goursat.polynomial import Poly, render_term, var_names
 
 
 @contextmanager
@@ -97,7 +97,7 @@ def test_criterion_4_symbolic_bracket_fixture():
         gb = symcalc.g_basis(chart)
         assert list(gb.idents) == GBASIS_OOIOII_IDENTS
         names = var_names(6)
-        assert [d.render(names) for d in gb.divisors] == GBASIS_OOIOII_DIVISORS
+        assert [render_term(1, d, names) for d in gb.divisors] == GBASIS_OOIOII_DIVISORS
 
 
 def test_criterion_5_focal_order_fixtures():

@@ -155,6 +155,17 @@ class TestCanonicalPoints:
                 p = canonical_chart_point(w)
                 assert p.ip == {j for j in range(1, k + 1) if w.letter(j) == "V"}
 
+    def test_coordinates_are_ints(self):
+        # A float or a bool coordinate is refused; any sequence of ints is
+        # stored as a tuple, so the point hashes.
+        chart = Chart("oi")
+        for coords in ((0, 0, 0.5, 0), (0, 0, True, 0), (0, 0, "0", 0)):
+            with pytest.raises(ValueError, match="coordinates must be ints"):
+                ChartPoint(chart, coords)
+        p, q = ChartPoint(chart, [0, 0, 1, 0]), ChartPoint(chart, (0, 0, 1, 0))
+        assert p.coords == (0, 0, 1, 0)
+        assert p == q and hash(p) == hash(q)
+
     def test_unsupported_configuration(self):
         chart = Chart("oi")
         p = ChartPoint(chart, (0, 0, 0, 1))

@@ -13,7 +13,12 @@ from goursat.codeword import (
     enumerate_rvt_words,
     parse_word,
 )
-from goursat.errors import IndexRange, StepBudgetExceeded, TruncationTooSmall
+from goursat.errors import (
+    IndexRange,
+    StepBudgetExceeded,
+    TruncationTooSmall,
+    VariableMismatch,
+)
 from goursat.invariants import PuiseuxCharacteristic
 from goursat.oracle import (
     PRIME,
@@ -133,6 +138,15 @@ class TestGenericJet:
     def test_constant_has_order_zero(self):
         p = canonical_chart_point("RRV")
         assert focal_order_generic_jet(p, Poly.const(5, 1), prec=8) == 0
+
+    def test_polynomial_over_other_variables(self):
+        # A polynomial over fewer or more variables than the chart's 5
+        # coordinates is refused, naming both counts.
+        p = canonical_chart_point("RRV")
+        for a, counts in ((Poly.variable(3, 1), "3 variables.* 5 coordinates"),
+                          (Poly.variable(7, 6), "7 variables.* 5 coordinates")):
+            with pytest.raises(VariableMismatch, match=counts):
+                focal_order_generic_jet(p, a, prec=8)
 
     def test_truncation_too_small(self):
         p = canonical_chart_point("RRV")

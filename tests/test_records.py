@@ -23,7 +23,6 @@ from goursat.invariants import (
     bundle,
     e_table,
 )
-from goursat.polynomial import Poly
 from goursat.proximity import ProximityDiagram, build_diagram
 
 
@@ -64,8 +63,8 @@ CASES = [
     (symcalc.Packing, lambda: symcalc.Packing(Chart("oi"), 3), ("chart", "width"), True,
      lambda: symcalc.Packing(Chart("oi"), 0), ValueError),
     (symcalc.BracketEntry, lambda: symcalc.predicted_vf(Chart("oio"), 1, 2),
-     ("coeff", "kind", "index"), True,
-     lambda: symcalc.BracketEntry(Poly.zero(5)), TypeError),
+     ("coeff", "mono", "kind", "index"), True,
+     lambda: symcalc.BracketEntry(0), TypeError),
     # Its entries are a dict, so a table is not hashable.
     (symcalc.BracketTable, lambda: symcalc.bracket_table(Chart("oi")),
      ("chart", "entries"), False,

@@ -8,6 +8,10 @@ the tests.  A method name (dunders excepted) must be read somewhere in
 the package or the tests; names such as ``render`` are shared by several
 classes, so a reference cannot be told apart from another's, and this
 catches only a name that nothing reads at all.
+
+Two boundaries are kept too: symcalc holds its monomials as exponent
+tuples and names no ``Poly``, and only ``polynomial.py`` adopts a term
+dict through ``Poly._wrap``.
 """
 
 import ast
@@ -85,3 +89,26 @@ def test_every_method_name_is_read():
     used = _used_names([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
     stale = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
     assert not stale, f"method names read nowhere in the package or tests: {stale}"
+
+
+def _names(path: Path):
+    """Every name, attribute and import alias in the file."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_symcalc_names_no_poly():
+    assert "Poly" not in set(_names(PACKAGE / "symcalc.py"))
+
+
+def test_only_polynomial_wraps_a_term_dict():
+    paths = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+    callers = sorted(
+        p.name for p in paths if p.name != "polynomial.py" and "_wrap" in set(_names(p))
+    )
+    assert not callers, f"Poly._wrap called outside polynomial.py: {callers}"

@@ -11,7 +11,7 @@ from goursat.errors import (
     NonExactDivision,
     VariableMismatch,
 )
-from goursat.polynomial import Poly, var_names
+from goursat.polynomial import Poly, render_term, var_names
 from goursat.symcalc import (
     Packing,
     a_coeff,
@@ -34,8 +34,13 @@ from reference_fields import std_fields as reference_std_fields
 from worked_fixtures import BRACKETS_OOIOII
 
 
-def monomial(exps, c=1):
-    return Poly.monomial(8, {NAMES.index(n): e for n, e in exps.items()}, c)
+def exponents(named):
+    """The exponent tuple of a monomial over the chart's coordinates."""
+    return tuple(named.get(name, 0) for name in NAMES)
+
+
+def monomial(named):
+    return Poly(8, {exponents(named): 1})
 
 
 def std_fields(chart):
@@ -71,7 +76,7 @@ class TestStdFields:
             fs, _ = std_fields(chart)
             assert fs[0] == Field.frame(chart.nvars, 0)
 
-    def test_frames_match_the_vfield_recursion(self):
+    def test_frames_match_the_field_recursion(self):
         # Packing.frames builds the focal frame from focal_slots' exponent
         # tuples; the reference builds it by Field arithmetic.
         charts = [
@@ -86,14 +91,14 @@ class TestStdFields:
 
 class TestCoefficients:
     def test_b26(self):
-        assert b_coeff(CHART, 2, 6) == monomial({"n5": 1, "n6": 1})
+        assert b_coeff(CHART, 2, 6) == exponents({"n5": 1, "n6": 1})
 
     def test_a16(self):
-        assert a_coeff(CHART, 1, 6) == monomial({"n3": 1, "n5": 1, "n6": 1})
+        assert a_coeff(CHART, 1, 6) == exponents({"n3": 1, "n5": 1, "n6": 1})
 
     def test_empty_ip(self):
         chart = Chart("ooo")
-        assert a_coeff(chart, 1, 3) == Poly.const(5, 1)
+        assert a_coeff(chart, 1, 3) == (0,) * 5
 
     def test_index_range(self):
         with pytest.raises(IndexRange):
@@ -106,7 +111,7 @@ class TestCoefficients:
         fs, _ = std_fields(CHART)
         for i in range(6):
             for j in range(i + 1, 7):
-                assert fs[j][Chart.n_var(i)] == b_coeff(CHART, i, j)
+                assert fs[j][Chart.n_var(i)] == Poly(8, {b_coeff(CHART, i, j): 1})
 
 
 class TestLieBracket:
@@ -117,7 +122,7 @@ class TestLieBracket:
     def test_f3_f5(self):
         fs, _ = PK.frames
         assert lie_bracket(PK, fs[3], fs[5]) == PK.combination(
-            [(monomial({"n4": 1, "n5": 1}, -1), fs[2])]
+            [(-1, exponents({"n4": 1, "n5": 1}), fs[2])]
         )
 
     def test_self_bracket_vanishes(self):
@@ -216,8 +221,13 @@ class TestGBasis:
         assert gb.fields[5] == fs[2]
         assert gb.fields[6] == vs[1]
         assert gb.fields[7] == -vs[0]
-        rendered = [d.render(NAMES) for d in gb.divisors]
+        rendered = [render_term(1, d, NAMES) for d in gb.divisors]
         assert rendered == ["1", "1", "n6", "n5*n6", "n5*n6", "n3*n5*n6"]
+
+    def test_refuses_the_base_chart(self):
+        with pytest.raises(IndexRange) as info:
+            g_basis(Chart(""))
+        assert str(info.value) == "IndexRange: g_basis: k=0 below 1"
 
     def test_all_ordinary_signs(self):
         chart = Chart("ooooo")
@@ -227,7 +237,7 @@ class TestGBasis:
             sign = -1 if (i % 2 == 0) else 1
             assert unpack(lemma_packing(chart), gb.fields[i]) == sign * vs[chart.k - i + 1]
             assert gb.idents[i - 2] == (sign, "v", chart.k - i + 1)
-        assert all(d == Poly.const(chart.nvars, 1) for d in gb.divisors)
+        assert all(d == (0,) * chart.nvars for d in gb.divisors)
 
 
 class TestDivision:
