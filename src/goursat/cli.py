@@ -538,6 +538,38 @@ def _verify_task(task: tuple[str, int, bool]) -> tuple[bool, list[str]]:
     return verify_word(parse_word(word), seed=seed, symbolic=symbolic)
 
 
+# A word's chart, read from its letters: canonical_chart_point maps V to an
+# inverted level and R and T to ordinary ones.
+_CHART_CHOICES = str.maketrans("RVT", "oio")
+
+
+def _shares(words: list[RvtWord], symbolic: bool, workers: int) -> list[list[int]]:
+    """The word indices split into at most workers shares, each in word
+    order, with every chart's words in one share, so that each process
+    sweeps a chart's structure lemmas (cached per process) once.
+
+    A chart's group weighs the sum of its words' degrees of nonholonomy
+    under --symbolic, whose brute force grows with the degree, and its
+    word count otherwise.  The groups go heaviest first to the share with
+    the least load (LPT scheduling).
+    """
+    groups: dict[str, list[int]] = {}
+    for i, w in enumerate(words):
+        groups.setdefault(w.symbols.translate(_CHART_CHOICES), []).append(i)
+    cost = [invariants.nonholonomy_degree(w) for w in words] if symbolic else [1] * len(words)
+    weighed = sorted(
+        ((sum(cost[i] for i in group), group) for group in groups.values()),
+        key=lambda item: -item[0],
+    )
+    shares: list[list[int]] = [[] for _ in range(min(workers, len(groups)))]
+    loads = [0] * len(shares)
+    for weight, group in weighed:
+        least = loads.index(min(loads))
+        shares[least] += group
+        loads[least] += weight
+    return [sorted(share) for share in shares]
+
+
 def cmd_verify(args) -> int:
     if args.all_words is not None and args.word is not None:
         raise WordError("verify takes a word or --all-words N, not both")
@@ -560,45 +592,24 @@ def cmd_verify(args) -> int:
     if args.symbolic:
         _check_symbolic_level(deepest)
     check_levels(deepest)
-    # verify_word imports the oracle; importing it here, before the pool
-    # starts, lets the forked workers share the parent's copy.
-    from . import oracle  # noqa: F401
+    # verify_word imports the oracle; importing it here, before any worker
+    # is forked, lets the workers share the parent's copy.
+    from . import fanout, oracle  # noqa: F401
 
     tasks = [(str(w), args.seed, args.symbolic) for w in words]
-    if len(tasks) > 1:
-        # Per-word checks are pure and independent; fan out across workers.
-        # The brute force of --symbolic grows with the degree of
-        # nonholonomy, so there the deepest words start first and none is
-        # left to run alone at the end.  Without it no word is slow enough
-        # to be left alone at the end, so the words go out in word order and
-        # no degree is computed for the sort.  Results are printed in word
-        # order either way.  The words go out in about 16 chunks per worker,
-        # so that dispatch is paid per chunk, not per word.
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-
-        order = range(len(words))
-        if args.symbolic:
-            order = sorted(order, key=lambda i: -invariants.nonholonomy_degree(words[i]))
-        workers = os.cpu_count() or 1
-        chunksize = max(1, len(tasks) // (16 * workers))
-        results = [None] * len(tasks)
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                done = pool.map(_verify_task, [tasks[i] for i in order], chunksize=chunksize)
-                for i, result in zip(order, done):
-                    results[i] = result
-        except BrokenProcessPool:
-            # A worker was killed (by a signal, or out of memory); the words
-            # it held have no report, so none is printed.
-            print(
-                "verify: a worker process ended abruptly (BrokenProcessPool: killed "
-                "by a signal or out of memory); no report was printed",
-                file=sys.stderr,
-            )
-            return EXIT_BUDGET
-    else:
-        results = [_verify_task(tasks[0])]
+    # Per-word checks are pure and independent; fan out across processes.
+    workers = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    try:
+        results = fanout.fan_out(_verify_task, tasks, _shares(words, args.symbolic, workers))
+    except fanout.DeadWorker as exc:
+        # A worker was killed (by a signal, or out of memory); the words
+        # it held have no report, so none is printed.
+        print(
+            f"verify: a worker process ended abruptly ({exc}) before it sent "
+            "its reports; no report was printed",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
 
     all_ok = True
     for ok, lines in results:

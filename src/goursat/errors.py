@@ -1,8 +1,18 @@
 """Exception hierarchy shared by all goursat modules."""
 
+import copyreg
+
 
 class GoursatError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # An exception pickles as cls(*self.args) by default, but these
+        # constructors take their parts, not the formatted message.  Rebuild
+        # without __init__: the args, and with them str, and the attributes
+        # come back as they were.  verify --all-words sends a worker's
+        # exception to the parent this way.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class WordError(GoursatError, ValueError):

@@ -332,15 +332,19 @@ def _inverted_product(chart: Chart, levels: range) -> Monomial:
 
 def a_coeff(chart: Chart, i: int, j: int) -> Monomial:
     """The monomial a_{ij}: product of n_h over inverted levels h in (i, j]."""
-    if not 1 <= i <= j <= chart.k:
-        raise IndexRange("a_coeff needs 1 <= i <= j <= k", (i, j), 1, chart.k)
+    if not 1 <= i <= chart.k:
+        raise IndexRange("a_coeff: i", i, 1, chart.k)
+    if not i <= j <= chart.k:
+        raise IndexRange("a_coeff: j", j, i, chart.k)
     return _inverted_product(chart, range(i + 1, j + 1))
 
 
 def b_coeff(chart: Chart, i: int, j: int) -> Monomial:
     """The monomial b_{ij} = f_j(n_i), in closed form."""
-    if not 0 <= i < j <= chart.k:
-        raise IndexRange("b_coeff needs 0 <= i < j <= k", (i, j), 0, chart.k)
+    if not 0 <= i < chart.k:
+        raise IndexRange("b_coeff: i", i, 0, chart.k - 1)
+    if not i < j <= chart.k:
+        raise IndexRange("b_coeff: j", j, i + 1, chart.k)
     b = a_coeff(chart, i + 1, j)
     if i + 1 not in chart.ip:
         # a_{i+1,j} leaves out level i+1, so its n_{i+1} exponent is 0.

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from goursat import invariants, symcalc
+from goursat import cli, invariants, symcalc
 from goursat.codeword import (
     MAX_LEVELS,
     Chart,
@@ -55,36 +54,25 @@ LONG_WORDS = [
 SHORT_TABLE_WORDS = [("R", None), ("RR", None), ("RRR", None), ("RVT", 3)]
 
 
-class EagerPool:
-    """Stands in for ProcessPoolExecutor: map runs the tasks in this process,
-    chunk by chunk in submission order, and records each chunk's words."""
-
-    def __init__(self):
-        self.workers = None
-        self.chunks = []
-
-    def __call__(self, max_workers):
-        self.workers = max_workers
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    @property
-    def submitted(self):
-        return [word for chunk in self.chunks for word in chunk]
-
-    def map(self, fn, iterable, chunksize=1):
-        tasks = list(iterable)
-        results = []
-        for start in range(0, len(tasks), chunksize):
-            chunk = tasks[start : start + chunksize]
-            self.chunks.append([task[0] for task in chunk])
-            results.extend(map(fn, chunk))
-        return iter(results)
+def run_verify_script(body: str, argv: list[str], cpus: int = 2, timeout: float = 60):
+    """Run cli.main(argv) in a fresh interpreter that reports cpus CPUs,
+    after body, which may patch cli.  body sees child_words: the words
+    that verify --all-words N runs in forked children."""
+    n = int(argv[argv.index("--all-words") + 1])
+    script = (
+        "import os, signal, sys, time\n"
+        "from goursat import cli\n"
+        "from goursat.codeword import enumerate_goursat_words\n"
+        f"os.cpu_count = lambda: {cpus}\n"
+        f"words = list(enumerate_goursat_words({n}))\n"
+        f"shares = cli._shares(words, {'--symbolic' in argv}, {cpus})\n"
+        "child_words = [str(words[i]) for share in shares[1:] for i in share]\n"
+        f"{body}\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=timeout
+    )
 
 
 def run_cli(*argv):
@@ -595,63 +583,155 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.splitlines() == expected + ["PASS"]
 
-    def test_all_words_start_deepest_first(self, monkeypatch, capsys):
-        # Under --symbolic, whose brute force grows with the degree.  An
-        # executor that runs each task when it is submitted completes the
-        # tasks in submission order, which is not word order.
-        pool = EagerPool()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        assert main(["verify", "--all-words", "5", "--symbolic"]) == EXIT_OK
-        words = [str(w) for w in enumerate_goursat_words(5)]
-        degrees = [invariants.nonholonomy_degree(w) for w in pool.submitted]
-        assert degrees == sorted(degrees, reverse=True)
-        assert pool.submitted != words and sorted(pool.submitted) == sorted(words)
-        printed = [
-            line.split(":")[0]
-            for line in capsys.readouterr().out.splitlines()
-            if "three-route" in line
-        ]
-        assert printed == words
+    def test_all_words_balanced_by_degree(self):
+        # Under --symbolic, whose brute force grows with the degree, each
+        # chart's words weigh their degrees, and the charts go heaviest
+        # first to the least loaded share (LPT).  So each share received
+        # its lightest chart last, when no share had less load; and share
+        # 0, which the parent runs, holds a heaviest chart.  At N = 6 the
+        # shares that word counts would give fail this on 2 and on 3
+        # workers.
+        words = list(enumerate_goursat_words(6))
+        degree = [invariants.nonholonomy_degree(w) for w in words]
+        for workers in (2, 3):
+            shares = cli._shares(words, True, workers)
+            weight = {}
+            for i, w in enumerate(words):
+                chart = canonical_chart_point(w).chart
+                weight[chart] = weight.get(chart, 0) + degree[i]
+            charts = [{canonical_chart_point(words[i]).chart for i in share} for share in shares]
+            loads = [sum(degree[i] for i in share) for share in shares]
+            assert len(shares) == workers
+            for held, load in zip(charts, loads):
+                assert load - min(weight[c] for c in held) <= min(loads)
+            assert max(weight[c] for c in charts[0]) == max(weight.values())
 
-    def test_all_words_go_out_in_chunks(self, monkeypatch, capsys):
-        # One CPU: the 89 words of length 7 go out in chunks of 89 // 16 = 5.
-        # Without --symbolic they go out in word order, not sorted by degree.
-        pool = EagerPool()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    def test_all_words_split_into_chart_shares(self, monkeypatch, capsys):
+        # Every word in exactly one share, each share in word order, each
+        # chart's words in one share (one lemma sweep per chart and
+        # process), and the report printed in word order whatever the
+        # shares.
+        words = list(enumerate_goursat_words(7))
+        for symbolic in (False, True):
+            for workers in (1, 2, 3, 100):
+                shares = cli._shares(words, symbolic, workers)
+                assert sorted(i for share in shares for i in share) == list(range(len(words)))
+                assert all(share == sorted(share) for share in shares)
+                held = {}
+                for s, share in enumerate(shares):
+                    for i in share:
+                        assert held.setdefault(canonical_chart_point(words[i]).chart, s) == s
+                assert len(shares) == min(workers, len(held)) and len(held) == 32
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert main(["verify", "--all-words", "7"]) == EXIT_OK
-        words = [str(w) for w in enumerate_goursat_words(7)]
-        assert pool.workers == 1 and len(words) == 89
-        assert [len(chunk) for chunk in pool.chunks] == [5] * 17 + [4]
-        assert pool.submitted == words
         printed = [
             line.split(":")[0]
             for line in capsys.readouterr().out.splitlines()
             if "three-route" in line
         ]
-        assert printed == words
+        assert printed == [str(w) for w in words]
+
+    def test_chart_key_read_from_the_letters(self):
+        # _shares groups by the letters' chart without building a point.
+        for k in range(1, 9):
+            for w in enumerate_rvt_words(k):
+                key = w.symbols.translate(cli._CHART_CHOICES)
+                assert key == canonical_chart_point(w).chart.choices
+
+    def test_fan_out_prints_what_a_serial_run_prints(self, monkeypatch, capsys):
+        # One CPU runs every word in this process; three fork two children.
+        outs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert main(["verify", "--all-words", "5", "--symbolic", "--seed", "3"]) == EXIT_OK
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+
+    def test_no_fork_runs_every_share_here(self, monkeypatch, capsys):
+        # Where no process can be started, this process runs every share.
+        def refused():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(["verify", "--all-words", "5"]) == EXIT_OK
+        expected = [line for w in enumerate_goursat_words(5) for line in verify_word(w)[1]]
+        assert capsys.readouterr().out.splitlines() == expected + ["PASS"]
 
     def test_dead_worker_exits_with_budget_code(self):
-        # A worker that exits abruptly (as an OOM kill would end it) breaks
-        # the pool; verify names the cause and exits 3, without a traceback.
-        script = (
-            "import os, sys\n"
-            "from goursat import cli\n"
+        # A child that ends before it sends its results (as an OOM kill
+        # would end it): verify names how it ended, prints no report and
+        # exits 3, without a traceback.
+        for death, cause in [
+            ("os._exit(9)", "exit status 9"),
+            ("os.kill(os.getpid(), signal.SIGKILL)", "signal 9"),
+        ]:
+            body = (
+                "real = cli._verify_task\n"
+                "def dying(task):\n"
+                "    if task[0] == child_words[0]:\n"
+                f"        {death}\n"
+                "    return real(task)\n"
+                "cli._verify_task = dying\n"
+            )
+            proc = run_verify_script(body, ["verify", "--all-words", "4"])
+            assert proc.returncode == EXIT_BUDGET
+            assert f"a worker process ended abruptly ({cause}) before" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
+    def test_child_route_mismatch_reads_as_a_serial_one(self):
+        # A RouteMismatch raised in a child crosses the pipe and leaves as
+        # it would from a serial run: its message on stderr and exit 2.
+        words = list(enumerate_goursat_words(5))
+        failing = str(words[cli._shares(words, True, 2)[1][-1]])
+        body = (
+            "from goursat.errors import RouteMismatch\n"
             "real = cli._verify_task\n"
-            "def dying(task):\n"
-            "    if task[0] == 'RRVV':\n"
-            "        os._exit(9)\n"
+            "def failing(task):\n"
+            f"    if task[0] == {failing!r}:\n"
+            "        raise RouteMismatch(f'{task[0]}: injected route mismatch')\n"
             "    return real(task)\n"
-            "cli._verify_task = dying\n"
-            "sys.exit(cli.main(['verify', '--all-words', '4']))\n"
+            "cli._verify_task = failing\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
+        argv = ["verify", "--all-words", "5", "--symbolic"]
+        forked, serial = (run_verify_script(body, argv, cpus) for cpus in (2, 1))
+        assert forked.returncode == serial.returncode == EXIT_MISMATCH
+        assert forked.stderr == serial.stderr and serial.stderr.endswith(
+            ": injected route mismatch\n"
         )
-        assert proc.returncode == EXIT_BUDGET
-        assert "BrokenProcessPool" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert "Traceback" not in forked.stderr
+        assert forked.stdout == serial.stdout == ""
+
+    def test_parent_failure_leaves_no_child_running(self, tmp_path):
+        # Three CPUs: two children, which block once they have written
+        # their pids; the parent's own share fails once both have.  The
+        # parent kills and reaps them before its error leaves.
+        pids = tmp_path / "pids"
+        body = (
+            "real = cli._verify_task\n"
+            "def task(t):\n"
+            "    if t[0] in child_words:\n"
+            f"        with open({str(pids)!r}, 'a') as f:\n"
+            "            f.write(f'{os.getpid()}\\n')\n"
+            "        time.sleep(30)\n"
+            "    deadline = time.time() + 20\n"
+            "    while time.time() < deadline:\n"
+            f"        if os.path.exists({str(pids)!r}) and len(open({str(pids)!r}).readlines()) == 2:\n"
+            "            break\n"
+            "        time.sleep(0.01)\n"
+            "    raise RuntimeError('the parent share fails')\n"
+            "cli._verify_task = task\n"
+        )
+        start = time.perf_counter()
+        proc = run_verify_script(body, ["verify", "--all-words", "4"], cpus=3)
+        assert time.perf_counter() - start < 25
+        assert proc.returncode != 0 and "the parent share fails" in proc.stderr
+        children = list(map(int, pids.read_text().split()))
+        assert len(children) == 2
+        for pid in children:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_structure_lemmas_run_once_per_chart(self, monkeypatch, capsys):
         # verify --all-words 6 --symbolic, in this process and serially: the
@@ -664,7 +744,7 @@ class TestVerifyCommand:
             charts.append(chart)
             return bracket_table(chart)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EagerPool())
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(symcalc, "bracket_table", counted)
         symcalc.verify_structure.cache_clear()
         assert main(["verify", "--all-words", "6", "--symbolic"]) == EXIT_OK
@@ -673,6 +753,26 @@ class TestVerifyCommand:
         distinct = {canonical_chart_point(w).chart for w in words}
         assert (len(words), len(distinct)) == (34, 16)
         assert len(charts) == len(distinct) and set(charts) == distinct
+
+    def test_structure_lemmas_run_once_per_chart_across_processes(self):
+        # On two CPUs, each chart's words run in one process, so the 16
+        # charts of --all-words 6 --symbolic get 16 lemma sweeps between the
+        # parent and its child, not one per chart and process.
+        body = (
+            "from goursat import symcalc\n"
+            "real = symcalc.bracket_table\n"
+            "def counted(chart):\n"
+            "    os.write(2, f'sweep {os.getpid()} {chart.choices}\\n'.encode())\n"
+            "    return real(chart)\n"
+            "symcalc.bracket_table = counted\n"
+        )
+        proc = run_verify_script(body, ["verify", "--all-words", "6", "--symbolic"])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        sweeps = [line.split()[1:] for line in proc.stderr.splitlines()]
+        charts = [choices for _, choices in sweeps]
+        distinct = {canonical_chart_point(w).chart.choices for w in enumerate_goursat_words(6)}
+        assert len(charts) == 16 and set(charts) == distinct
+        assert len({pid for pid, _ in sweeps}) == 2
 
     def test_symbolic_budget_guard(self):
         code, _, err = run_cli("verify", "RRVVVVVV", "--symbolic")
@@ -851,8 +951,8 @@ def test_cli_starts_without_the_symbolic_modules():
     # import them when they run.
     script = (
         "import sys, goursat.cli\n"
-        "print([m for m in ('goursat.oracle', 'goursat.symcalc', 'goursat.polynomial')"
-        " if m in sys.modules])\n"
+        "print([m for m in ('goursat.oracle', 'goursat.symcalc', 'goursat.polynomial',"
+        " 'goursat.fanout') if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -868,7 +968,7 @@ def test_cli_starts_without_the_symbolic_modules():
     assert bare.returncode == 0, bare.stderr
     baseline = set(bare.stdout.split())
     script = (
-        "import contextlib, io, sys, goursat.cli\n"
+        "import contextlib, io, os, sys, goursat.cli\n"
         "def loaded(*argvs):\n"
         "    for argv in argvs:\n"
         "        with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -878,16 +978,22 @@ def test_cli_starts_without_the_symbolic_modules():
         "loaded(['invariants', 'RRVTVV', '--json'])\n"
         "loaded(['verify', 'RRVV'])\n"
         "loaded(['verify', 'RRVV', '--symbolic'])\n"
+        "os.cpu_count = lambda: 2\n"
+        "loaded(['verify', '--all-words', '5'])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    plain, as_json, verify, symbolic = (set(line.split()) for line in proc.stdout.splitlines())
+    plain, as_json, verify, symbolic, all_words = (
+        set(line.split()) for line in proc.stdout.splitlines()
+    )
     costly = {"dataclasses", "inspect", "fractions", "decimal", "json"}
     assert not costly & (plain - baseline)
-    assert not {"goursat.oracle", "goursat.symcalc", "goursat.polynomial"} & plain
+    assert not {"goursat.oracle", "goursat.symcalc", "goursat.polynomial", "goursat.fanout"} & plain
     # _json is the json package's C accelerator.
     assert {m.partition(".")[0] for m in as_json - plain} <= {"json", "_json"}
     assert "json" in as_json
     assert "dataclasses" not in verify - baseline
     # The package computes in ints only, so verify needs no fractions.
     assert not {"fractions", "decimal"} & (symbolic - baseline)
+    # verify --all-words forks its workers itself, without an executor.
+    assert not {"concurrent", "concurrent.futures", "multiprocessing"} & all_words

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from goursat import oracle, symcalc
+from goursat import errors, oracle, symcalc
 from goursat.codeword import Chart, ChartPoint, GoursatWord, RvtWord, canonical_chart_point
 from goursat.errors import BadSymbol, InvalidPC, WordError
 from goursat.invariants import (
@@ -111,3 +111,43 @@ def test_equality_needs_the_same_class():
     assert RvtWord("RR") != GoursatWord("RR")
     assert Chart("oo") != "oo" and RvtWord("RR") != "RR"
     assert PuiseuxCharacteristic(1) == PuiseuxCharacteristic(1, ())
+
+
+# Constructor arguments for the errors whose __init__ takes parts of the
+# message rather than the message itself; every other error takes one
+# message.
+ERROR_ARGS = {
+    "EmptyWord": (),
+    "BadSymbol": (3, "x"),
+    "LeadingCritical": ("V",),
+    "OrphanT": (3,),
+    "TooShort": (2, 1),
+    "MissingM0": (),
+    "IndexRange": ("a_coeff: i", 0, 1, 2),
+}
+ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, BaseException)
+]
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=[cls.__name__ for cls in ERRORS])
+def test_error_survives_a_pickle_round_trip(cls):
+    # verify --all-words sends a worker process's exception to the parent
+    # as a pickle; it must arrive with its type, message and attributes.
+    exc = cls(*ERROR_ARGS.get(cls.__name__, (f"{cls.__name__}: a message",)))
+    for again in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(again) is cls
+        assert str(again) == str(exc) and again.args == exc.args
+        assert vars(again) == vars(exc)
+
+
+def test_error_pickles_keep_their_attributes():
+    again = pickle.loads(pickle.dumps(errors.BadSymbol(3, "x")))
+    assert (again.position, again.symbol) == (3, "x")
+    assert str(pickle.loads(pickle.dumps(errors.OrphanT(3)))) == (
+        "OrphanT at 3: T must be preceded by V or T"
+    )
+    assert str(pickle.loads(pickle.dumps(errors.IndexRange("x", 1, 2)))) == (
+        "IndexRange: x=1 below 2"
+    )

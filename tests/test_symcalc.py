@@ -101,10 +101,19 @@ class TestCoefficients:
         assert a_coeff(chart, 1, 3) == (0,) * 5
 
     def test_index_range(self):
-        with pytest.raises(IndexRange):
-            a_coeff(CHART, 0, 3)
-        with pytest.raises(IndexRange):
-            b_coeff(CHART, 3, 3)
+        # The refusal names the index that is out of range and the range
+        # it must lie in, given the other index.
+        for fn, i, j, message in [
+            (a_coeff, 0, 3, "a_coeff: i=0 outside [1, 6]"),
+            (a_coeff, 4, 3, "a_coeff: j=3 outside [4, 6]"),
+            (a_coeff, 1, 7, "a_coeff: j=7 outside [1, 6]"),
+            (b_coeff, 6, 7, "b_coeff: i=6 outside [0, 5]"),
+            (b_coeff, 3, 3, "b_coeff: j=3 outside [4, 6]"),
+            (b_coeff, -1, 2, "b_coeff: i=-1 outside [0, 5]"),
+        ]:
+            with pytest.raises(IndexRange) as info:
+                fn(CHART, i, j)
+            assert str(info.value) == f"IndexRange: {message}"
 
     def test_b_equals_lie_derivative(self):
         # f_j(n_i) is the n_i slot of f_j.
