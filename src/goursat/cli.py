@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from itertools import chain, islice, repeat
 
@@ -309,76 +310,83 @@ def _check_symbolic_level(k: int) -> None:
         )
 
 
-def verify_word(
-    word: RvtWord, seed: int = 0, symbolic: bool = False
-) -> tuple[bool, list[str]]:
-    """Run the cross-checks for one word; returns (ok, report lines).
+# A check of verify: the InvariantBundle field it covers (None for a value
+# the bundle does not hold), its MISMATCH label and each route's (name, value).
+RouteCheck = namedtuple("RouteCheck", "field label left right")
 
-    The pathway line rests on oracle.pathway_frame, checked once at the
-    word's point; no column is walked.  By the induction in
-    oracle.pathway_sections' docstring, the frame's focal step lemma
-    implies that every column i = 3..k+1 walks from order S_i down to
-    order 0 at row b_i, its orders matching the e-table, so the line holds
-    for all columns.  A frame that fails raises OrderMismatch.  A column's
-    diagonal order is S_i of the point's vertical orders term for term, so
-    the frame need not check it: the bundle's "beta from b" route checks
-    the column sums, and the vertical-orders line the point's orders.
+
+def route_checks(word: RvtWord, seed: int = 0, symbolic: bool = False) -> list[tuple]:
+    """The checks of verify_word as (agree text or None, [RouteCheck])
+    steps, in report order.  A step with no checks follows a call that
+    raises if it fails: the bundle's own routes, the pathway frame and the
+    structure lemmas.
+
+    The pathway frame is checked once at the word's point; no column is
+    walked.  By the induction in oracle.pathway_sections' docstring, the
+    frame's focal step lemma implies that every column i = 3..k+1 walks
+    from order S_i down to order 0 at row b_i, its orders matching the
+    e-table, so the pathway line holds for all columns.  A frame that fails
+    raises OrderMismatch.  A column's diagonal order is S_i of the point's
+    vertical orders term for term, so the frame need not check it: the
+    bundle's "beta from b" route checks the column sums, and the
+    vertical-order checks the point's orders.
     """
     from . import oracle, symcalc
-    from .polynomial import Poly, var_names
+    from .polynomial import var_names
 
     if symbolic:
         _check_symbolic_level(word.k)
-    lines = []
-    ok = True
     bundle = _wired(invariants.bundle, word)
-    lines.append(f"{word}: three-route invariants agree (beta ends {bundle.beta[-1]})")
-
     point = canonical_chart_point(word)
-    vo_oracle = oracle.vo_at_point(point)
-    if word.k >= 2 and vo_oracle[1:] != bundle.vo[1:]:
-        ok = False
-        lines.append(
-            f"{word}: MISMATCH restricted vertical orders "
-            f"oracle={vo_oracle[1:]} combinatorial={bundle.vo[1:]}"
-        )
-    else:
-        lines.append(f"{word}: focal-order vertical orders agree {vo_oracle}")
-    if word.k >= 2 and vo_oracle[0] != bundle.vo[0]:
-        ok = False
-        lines.append(
-            f"{word}: MISMATCH VO_2 oracle={vo_oracle[0]} bundle={bundle.vo[0]}"
-        )
-
+    vo = oracle.vo_at_point(point)
+    restricted = RouteCheck(
+        "vo", "restricted vertical orders", ("oracle", vo[1:]), ("combinatorial", bundle.vo[1:])
+    )
+    steps = [
+        (f"three-route invariants agree (beta ends {bundle.beta[-1]})", []),
+        (f"focal-order vertical orders agree {vo}", [restricted]),
+    ]
     if word.k >= 2:
+        vo2 = RouteCheck("vo", "VO_2", ("oracle", vo[0]), ("bundle", bundle.vo[0]))
+        steps.append((None, [vo2]))
         oracle.pathway_frame(point)
-        lines.append(f"{word}: pathway orders match the e-table for all columns")
-
+        steps.append(("pathway orders match the e-table for all columns", []))
     if symbolic:
         sg = oracle.small_growth_bruteforce(point, bundle.nonholonomy_degree + 2)
-        if sg != bundle.sg:
-            ok = False
-            lines.append(
-                f"{word}: MISMATCH small growth brute={sg} combinatorial={bundle.sg}"
-            )
-        else:
-            lines.append(f"{word}: brute-force small growth agrees ({len(sg)} steps)")
-
+        brute = RouteCheck("sg", "small growth", ("brute", sg), ("combinatorial", bundle.sg))
+        steps.append((f"brute-force small growth agrees ({len(sg)} steps)", [brute]))
         symcalc.verify_structure(point.chart)
-        lines.append(f"{word}: structure lemmas verified on chart {point.chart.choices}")
-
+        steps.append((f"structure lemmas verified on chart {point.chart.choices}", []))
         fo = oracle.focal_orders(point)
-        prec = bundle.nonholonomy_degree + 5
-        for var in range(point.chart.nvars):
-            a = Poly.variable(point.chart.nvars, var)
-            jet_order = oracle.focal_order_generic_jet(point, a, prec, seed=seed)
-            if jet_order != fo.o_coord[var]:
-                ok = False
-                lines.append(
-                    f"{word}: MISMATCH generic-jet order of {var_names(word.k)[var]} "
-                    f"jet={jet_order} procedural={fo.o_coord[var]}"
-                )
-        lines.append(f"{word}: generic-jet focal orders agree")
+        prec, n = bundle.nonholonomy_degree + 5, point.chart.nvars
+        jets = []
+        for var, name in enumerate(var_names(word.k)):
+            # the coordinate as its one term, 1 * x_var
+            probe = (1, (0,) * var + (1,) + (0,) * (n - 1 - var))
+            order = oracle.focal_order_generic_jet(point, [probe], prec, seed=seed)
+            jets.append(RouteCheck(
+                None, f"generic-jet order of {name}", ("jet", order), ("procedural", fo.o_coord[var])
+            ))
+        steps.append(("generic-jet focal orders agree", jets))
+    return steps
+
+
+def verify_word(
+    word: RvtWord, seed: int = 0, symbolic: bool = False
+) -> tuple[bool, list[str]]:
+    """Run the cross-checks for one word; returns (ok, report lines): a
+    MISMATCH line for each failed check of route_checks, in order, and the
+    agree text of each step whose checks all agree."""
+    ok, lines = True, []
+    for agree, checks in route_checks(word, seed, symbolic):
+        failed = [c for c in checks if c.left[1] != c.right[1]]
+        ok = ok and not failed
+        lines += (
+            f"{word}: MISMATCH {c.label} {c.left[0]}={c.left[1]} {c.right[0]}={c.right[1]}"
+            for c in failed
+        )
+        if agree and not failed:
+            lines.append(f"{word}: {agree}")
     return ok, lines
 
 
@@ -533,11 +541,6 @@ def cmd_bracket_table(args) -> int:
     return EXIT_OK
 
 
-def _verify_task(task: tuple[str, int, bool]) -> tuple[bool, list[str]]:
-    word, seed, symbolic = task
-    return verify_word(parse_word(word), seed=seed, symbolic=symbolic)
-
-
 # A word's chart, read from its letters: canonical_chart_point maps V to an
 # inverted level and R and T to ordinary ones.
 _CHART_CHOICES = str.maketrans("RVT", "oio")
@@ -596,11 +599,12 @@ def cmd_verify(args) -> int:
     # is forked, lets the workers share the parent's copy.
     from . import fanout, oracle  # noqa: F401
 
-    tasks = [(str(w), args.seed, args.symbolic) for w in words]
-    # Per-word checks are pure and independent; fan out across processes.
+    # Per-word checks are pure and independent; fan out across processes
+    # (forked, so the function they run is not pickled).
     workers = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    shares = _shares(words, args.symbolic, workers)
     try:
-        results = fanout.fan_out(_verify_task, tasks, _shares(words, args.symbolic, workers))
+        results = fanout.fan_out(lambda w: verify_word(w, args.seed, args.symbolic), words, shares)
     except fanout.DeadWorker as exc:
         # A worker was killed (by a signal, or out of memory); the words
         # it held have no report, so none is printed.
@@ -611,16 +615,12 @@ def cmd_verify(args) -> int:
         )
         return EXIT_BUDGET
 
-    all_ok = True
-    for ok, lines in results:
-        all_ok = all_ok and ok
+    for _, lines in results:
         for line in lines:
             print(line)
-    if all_ok:
-        print("PASS")
-        return EXIT_OK
-    print("FAIL")
-    return EXIT_MISMATCH
+    ok = all(ok for ok, _ in results)
+    print("PASS" if ok else "FAIL")
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,7 +13,7 @@ coefficient.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -26,7 +26,7 @@ from .errors import (
     VariableMismatch,
 )
 from .invariants import PuiseuxCharacteristic
-from .polynomial import Poly, render_term, var_names
+from .polynomial import Monomial, render_term, var_names
 from .symcalc import Packing, RankTracker, Row, focal_slots
 # GeneratorSet brackets through Packing.bracket, prepared once per focal
 # field, and makes no lie_bracket call; bench/trace_worker.py patches the
@@ -149,23 +149,19 @@ class JetCurve(NamedTuple):
     def prec(self) -> int:
         return min(s.prec for s in self.series)
 
-    def eval_poly(self, a: Poly) -> Series:
-        """a, a polynomial in the chart's coordinates, along the curve; each
-        coefficient enters reduced mod p."""
+    def eval_terms(self, terms: Sequence[tuple[int, Monomial]]) -> Series:
+        """The sum of the terms c * x^mono, a function of the chart's
+        coordinates, along the curve; each coefficient enters reduced mod
+        p.  A term 1 * x_var is the coordinate's own series."""
         n = len(self.series)
-        if a.nvars != n:
-            raise VariableMismatch(f"a polynomial over {a.nvars} variables on {n} coordinates")
-        prec = self.prec
-        out = Series.from_terms(prec, {})
-        for mono, c in a.terms.items():
-            factors = (self.series[var] for var, e in enumerate(mono) for _ in range(e))
-            term = next(factors, None)
-            if term is None:
-                term = Series.from_terms(prec, {0: 1})
-            for f in factors:
-                term = term * f
-            out = out + term * c
-        return out
+        values = []
+        for c, mono in terms:
+            if len(mono) != n:
+                raise VariableMismatch(f"a monomial over {len(mono)} variables on {n} coordinates")
+            factors = [self.series[var] for var, e in enumerate(mono) for _ in range(e)]
+            value = reduce(mul, factors) if factors else Series.from_terms(self.prec, {0: 1})
+            values.append(value if c == 1 else value * c)
+        return reduce(add, values) if values else Series.from_terms(self.prec, {})
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +372,25 @@ def _generic_jets(p: ChartPoint, prec: int, seed: int) -> tuple[JetCurve, ...]:
     )
 
 
-def focal_order_generic_jet(p: ChartPoint, a: Poly, prec: int, seed: int = 0) -> int:
-    """Focal order of a function by probing with random focal jets.
+def focal_order_generic_jet(
+    p: ChartPoint, terms: Sequence[tuple[int, Monomial]], prec: int, seed: int = 0
+) -> int:
+    """Focal order of a function, the sum of the (c, mono) terms
+    c * x^mono, by probing with random focal jets.
 
-    Returns the minimum vanishing order of a along JET_TRIALS random focal
-    curves through p, each a focal_jet over F_p (p = 2^61 - 1, free
-    coefficients drawn uniformly from [1, p)) known modulo t^prec.  Over
-    F_p, as over Q, a trial can only overestimate the order, so the minimum
-    is kept; when prec exceeds the true focal order it equals it with
-    overwhelming probability.  prec has no
-    default: the budget follows from the word, which the caller holds
-    (verify_word passes the nonholonomy degree + 5), while reading the word
-    back from p works only at points of the canonical letter map.
+    Returns the minimum vanishing order of the function along JET_TRIALS
+    random focal curves through p, each a focal_jet over F_p
+    (p = 2^61 - 1, free coefficients drawn uniformly from [1, p)) known
+    modulo t^prec.  Over F_p, as over Q, a trial can only overestimate the
+    order, so the minimum is kept; when prec exceeds the true focal order
+    it equals it with overwhelming probability.  prec has no default: the
+    budget follows from the word, which the caller holds (verify passes
+    the nonholonomy degree + 5), while reading the word back from p works
+    only at points of the canonical letter map.
     """
     orders = []
     for jet in _generic_jets(p, prec, seed):
-        o = jet.eval_poly(a).order()
+        o = jet.eval_terms(terms).order()
         if o is not None:
             orders.append(o)
     if not orders:

@@ -35,7 +35,7 @@ from goursat.codeword import (
     enumerate_rvt_words,
 )
 from goursat.invariants import PuiseuxCharacteristic
-from goursat.polynomial import Poly, render_term, var_names
+from goursat.polynomial import render_term, var_names
 
 
 @contextmanager
@@ -112,7 +112,7 @@ def test_criterion_5_focal_order_fixtures():
         # probed as 15y - y''^5: a nonzero constant factor leaves a focal
         # order unchanged.
         point = ChartPoint(Chart("ooio"), (0,) * 5 + (1,))
-        a = Poly(6, {(0, 1, 0, 0, 0, 0): 15, (0, 0, 0, 5, 0, 0): -1})
+        a = [(15, (0, 1, 0, 0, 0, 0)), (-1, (0, 0, 0, 5, 0, 0))]
         for seed in range(3):
             assert oracle.focal_order_generic_jet(point, a, prec=12, seed=seed) == 6
 

@@ -555,6 +555,24 @@ class TestVerifyCommand:
         assert main(["verify", "RVV"]) == EXIT_MISMATCH
         assert "RVV: MISMATCH VO_2 oracle=2 bundle=1" in capsys.readouterr().out
 
+    def test_jet_mismatch_writes_no_agree_line(self, monkeypatch, capsys):
+        # Every generic-jet order one too large: each of RRVT's 6 coordinates
+        # is a MISMATCH, and the report does not also say the orders agree.
+        from goursat import oracle
+
+        real = oracle.focal_order_generic_jet
+        monkeypatch.setattr(
+            oracle, "focal_order_generic_jet", lambda *args, **kwargs: real(*args, **kwargs) + 1
+        )
+        ok, lines = verify_word(parse_word("RRVT"), symbolic=True)
+        mismatches = [line for line in lines if "MISMATCH generic-jet order of" in line]
+        assert not ok and len(mismatches) == 6
+        assert "RRVT: MISMATCH generic-jet order of r0 jet=4 procedural=3" in mismatches
+        assert not any("generic-jet focal orders agree" in line for line in lines)
+        assert main(["verify", "RRVT", "--symbolic"]) == EXIT_MISMATCH
+        out = capsys.readouterr().out
+        assert "generic-jet focal orders agree" not in out and out.endswith("FAIL\n")
+
     def test_pathway_columns_are_not_walked(self, monkeypatch):
         # verify checks the pathway frame once per point, which implies every
         # column; pathway_sections walks a column only for a caller that
@@ -667,12 +685,12 @@ class TestVerifyCommand:
             ("os.kill(os.getpid(), signal.SIGKILL)", "signal 9"),
         ]:
             body = (
-                "real = cli._verify_task\n"
-                "def dying(task):\n"
-                "    if task[0] == child_words[0]:\n"
+                "real = cli.verify_word\n"
+                "def dying(word, *args):\n"
+                "    if str(word) == child_words[0]:\n"
                 f"        {death}\n"
-                "    return real(task)\n"
-                "cli._verify_task = dying\n"
+                "    return real(word, *args)\n"
+                "cli.verify_word = dying\n"
             )
             proc = run_verify_script(body, ["verify", "--all-words", "4"])
             assert proc.returncode == EXIT_BUDGET
@@ -687,12 +705,12 @@ class TestVerifyCommand:
         failing = str(words[cli._shares(words, True, 2)[1][-1]])
         body = (
             "from goursat.errors import RouteMismatch\n"
-            "real = cli._verify_task\n"
-            "def failing(task):\n"
-            f"    if task[0] == {failing!r}:\n"
-            "        raise RouteMismatch(f'{task[0]}: injected route mismatch')\n"
-            "    return real(task)\n"
-            "cli._verify_task = failing\n"
+            "real = cli.verify_word\n"
+            "def failing(word, *args):\n"
+            f"    if str(word) == {failing!r}:\n"
+            "        raise RouteMismatch(f'{word}: injected route mismatch')\n"
+            "    return real(word, *args)\n"
+            "cli.verify_word = failing\n"
         )
         argv = ["verify", "--all-words", "5", "--symbolic"]
         forked, serial = (run_verify_script(body, argv, cpus) for cpus in (2, 1))
@@ -709,9 +727,8 @@ class TestVerifyCommand:
         # parent kills and reaps them before its error leaves.
         pids = tmp_path / "pids"
         body = (
-            "real = cli._verify_task\n"
-            "def task(t):\n"
-            "    if t[0] in child_words:\n"
+            "def task(word, *args):\n"
+            "    if str(word) in child_words:\n"
             f"        with open({str(pids)!r}, 'a') as f:\n"
             "            f.write(f'{os.getpid()}\\n')\n"
             "        time.sleep(30)\n"
@@ -721,7 +738,7 @@ class TestVerifyCommand:
             "            break\n"
             "        time.sleep(0.01)\n"
             "    raise RuntimeError('the parent share fails')\n"
-            "cli._verify_task = task\n"
+            "cli.verify_word = task\n"
         )
         start = time.perf_counter()
         proc = run_verify_script(body, ["verify", "--all-words", "4"], cpus=3)
@@ -935,10 +952,10 @@ def test_main_invocation_in_process(capsys):
 def test_verify_mismatch_exit_code(monkeypatch, capsys):
     import goursat.cli as cli
 
-    def fake_verify(task):
-        return False, [f"{task[0]}: MISMATCH injected for the exit-code contract"]
+    def fake_verify(word, *args):
+        return False, [f"{word}: MISMATCH injected for the exit-code contract"]
 
-    monkeypatch.setattr(cli, "_verify_task", fake_verify)
+    monkeypatch.setattr(cli, "verify_word", fake_verify)
     parser = cli.build_parser()
     args = parser.parse_args(["verify", "RR"])
     assert args.func(args) == EXIT_MISMATCH

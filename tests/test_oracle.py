@@ -32,7 +32,7 @@ from goursat.oracle import (
     small_growth_bruteforce,
     vo_at_point,
 )
-from goursat.polynomial import Poly, var_names
+from goursat.polynomial import var_names
 
 from reference_fields import std_fields, unpack
 from worked_fixtures import (
@@ -42,6 +42,11 @@ from worked_fixtures import (
     PATHWAY_RRVTVV_I7,
     SG_RRVTVV,
 )
+
+
+def unit(nvars: int, var: int) -> tuple[int, ...]:
+    """The exponents of the coordinate x_var among nvars."""
+    return tuple(int(v == var) for v in range(nvars))
 
 
 class TestSmallGrowthBruteforce:
@@ -117,7 +122,7 @@ class TestGenericJet:
         # factor leaves a focal order unchanged.
         chart = Chart("ooio")
         point = ChartPoint(chart, (0,) * 5 + (1,))
-        a = Poly(6, {(0, 1, 0, 0, 0, 0): 15, (0, 0, 0, 5, 0, 0): -1})
+        a = [(15, (0, 1, 0, 0, 0, 0)), (-1, (0, 0, 0, 5, 0, 0))]
         for seed in range(3):
             assert focal_order_generic_jet(point, a, prec=12, seed=seed) == 6
 
@@ -131,26 +136,26 @@ class TestGenericJet:
                     fo = focal_orders(p)
                     prec = invariants.nonholonomy_degree(w) + 5
                     for var in range(p.chart.nvars):
-                        a = Poly.variable(p.chart.nvars, var)
+                        a = [(1, unit(p.chart.nvars, var))]
                         got = focal_order_generic_jet(p, a, prec, seed=seed)
                         assert got == fo.o_coord[var], (str(w), seed, var)
 
     def test_constant_has_order_zero(self):
         p = canonical_chart_point("RRV")
-        assert focal_order_generic_jet(p, Poly.const(5, 1), prec=8) == 0
+        assert focal_order_generic_jet(p, [(1, (0,) * 5)], prec=8) == 0
 
     def test_polynomial_over_other_variables(self):
-        # A polynomial over fewer or more variables than the chart's 5
+        # A monomial over fewer or more variables than the chart's 5
         # coordinates is refused, naming both counts.
         p = canonical_chart_point("RRV")
-        for a, counts in ((Poly.variable(3, 1), "3 variables.* 5 coordinates"),
-                          (Poly.variable(7, 6), "7 variables.* 5 coordinates")):
+        for a, counts in (([(1, unit(3, 1))], "3 variables.* 5 coordinates"),
+                          ([(1, unit(7, 6))], "7 variables.* 5 coordinates")):
             with pytest.raises(VariableMismatch, match=counts):
                 focal_order_generic_jet(p, a, prec=8)
 
     def test_truncation_too_small(self):
         p = canonical_chart_point("RRV")
-        a = Poly.variable(5, 1)  # n_0 has order 4 at this point
+        a = [(1, unit(5, 1))]  # n_0 has order 4 at this point
         with pytest.raises(TruncationTooSmall):
             focal_order_generic_jet(p, a, prec=3)
 
@@ -197,8 +202,8 @@ class TestGenericJet:
                     focal_jet(p, random.Random(f"jet:{seed}:{t}"), prec) for t in range(3)
                 ]
                 for var in range(p.chart.nvars):
-                    a = Poly.variable(p.chart.nvars, var)
-                    orders = [jet.eval_poly(a).order() for jet in fresh]
+                    a = [(1, unit(p.chart.nvars, var))]
+                    orders = [jet.eval_terms(a).order() for jet in fresh]
                     want = min(o for o in orders if o is not None)
                     assert focal_order_generic_jet(p, a, prec, seed=seed) == want, (str(w), var)
 

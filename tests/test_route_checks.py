@@ -4,8 +4,10 @@ symcalc.Packing's rows, which raises where an exponent would otherwise
 carry into the next field, and the structure lemmas on those rows.
 
 The field matrix mutates, for each field of InvariantBundle, the route
-that produces it, and names the check in bundle or verify that catches
-the mutation.  der2, nonholonomy_degree and the e-table's rows are
+that produces it, and names the error of bundle or the MISMATCH line of
+verify that catches the mutation.  The fields that verify's checks cover
+are read from cli.route_checks, and each must be reported under some
+mutation.  der2, nonholonomy_degree and the e-table's rows are
 written from checked values (der, beta and b) after every check, so no
 run-time check reads them; tests pin them instead.
 """
@@ -66,14 +68,19 @@ SCRIPT = textwrap.dedent(
 
 
     class Reported(Exception):
-        # verify_word returned not ok; the message holds its MISMATCH lines
-        pass
+        # verify_word returned not ok; the message holds its MISMATCH lines,
+        # and fields the bundle fields of verify's checks that failed
+        def __init__(self, message, fields):
+            super().__init__(message)
+            self.fields = fields
 
 
     def verify_reports(word, symbolic=False):
         ok, lines = cli.verify_word(parse_word(word), symbolic=symbolic)
         if not ok:
-            raise Reported(" ".join(line for line in lines if "MISMATCH" in line))
+            steps = cli.route_checks(parse_word(word), symbolic=symbolic)
+            failed = {c.field for _, checks in steps for c in checks if c.left[1] != c.right[1]}
+            raise Reported(" ".join(line for line in lines if "MISMATCH" in line), failed)
 
 
     def under(mutation, call):
@@ -354,17 +361,27 @@ SCRIPT = textwrap.dedent(
     })
 
     failures = 0
+    reported = set()
     for name, (error, call, message) in cases.items():
         try:
             call()
         except error as exc:
             if message in str(exc):
+                reported |= getattr(exc, "fields", set())
                 continue
             print(f"{name}: raised {exc!r}, expected the message {message!r}")
         except Exception as exc:
             print(f"{name}: raised {type(exc).__name__}, expected {error.__name__}")
         else:
             print(f"{name}: returned without raising {error.__name__}")
+        failures += 1
+
+    # The fields that verify's checks cover, read from the checks: each
+    # must be one that a mutated route above makes verify report.
+    steps = cli.route_checks(parse_word("RRVTVV"), symbolic=True)
+    covered = {c.field for _, checks in steps for c in checks} - {None}
+    if not covered or reported != covered:
+        print(f"verify's checks cover {sorted(covered)}, the mutations reach {sorted(reported)}")
         failures += 1
 
     # An edge (0, 2) changes only vertex 0's multiplicity, which prox

@@ -9,9 +9,9 @@ the package or the tests; names such as ``render`` are shared by several
 classes, so a reference cannot be told apart from another's, and this
 catches only a name that nothing reads at all.
 
-Two boundaries are kept too: symcalc holds its monomials as exponent
-tuples and names no ``Poly``, and only ``polynomial.py`` adopts a term
-dict through ``Poly._wrap``.
+Two boundaries are kept too: only ``polynomial.py`` names ``Poly`` (the
+other modules hold a monomial as an int and an exponent tuple), and only
+``polynomial.py`` adopts a term dict through ``Poly._wrap``.
 """
 
 import ast
@@ -103,7 +103,13 @@ def _names(path: Path):
 
 
 def test_symcalc_names_no_poly():
-    assert "Poly" not in set(_names(PACKAGE / "symcalc.py"))
+    # Nor does any module but polynomial.py: symcalc's monomials, and the
+    # terms that oracle's generic jets evaluate for cli's verify, are an
+    # int and an exponent tuple.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {"symcalc.py", "oracle.py", "cli.py"} <= {p.name for p in modules}
+    naming = [p.name for p in modules if p.name != "polynomial.py" and "Poly" in set(_names(p))]
+    assert not naming, f"Poly named outside polynomial.py: {naming}"
 
 
 def test_only_polynomial_wraps_a_term_dict():
