@@ -47,6 +47,12 @@ def corpus_commands() -> list[tuple[str, ...]]:
         ]
     for w in _words(7, goursat=False, min_k=7):
         commands += [("puiseux", w), ("chart", w)]
+    # chart past k = 8: R after V and after T, T runs, closing critical blocks
+    for w in (
+        "RRVTRVTRR", "RRVRVVRRVR", "RRVTTTTTTTR", "RRVRRVTTRVVV", "RVVTRRVTVRVTT",
+        "RV" + "T" * 12, "RRRVRVTTVTVVTTT", "RRVTVVRVTVTVVRVT",
+    ):
+        commands.append(("chart", w))
     for w in _words(5, goursat=False):
         commands.append(("verify", w, "--symbolic"))
     for w in _words(6, goursat=True, min_k=6):
