@@ -19,6 +19,7 @@ from itertools import chain, islice, repeat
 # them.
 from . import invariants, proximity
 from .codeword import (
+    CHART_CHOICES,
     Chart,
     RvtWord,
     canonical_chart_point,
@@ -281,19 +282,20 @@ def render_bracket_table(table: symcalc.BracketTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _wired(fn, word: RvtWord):
-    """fn(word, m0=...) with m_0 wired for a word that is not a Goursat word:
-    m_0 is the oracle's base multiplicity at the canonical chart point, the
-    minimum of the base focal orders.  The wired m_0 is a route of its own,
-    so one that does not fit the word is a failed route check, and the
-    bundle's VO_2 = m_0 - m_1 is checked against the oracle's in verify."""
+def _wired(word: RvtWord) -> InvariantBundle:
+    """The word's bundle, with m_0 wired for a word that is not a Goursat
+    word: m_0 is the oracle's base multiplicity at the canonical chart
+    point, the minimum of the base focal orders.  The wired m_0 is a route
+    of its own, so one that does not fit the word is a failed route check,
+    and the bundle's VO_2 = m_0 - m_1 is checked against the oracle's in
+    verify."""
     m0 = None
     if not is_goursat(word):
         from . import oracle
 
         m0 = oracle.base_multiplicity_at_point(canonical_chart_point(word))
     try:
-        return fn(word, m0=m0)
+        return invariants.bundle(word, m0=m0)
     except InvalidM0 as exc:
         raise RouteMismatch(f"oracle-wired {exc}") from exc
 
@@ -316,10 +318,10 @@ RouteCheck = namedtuple("RouteCheck", "field label left right")
 
 
 def route_checks(word: RvtWord, seed: int = 0, symbolic: bool = False) -> list[tuple]:
-    """The checks of verify_word as (agree text or None, [RouteCheck])
-    steps, in report order.  A step with no checks follows a call that
-    raises if it fails: the bundle's own routes, the pathway frame and the
-    structure lemmas.
+    """The checks of verify_word as (agree text, [RouteCheck]) steps, in
+    report order.  A step with no checks follows a call that raises if it
+    fails: the bundle's own routes, the pathway frame and the structure
+    lemmas.
 
     The pathway frame is checked once at the word's point; no column is
     walked.  By the induction in oracle.pathway_sections' docstring, the
@@ -336,19 +338,19 @@ def route_checks(word: RvtWord, seed: int = 0, symbolic: bool = False) -> list[t
 
     if symbolic:
         _check_symbolic_level(word.k)
-    bundle = _wired(invariants.bundle, word)
+    bundle = _wired(word)
     point = canonical_chart_point(word)
     vo = oracle.vo_at_point(point)
-    restricted = RouteCheck(
+    orders = [RouteCheck(
         "vo", "restricted vertical orders", ("oracle", vo[1:]), ("combinatorial", bundle.vo[1:])
-    )
+    )]
     steps = [
         (f"three-route invariants agree (beta ends {bundle.beta[-1]})", []),
-        (f"focal-order vertical orders agree {vo}", [restricted]),
+        (f"focal-order vertical orders agree {vo}", orders),
     ]
     if word.k >= 2:
-        vo2 = RouteCheck("vo", "VO_2", ("oracle", vo[0]), ("bundle", bundle.vo[0]))
-        steps.append((None, [vo2]))
+        # VO_2 is an order of the same step, so its agree text waits for it
+        orders.append(RouteCheck("vo", "VO_2", ("oracle", vo[0]), ("bundle", bundle.vo[0])))
         oracle.pathway_frame(point)
         steps.append(("pathway orders match the e-table for all columns", []))
     if symbolic:
@@ -385,7 +387,7 @@ def verify_word(
             f"{word}: MISMATCH {c.label} {c.left[0]}={c.left[1]} {c.right[0]}={c.right[1]}"
             for c in failed
         )
-        if agree and not failed:
+        if not failed:
             lines.append(f"{word}: {agree}")
     return ok, lines
 
@@ -467,7 +469,7 @@ def _read_word(text: str) -> RvtWord:
 def cmd_invariants(args) -> int:
     word = _read_word(args.word)
     _check_output_budget(word, "json" if args.json else "text")
-    bundle = _wired(invariants.bundle, word)
+    bundle = _wired(word)
     if args.json:
         print(dumps_bundle(bundle))
     else:
@@ -478,7 +480,7 @@ def cmd_invariants(args) -> int:
 def cmd_etable(args) -> int:
     word = _read_word(args.word)
     _check_output_budget(word, "etable")
-    bundle = _wired(invariants.bundle, word)
+    bundle = _wired(word)
     print(render_etable(bundle.e_table), end="")
     return EXIT_OK
 
@@ -503,8 +505,7 @@ def cmd_lift(args) -> int:
 
 def cmd_puiseux(args) -> int:
     word = _read_word(args.word)
-    pc = _wired(invariants.puiseux_of_word, word)
-    print(str(pc))
+    print(str(_wired(word).puiseux))
     return EXIT_OK
 
 
@@ -541,11 +542,6 @@ def cmd_bracket_table(args) -> int:
     return EXIT_OK
 
 
-# A word's chart, read from its letters: canonical_chart_point maps V to an
-# inverted level and R and T to ordinary ones.
-_CHART_CHOICES = str.maketrans("RVT", "oio")
-
-
 def _shares(words: list[RvtWord], symbolic: bool, workers: int) -> list[list[int]]:
     """The word indices split into at most workers shares, each in word
     order, with every chart's words in one share, so that each process
@@ -558,7 +554,7 @@ def _shares(words: list[RvtWord], symbolic: bool, workers: int) -> list[list[int
     """
     groups: dict[str, list[int]] = {}
     for i, w in enumerate(words):
-        groups.setdefault(w.symbols.translate(_CHART_CHOICES), []).append(i)
+        groups.setdefault(w.symbols.translate(CHART_CHOICES), []).append(i)
     cost = [invariants.nonholonomy_degree(w) for w in words] if symbolic else [1] * len(words)
     weighed = sorted(
         ((sum(cost[i] for i in group), group) for group in groups.values()),

@@ -22,6 +22,12 @@ Both read ``d(d_j) = n_j d(r_j)`` with ``d_j`` the deactivated and ``r_j`` the
 retained coordinate, as :meth:`Chart.deactivated_var` and
 :meth:`Chart.retained_var` give them.
 
+One table, ``LETTER_MAP``, holds the letter map: by the letter and whether
+the previous letter is critical, the chart choice at its level and n_j at
+the canonical point.  :func:`canonical_chart_point` builds a word's point
+from it, :func:`rvt_of_chart_point` reads a point back through its
+inverse, and ``CHART_CHOICES`` reads a word's chart from its letters.
+
 Positions and levels are 1-indexed throughout, matching the usual
 convention for these towers.
 """
@@ -324,62 +330,54 @@ class ChartPoint(Frozen):
         return self.coords[Chart.n_var(j)]
 
 
+# The letter map.  By whether the previous letter is critical (level 1
+# counts as after R), then by the letter: the chart choice at its level
+# and n_j at the canonical point, 1 where n_j must be nonzero, else 0.
+LETTER_MAP = {
+    False: {"R": ("o", 0), "V": ("i", 0)},
+    True: {"R": ("o", 1), "V": ("i", 0), "T": ("o", 0)},
+}
+# A word's chart, read from its letters: each letter has one choice.
+CHART_CHOICES = str.maketrans({s: c for row in LETTER_MAP.values() for s, (c, _) in row.items()})
+# The inverse: (previous letter critical, choice, n_j != 0) -> letter.
+_LETTER_OF = {
+    (after, c, n != 0): s for after, row in LETTER_MAP.items() for s, (c, n) in row.items()
+}
+
+
 def canonical_chart_point(w: RvtWord | str) -> ChartPoint:
     """The canonical realization of a word as a chart point.
 
-    Letter map per level j:  V -> inverted choice, n_j = 0;
-    T -> ordinary, n_j = 0;  R -> ordinary with n_j = 0 after R (or at
-    level 1) and n_j = 1 after a critical letter.  The base point is the
-    origin of the base chart (r_0 = n_0 = 0).  Any nonzero value would do
-    for the R-after-critical case.
+    Level j takes its chart choice and n_j from LETTER_MAP, and the base
+    point is the origin of the base chart (r_0 = n_0 = 0).  Any nonzero
+    value would do for the n_j = 1 of an R after a critical letter.
     """
-    w = _as_word(w)
-    choices = []
-    values = []
-    prev = ""
-    for s in w:
-        if s == "V":
-            choices.append("i")
-            values.append(0)
-        elif s == "T":
-            choices.append("o")
-            values.append(0)
-        else:
-            choices.append("o")
-            values.append(1 if prev in CRITICAL else 0)
-        prev = s
-    return ChartPoint(Chart("".join(choices)), (0, 0, *values))
+    symbols = _as_word(w).symbols
+    coords = [0, 0]
+    row = LETTER_MAP[False]
+    for s in symbols:
+        coords.append(row[s][1])
+        row = LETTER_MAP[s in CRITICAL]
+    return ChartPoint(Chart(symbols.translate(CHART_CHOICES)), coords)
 
 
 def rvt_of_chart_point(p: ChartPoint) -> RvtWord:
     """Recover the RVT code word of a canonical chart point.
 
-    Inverse of the letter map of :func:`canonical_chart_point`; raises
-    Unsupported for configurations that map cannot reach.
+    Each level is looked up in the inverse of LETTER_MAP, which ignores
+    the base coordinates; raises Unsupported for a configuration that map
+    cannot reach.
     """
-    letters = []
-    prev = ""
+    letters = ""
     for j in range(1, p.k + 1):
-        inverted = j in p.ip
-        vanishes = p.n_value(j) == 0
-        if inverted:
-            if not vanishes:
-                raise Unsupported(
-                    f"level {j}: inverted choice with n_{j} != 0 is outside the "
-                    "validated letter map"
-                )
-            letters.append("V")
-        elif vanishes:
-            letters.append("T" if prev in CRITICAL else "R")
-        else:
-            if prev not in CRITICAL:
-                raise Unsupported(
-                    f"level {j}: ordinary choice with n_{j} != 0 after a "
-                    "non-critical letter is outside the validated letter map"
-                )
-            letters.append("R")
-        prev = letters[-1]
-    return RvtWord("".join(letters))
+        key = (letters[-1:] in CRITICAL, p.chart.choice(j), p.n_value(j) != 0)
+        if key not in _LETTER_OF:
+            raise Unsupported(
+                f"level {j}: choice {key[1]!r} with n_{j} = {p.n_value(j)} after "
+                f"{letters or 'no letter'} is outside the validated letter map"
+            )
+        letters += _LETTER_OF[key]
+    return RvtWord(letters)
 
 
 # ---------------------------------------------------------------------------

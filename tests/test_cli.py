@@ -12,6 +12,8 @@ import pytest
 
 from goursat import cli, invariants, symcalc
 from goursat.codeword import (
+    CHART_CHOICES,
+    LETTER_MAP,
     MAX_LEVELS,
     Chart,
     canonical_chart_point,
@@ -360,7 +362,7 @@ class TestOutputBudget:
 
         for k in range(1, 9):
             for word in enumerate_rvt_words(k):
-                b = cli._wired(invariants.bundle, word)
+                b = cli._wired(word)
                 numbers = [*b.beta, *b.der, *b.der2, *b.mult_vector, *b.vo, *b.b]
                 numbers += [b.m0, b.puiseux.lambda0, *b.puiseux.exponents]
                 assert 0 <= min(numbers) and max(numbers) <= b.nonholonomy_degree, word
@@ -379,7 +381,7 @@ class TestOutputBudget:
                 continue
             code, printed = _printed(list(command))
             assert code == EXIT_OK, command
-            bundle = cli._wired(invariants.bundle, parse_word(command[1]))
+            bundle = cli._wired(parse_word(command[1]))
             if output_bound(bundle.k, bundle.nonholonomy_degree, form) < printed:
                 short.append(" ".join(command))
         assert short == []
@@ -555,6 +557,17 @@ class TestVerifyCommand:
         assert main(["verify", "RVV"]) == EXIT_MISMATCH
         assert "RVV: MISMATCH VO_2 oracle=2 bundle=1" in capsys.readouterr().out
 
+    def test_vo2_mismatch_writes_no_orders_agree_line(self, monkeypatch):
+        # VO_2 is one of the vertical orders, so the step that says they
+        # agree (and prints VO_2 with them) stays silent when it fails.
+        from goursat import oracle
+
+        real = oracle.vo_at_point
+        monkeypatch.setattr(oracle, "vo_at_point", lambda p: (real(p)[0] + 1,) + real(p)[1:])
+        ok, lines = verify_word(parse_word("RVV"))
+        assert not ok and "RVV: MISMATCH VO_2 oracle=2 bundle=1" in lines
+        assert not any("vertical orders agree" in line for line in lines)
+
     def test_jet_mismatch_writes_no_agree_line(self, monkeypatch, capsys):
         # Every generic-jet order one too large: each of RRVT's 6 coordinates
         # is a MISMATCH, and the report does not also say the orders agree.
@@ -650,10 +663,14 @@ class TestVerifyCommand:
         assert printed == [str(w) for w in words]
 
     def test_chart_key_read_from_the_letters(self):
-        # _shares groups by the letters' chart without building a point.
+        # _shares groups by the letters' chart without building a point: in
+        # the letter map each letter has one choice, whatever precedes it.
+        for row in LETTER_MAP.values():
+            for letter, (choice, _) in row.items():
+                assert letter.translate(CHART_CHOICES) == choice
         for k in range(1, 9):
             for w in enumerate_rvt_words(k):
-                key = w.symbols.translate(cli._CHART_CHOICES)
+                key = w.symbols.translate(CHART_CHOICES)
                 assert key == canonical_chart_point(w).chart.choices
 
     def test_fan_out_prints_what_a_serial_run_prints(self, monkeypatch, capsys):

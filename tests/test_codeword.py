@@ -1,11 +1,14 @@
+import itertools
 import time
 
 import pytest
 
 from goursat.codeword import (
+    CRITICAL,
     Chart,
     ChartPoint,
     GoursatWord,
+    RvtWord,
     canonical_chart_point,
     enumerate_goursat_words,
     enumerate_rvt_words,
@@ -171,6 +174,48 @@ class TestCanonicalPoints:
         p = ChartPoint(chart, (0, 0, 0, 1))
         with pytest.raises(Unsupported):
             rvt_of_chart_point(p)
+
+    def test_inverse_matches_the_hand_written_reference(self):
+        # Every chart with k <= 5 and each n_j in {0, 1, 2}: the same word,
+        # or the same refusal: Unsupported for a level outside the letter
+        # map, and LeadingCritical for a word read as starting with V.
+        def outcome(read, p):
+            try:
+                return read(p)
+            except (Unsupported, LeadingCritical) as exc:
+                return type(exc)
+
+        seen = set()
+        for k in range(1, 6):
+            for choices in itertools.product("oi", repeat=k):
+                chart = Chart("".join(choices))
+                for values in itertools.product((0, 1, 2), repeat=k):
+                    p = ChartPoint(chart, (0, 0, *values))
+                    expected = outcome(_reference_rvt_of_chart_point, p)
+                    assert outcome(rvt_of_chart_point, p) == expected, p
+                    seen.add(expected if isinstance(expected, type) else RvtWord)
+        assert seen == {RvtWord, Unsupported, LeadingCritical}
+
+
+def _reference_rvt_of_chart_point(p):
+    # The letter map's inverse written out by hand, case by case.
+    letters = []
+    prev = ""
+    for j in range(1, p.k + 1):
+        inverted = j in p.ip
+        vanishes = p.n_value(j) == 0
+        if inverted:
+            if not vanishes:
+                raise Unsupported(f"level {j}: inverted choice with n_{j} != 0")
+            letters.append("V")
+        elif vanishes:
+            letters.append("T" if prev in CRITICAL else "R")
+        else:
+            if prev not in CRITICAL:
+                raise Unsupported(f"level {j}: ordinary choice with n_{j} != 0 after R")
+            letters.append("R")
+        prev = letters[-1]
+    return RvtWord("".join(letters))
 
 
 class TestChartBookkeeping:

@@ -286,7 +286,7 @@ SCRIPT = textwrap.dedent(
             RouteMismatch,
             under(mutated(codeword, "goursat_normalize", "_regularize(w.symbols, 2)",
                           "_regularize(w.symbols[:-1] + 'R', 2)", owner=invariants),
-                  lambda: cli._wired(invariants.bundle, parse_word("RVTVV"))),
+                  lambda: cli._wired(parse_word("RVTVV"))),
             "oracle-wired m_0",
         ),
         "k: one level too many": (
@@ -388,7 +388,7 @@ SCRIPT = textwrap.dedent(
     # prints and no invariant reads: no bundle may change, prox must.
     def wired_bundle(w):
         try:
-            return cli._wired(invariants.bundle, w)
+            return cli._wired(w)
         except Exception as exc:
             return repr(exc)
 
