@@ -333,8 +333,7 @@ def route_checks(word: RvtWord, seed: int = 0, symbolic: bool = False) -> list[t
     bundle's "beta from b" route checks the column sums, and the
     vertical-order checks the point's orders.
     """
-    from . import oracle, symcalc
-    from .polynomial import var_names
+    from . import oracle
 
     if symbolic:
         _check_symbolic_level(word.k)
@@ -354,6 +353,9 @@ def route_checks(word: RvtWord, seed: int = 0, symbolic: bool = False) -> list[t
         oracle.pathway_frame(point)
         steps.append(("pathway orders match the e-table for all columns", []))
     if symbolic:
+        from . import symcalc
+        from .polynomial import var_names
+
         sg = oracle.small_growth_bruteforce(point, bundle.nonholonomy_degree + 2)
         brute = RouteCheck("sg", "small growth", ("brute", sg), ("combinatorial", bundle.sg))
         steps.append((f"brute-force small growth agrees ({len(sg)} steps)", [brute]))

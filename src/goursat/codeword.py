@@ -35,7 +35,7 @@ convention for these towers.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     BadSymbol,
@@ -154,8 +154,8 @@ def parse_word(text: str) -> RvtWord:
 
 def is_goursat(w: RvtWord | str) -> bool:
     """True iff the word avoids I_2, i.e. k < 2 or symbol 2 is R."""
-    w = _as_word(w)
-    return w.k < 2 or w.letter(2) == "R"
+    symbols = _as_word(w).symbols
+    return len(symbols) < 2 or symbols[1] == "R"
 
 
 def _as_word(w: RvtWord | str) -> RvtWord:
@@ -171,32 +171,40 @@ def as_goursat(w: RvtWord | str) -> GoursatWord:
 def critical_block(symbols: str, level: int) -> range:
     """The levels of the critical block ``V T^t`` that starts at the given
     level (1-indexed); empty when the symbol there is not V."""
-    rest = symbols[level - 1 :]
-    size = len(rest) - len(rest[1:].lstrip("T")) if rest.startswith("V") else 0
-    return range(level, level + size)
+    if symbols[level - 1 : level] != "V":
+        return range(level, level)
+    return range(level, len(symbols) + 1 - len(symbols[level:].lstrip("T")))
 
 
-def _regularize(symbols: str, level: int) -> GoursatWord:
+def _regularize(symbols: str, level: int) -> str:
     # Replace the critical block starting at the level by R's.
     block = critical_block(symbols, level)
-    return GoursatWord(symbols[: level - 1] + "R" * len(block) + symbols[block.stop - 1 :])
+    return symbols[: level - 1] + "R" * len(block) + symbols[block.stop - 1 :]
+
+
+def lift_symbols(symbols: str) -> str:
+    """One lift step on the symbols of a Goursat word.
+
+    Drop the leading R; if the remaining word starts with ``R V T^t``, the
+    critical block ``V T^t`` is regularized to R's so the result is again
+    a Goursat word.  The length always drops by exactly one (R lifts to the
+    empty string).  The symbols are not validated: the lift of a Goursat
+    word is one.
+    """
+    return _regularize(symbols[1:], 2)
 
 
 def lift(w: GoursatWord | RvtWord | str) -> GoursatWord:
-    """The lifted Goursat word, one level down the tower.
-
-    Drop the leading R; if the remaining word starts with ``R V T^t``, the
-    critical block ``V T^t`` is regularized to R's so the result is again a
-    Goursat word.  The length always drops by exactly one.
-    """
+    """The lifted Goursat word, one level down the tower (lift_symbols)."""
     w = as_goursat(w)
     if w.k < 2:
         raise TooShort(2, w.k)
-    return _regularize(w.symbols[1:], 2)
+    return GoursatWord(lift_symbols(w.symbols))
 
 
 def lift_chain(w: GoursatWord | str) -> list[GoursatWord]:
-    """All iterated lifts, from the one-letter word R up to w itself."""
+    """All iterated lifts, from the one-letter word R up to w itself, each
+    validated as a GoursatWord."""
     w = as_goursat(w)
     chain = [w]
     while chain[-1].k > 1:
@@ -216,7 +224,7 @@ def goursat_normalize(w: RvtWord | str) -> GoursatWord:
     w = _as_word(w)
     if is_goursat(w):
         return as_goursat(w)
-    return _regularize(w.symbols, 2)
+    return GoursatWord(_regularize(w.symbols, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +277,8 @@ class Chart(Frozen):
         return j + 1
 
     @cached_property
-    def _retained(self) -> tuple[int, ...]:
-        # retained[j] = coordinate index of r_j, j = 0..k
+    def retained(self) -> tuple[int, ...]:
+        """The coordinate index of each retained coordinate r_j, j = 0..k."""
         out = [0]
         for j in range(1, self.k + 1):
             out.append(self.n_var(j - 1) if self.choice(j) == "i" else out[j - 1])
@@ -278,12 +286,12 @@ class Chart(Frozen):
 
     def retained_var(self, j: int) -> int:
         """Coordinate index of the retained coordinate r_j (j = 0..k)."""
-        return self._retained[j]
+        return self.retained[j]
 
     def deactivated_var(self, j: int) -> int:
         """Coordinate index of the deactivated coordinate d_j (j = 1..k)."""
         if self.choice(j) == "i":
-            return self._retained[j - 1]
+            return self.retained[j - 1]
         return self.n_var(j - 1)
 
     @cached_property
@@ -330,19 +338,29 @@ class ChartPoint(Frozen):
         return self.coords[Chart.n_var(j)]
 
 
-# The letter map.  By whether the previous letter is critical (level 1
-# counts as after R), then by the letter: the chart choice at its level
-# and n_j at the canonical point, 1 where n_j must be nonzero, else 0.
+# The letter map.  By the previous letter (None at level 1, where only R
+# can stand, else whether it is critical), then by the letter: the chart
+# choice at its level and n_j at the canonical point, 1 where n_j must be
+# nonzero, else 0.
 LETTER_MAP = {
+    None: {"R": ("o", 0)},
     False: {"R": ("o", 0), "V": ("i", 0)},
     True: {"R": ("o", 1), "V": ("i", 0), "T": ("o", 0)},
 }
 # A word's chart, read from its letters: each letter has one choice.
 CHART_CHOICES = str.maketrans({s: c for row in LETTER_MAP.values() for s, (c, _) in row.items()})
-# The inverse: (previous letter critical, choice, n_j != 0) -> letter.
+# The inverse: (previous letter, choice, n_j != 0) -> letter.
 _LETTER_OF = {
     (after, c, n != 0): s for after, row in LETTER_MAP.items() for s, (c, n) in row.items()
 }
+
+
+@lru_cache(maxsize=4096)
+def _chart(choices: str) -> Chart:
+    # The words of verify --all-words share their charts (256 for the
+    # 1,597 words of k = 10), so each chart and its cached properties are
+    # built once; the 4,096 charts of the Goursat words with k <= 14 fit.
+    return Chart(choices)
 
 
 def canonical_chart_point(w: RvtWord | str) -> ChartPoint:
@@ -350,15 +368,17 @@ def canonical_chart_point(w: RvtWord | str) -> ChartPoint:
 
     Level j takes its chart choice and n_j from LETTER_MAP, and the base
     point is the origin of the base chart (r_0 = n_0 = 0).  Any nonzero
-    value would do for the n_j = 1 of an R after a critical letter.
+    value would do for the n_j = 1 of an R after a critical letter.  The
+    chart comes from a bounded cache keyed by its choice word, so words on
+    one chart share one Chart.
     """
     symbols = _as_word(w).symbols
     coords = [0, 0]
-    row = LETTER_MAP[False]
+    row = LETTER_MAP[None]
     for s in symbols:
         coords.append(row[s][1])
         row = LETTER_MAP[s in CRITICAL]
-    return ChartPoint(Chart(symbols.translate(CHART_CHOICES)), coords)
+    return ChartPoint(_chart(symbols.translate(CHART_CHOICES)), coords)
 
 
 def rvt_of_chart_point(p: ChartPoint) -> RvtWord:
@@ -370,7 +390,8 @@ def rvt_of_chart_point(p: ChartPoint) -> RvtWord:
     """
     letters = ""
     for j in range(1, p.k + 1):
-        key = (letters[-1:] in CRITICAL, p.chart.choice(j), p.n_value(j) != 0)
+        after = letters[-1] in CRITICAL if letters else None
+        key = (after, p.chart.choice(j), p.n_value(j) != 0)
         if key not in _LETTER_OF:
             raise Unsupported(
                 f"level {j}: choice {key[1]!r} with n_{j} = {p.n_value(j)} after "

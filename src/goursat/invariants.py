@@ -56,20 +56,18 @@ def beta_backend(w: GoursatWord | str) -> tuple[int, ...]:
     adds 1 to the previous prefix's entry, V adds the two shorter
     prefixes' entries, T doubles one and subtracts the other.
     """
-    w = as_goursat(w)
     older: tuple[int, ...] = ()  # the vector of the prefix two shorter
     prev: tuple[int, ...] = ()  # the vector of the prefix one shorter
-    for m in range(1, w.k + 1):
-        last = w.letter(m)
-        vec = [1, 2]
-        for idx in range(2, m + 1):
-            if last == "R":
-                vec.append(1 + prev[idx - 1])
-            elif last == "V":
-                vec.append(prev[idx - 1] + older[idx - 2])
-            else:
-                vec.append(2 * prev[idx - 1] - older[idx - 2])
-        older, prev = prev, tuple(vec)
+    for last in as_goursat(w).symbols:
+        # Entry idx >= 2 reads entry idx - 1 of prev and idx - 2 of older
+        # (a Goursat word has R at position 2, so V and T find older full).
+        if last == "R":
+            tail = [1 + p for p in prev[1:]]
+        elif last == "V":
+            tail = [p + o for p, o in zip(prev[1:], older)]
+        else:
+            tail = [2 * p - o for p, o in zip(prev[1:], older)]
+        older, prev = prev, (1, 2, *tail)
     return prev
 
 
@@ -133,10 +131,14 @@ def _column_sums(vo: tuple[int, ...], k: int) -> dict[int, int]:
     Only VO_3..VO_k can contribute, so the sums do not depend on VO_2.
     """
     sums = {}
+    tail = total = 0
     for i in range(2, k + 2):
-        total = 0
-        for j in range(max(k - i + 4, 2), k + 1):
-            total += (i + j - k - 3) * vo[j - 2]
+        # Raising i by one lowers the first j by one and raises every
+        # weight by one, so S_i = S_{i-1} + VO_{k-i+4} + ... + VO_k.
+        j = k - i + 4
+        if j <= k:
+            tail += vo[j - 2]
+        total += tail
         sums[i] = total
     return sums
 

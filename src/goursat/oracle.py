@@ -299,22 +299,20 @@ def focal_orders(p: ChartPoint) -> FocalOrders:
     verify_word reads the orders of one point several times (the vertical
     orders, the pathway frame, the generic-jet comparison, and m_0 for a
     word that is not a Goursat word), so the last point's are cached."""
-    chart = p.chart
+    chart, coords = p.chart, p.coords
+    choices, retained = chart.choices, chart.retained
     k = chart.k
-    o_diff = {Chart.n_var(k): 1, chart.retained_var(k): 1}
-
-    def o_coord_of(var: int) -> int:
-        return o_diff[var] if p.coords[var] == 0 else 0
-
+    # Every coordinate but n_k and r_k is d_j at exactly one level j.
+    o_diff = [0] * chart.nvars
+    o_diff[Chart.n_var(k)] = o_diff[retained[k]] = 1
     for j in range(k, 0, -1):
-        # d(d_j) = n_j d(r_j)
-        o_diff[chart.deactivated_var(j)] = (
-            o_coord_of(Chart.n_var(j)) + o_diff[chart.retained_var(j)]
-        )
-    o_coord = tuple(o_coord_of(v) for v in range(chart.nvars))
-    diffs = tuple(o_diff[v] for v in range(chart.nvars))
-    vo = tuple(o_coord[Chart.n_var(j)] if j in chart.ip else 0 for j in range(2, k + 1))
-    return FocalOrders(p, o_coord, diffs, vo)
+        # d(d_j) = n_j d(r_j); d_j is r_{j-1} at an inverted level, else n_{j-1}
+        n_j = Chart.n_var(j)
+        d_j = retained[j - 1] if choices[j - 1] == "i" else Chart.n_var(j - 1)
+        o_diff[d_j] = (o_diff[n_j] if coords[n_j] == 0 else 0) + o_diff[retained[j]]
+    o_coord = tuple([o if x == 0 else 0 for o, x in zip(o_diff, coords)])
+    vo = tuple([o_coord[Chart.n_var(j)] if choices[j - 1] == "i" else 0 for j in range(2, k + 1)])
+    return FocalOrders(p, o_coord, tuple(o_diff), vo)
 
 
 def vo_at_point(p: ChartPoint) -> tuple[int, ...]:

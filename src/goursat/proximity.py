@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .codeword import GoursatWord, critical_block, lift_chain
+from .codeword import GoursatWord, as_goursat, critical_block, lift_symbols
 
 Edge = tuple[int, int]
 
@@ -41,13 +41,11 @@ def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
     m_i >= m_{i+1}, and vertex 0 no other edge, so m_0 = m_1: neither can
     fail, and neither is checked.  Only prox prints vertex 0's m_0; the
     invariants read m_1 .. m_{k-1} (multiplicity_vector)."""
-    targets: list[list[int]] = [[] for _ in range(k + 1)]
-    for i, j in edges:
-        targets[i].append(j)
     m = [0] * (k + 1)
     m[k] = 1
-    for i in range(k - 1, -1, -1):
-        m[i] = sum(m[j] for j in targets[i])
+    # Right to left: every edge (j, l) with j > i is added before any (i, j).
+    for i, j in sorted(edges, reverse=True):
+        m[i] += m[j]
     return tuple(m)
 
 
@@ -57,20 +55,23 @@ def build_diagram(w: GoursatWord | str) -> ProximityDiagram:
     The lift of length L sits at vertices k-L..k of the diagram of w: its
     base edge (0, 1) and its long edges (1, v), for v in the critical block
     starting at its position 3 (the labels that change under lifting),
-    are edges of the diagram of w shifted by k - L.  So one pass over the
+    are edges of the diagram of w shifted by k - L.  So one walk down the
     lift chain collects every edge, and the multiplicities are computed
-    once, on the final edges.  The lift of length k - i gives vertex i its
-    chain edge (i, i+1), and long edges start at vertex 1 or later, so the
-    multiplicities never increase and m_0 = m_1 (see _multiplicities).
-    Vertex 0's multiplicity is read only by prox, which prints it.
+    once, on the final edges.  The word is validated once; its lifts are
+    Goursat words by construction, so the walk lifts plain symbol strings
+    (lift_symbols), as lift_chain does with validation.  The lift of length
+    k - i gives vertex i its chain edge (i, i+1), and long edges start at
+    vertex 1 or later, so the multiplicities never increase and m_0 = m_1
+    (see _multiplicities).  Vertex 0's multiplicity is read only by prox,
+    which prints it.
     """
-    chain = lift_chain(w)
-    word = chain[-1]
+    word = as_goursat(w)
+    symbols = word.symbols
     edges = set()
-    for lifted in chain:
-        base = word.k - lifted.k
+    for base in range(word.k):
         edges.add((base, base + 1))
-        edges.update((base + 1, base + v) for v in critical_block(lifted.symbols, 3))
+        edges.update((base + 1, base + v) for v in critical_block(symbols, 3))
+        symbols = lift_symbols(symbols)
     edges = frozenset(edges)
     return ProximityDiagram(word, edges, _multiplicities(edges, word.k))
 

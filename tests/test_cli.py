@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from goursat import cli, invariants, symcalc
+from goursat import cli, codeword, invariants, symcalc
 from goursat.codeword import (
     CHART_CHOICES,
     LETTER_MAP,
@@ -875,6 +875,31 @@ class TestVerifyCommand:
     def test_word_and_all_words_refused(self, capsys):
         assert main(["verify", "RR", "--all-words", "3"]) == EXIT_INVALID
         assert "not both" in capsys.readouterr().err
+
+
+def test_verify_word_validates_no_word_and_builds_one_chart_per_chart(monkeypatch):
+    # A cost guard: verify_word works on the one validated word and the
+    # shared charts, so it validates no lift or re-typed word and builds
+    # each of the 64 charts of k = 8 once.
+    words = list(enumerate_goursat_words(8))
+    validated, charts = [], []
+
+    def counting_validate(symbols):
+        validated.append(symbols)
+        return validate(symbols)
+
+    def counting_init(self, choices):
+        charts.append(choices)
+        init(self, choices)
+
+    validate, init = codeword._validate_rvt, Chart.__init__
+    codeword._chart.cache_clear()
+    monkeypatch.setattr(codeword, "_validate_rvt", counting_validate)
+    monkeypatch.setattr(Chart, "__init__", counting_init)
+    for w in words:
+        assert verify_word(w)[0]
+    assert validated == []
+    assert len(charts) == len(set(charts)) == 64
 
 
 @pytest.mark.parametrize(

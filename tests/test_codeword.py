@@ -175,10 +175,19 @@ class TestCanonicalPoints:
         with pytest.raises(Unsupported):
             rvt_of_chart_point(p)
 
+    def test_inverted_level_one_is_unsupported(self):
+        # Only R stands at level 1, so an inverted level 1 is outside the
+        # letter map with n_1 = 0 (where V would stand) and with n_1 = 1.
+        for choices in ("i", "ii", "ioo", "io"):
+            for n1 in (0, 1):
+                p = ChartPoint(Chart(choices), (0, 0, n1) + (0,) * (len(choices) - 1))
+                with pytest.raises(Unsupported, match="level 1: choice 'i'"):
+                    rvt_of_chart_point(p)
+
     def test_inverse_matches_the_hand_written_reference(self):
         # Every chart with k <= 5 and each n_j in {0, 1, 2}: the same word,
-        # or the same refusal: Unsupported for a level outside the letter
-        # map, and LeadingCritical for a word read as starting with V.
+        # or the same refusal, Unsupported for a level outside the letter
+        # map; no point is read as a word that starts with V.
         def outcome(read, p):
             try:
                 return read(p)
@@ -194,7 +203,7 @@ class TestCanonicalPoints:
                     expected = outcome(_reference_rvt_of_chart_point, p)
                     assert outcome(rvt_of_chart_point, p) == expected, p
                     seen.add(expected if isinstance(expected, type) else RvtWord)
-        assert seen == {RvtWord, Unsupported, LeadingCritical}
+        assert seen == {RvtWord, Unsupported}
 
 
 def _reference_rvt_of_chart_point(p):
@@ -204,6 +213,8 @@ def _reference_rvt_of_chart_point(p):
     for j in range(1, p.k + 1):
         inverted = j in p.ip
         vanishes = p.n_value(j) == 0
+        if j == 1 and (inverted or not vanishes):
+            raise Unsupported("level 1: only R, ordinary with n_1 = 0, starts a word")
         if inverted:
             if not vanishes:
                 raise Unsupported(f"level {j}: inverted choice with n_{j} != 0")
@@ -219,6 +230,22 @@ def _reference_rvt_of_chart_point(p):
 
 
 class TestChartBookkeeping:
+    def test_cached_chart_equals_a_new_one(self):
+        # canonical_chart_point takes its chart from a cache; the cached
+        # chart and its cached properties equal those of a new Chart.
+        for k in range(1, 9):
+            for w in enumerate_rvt_words(k):
+                cached = canonical_chart_point(w).chart
+                new = Chart(cached.choices)
+                assert cached == new
+                assert cached.ip == new.ip
+                assert cached.alt_names == new.alt_names
+                assert cached.retained == new.retained
+                assert [cached.deactivated_var(j) for j in range(1, k + 1)] == [
+                    new.deactivated_var(j) for j in range(1, k + 1)
+                ]
+                assert canonical_chart_point(w).chart is cached
+
     def test_alt_names_ooioii(self):
         chart = Chart("ooioii")
         assert chart.alt_names == ("x", "y", "y'", "y''", "x'", "x''", "y^(3)", "x^(3)")

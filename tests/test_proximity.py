@@ -93,6 +93,28 @@ class TestProperties:
                 assert all(a >= b for a, b in zip(m, m[1:]))
                 assert m[-1] == 1
 
+    def test_matches_the_validated_lift_chain(self):
+        # The edges collected from lift_chain's validated GoursatWords, and
+        # each m_i summed over the vertices joined to i from the right.
+        for k in range(1, 11):
+            for w in enumerate_goursat_words(k):
+                edges = set()
+                for lifted in lift_chain(w):
+                    base = k - lifted.k
+                    edges.add((base, base + 1))
+                    if lifted.k >= 3 and lifted.letter(3) == "V":
+                        edges.add((base + 1, base + 3))
+                        pos = 4
+                        while pos <= lifted.k and lifted.letter(pos) == "T":
+                            edges.add((base + 1, base + pos))
+                            pos += 1
+                mult = [0] * k + [1]
+                for i in range(k - 1, -1, -1):
+                    mult[i] = sum(mult[j] for a, j in edges if a == i)
+                d = build_diagram(w)
+                assert d.edges == edges, w
+                assert d.mult == tuple(mult), w
+
     def test_edge_count(self):
         for k in range(1, 9):
             for w in enumerate_goursat_words(k):

@@ -226,13 +226,13 @@ SCRIPT = textwrap.dedent(
         # der against the front end's (1, m_{k-1}, ..., m_1)
         "invariants.beta_backend R adds 2": (
             RouteMismatch,
-            lambda: bundle_with_a_mutated_backend("1 + prev[idx - 1]", "2 + prev[idx - 1]"),
+            lambda: bundle_with_a_mutated_backend("1 + p for", "2 + p for"),
             "der: (1, 1, 2, 3, 3, 8) vs (1, 1, 2, 3, 3, 11)",
         ),
         "invariants.beta_backend V reads prev[idx - 2]": (
             RouteMismatch,
             lambda: bundle_with_a_mutated_backend(
-                "prev[idx - 1] + older[idx - 2]", "prev[idx - 2] + older[idx - 2]"
+                "p + o for p, o in zip(prev[1:], older)", "p + o for p, o in zip(prev, older)"
             ),
             "der: (1, 1, 2, 3, 3, 8) vs (1, 0, 2, 1, 1, 4)",
         ),
@@ -340,9 +340,10 @@ SCRIPT = textwrap.dedent(
                   lambda: verify_reports("RRVTVV")),
             "MISMATCH VO_2 oracle=0 bundle=1",
         ),
+        # S_i = S_{i-1} + tail_i, so each weight one larger adds tail_i to S_i
         "b: each column sum's weight one larger": (
             RouteMismatch,
-            under(mutated(invariants, "_column_sums", "+= (i + j - k - 3)", "+= (i + j - k - 2)"),
+            under(mutated(invariants, "_column_sums", "sums[i] = total", "sums[i] = total + tail"),
                   lambda: invariants.bundle("RRVTVV")),
             "beta from b",
         ),
