@@ -61,7 +61,7 @@ MAX_OUTPUT_BYTES = 64 * 2**20
 # Every command's cost grows about like k^2 in the word length k; past
 # this many letters a command refuses rather than run for minutes.  At
 # this length the slowest command measured, invariants --json on
-# RRV T^997, took 0.45 s on a 2-vCPU host.
+# RRV T^997, took 0.27 s on a shared 2-vCPU host.
 MAX_WORD_LENGTH = 1000
 
 

@@ -312,9 +312,14 @@ class Chart(Frozen):
 
 
 class ChartPoint(Frozen):
-    """A chart together with the integer coordinates of a point on it."""
+    """A chart together with the integer coordinates of a point on it.
 
-    __slots__ = _fields = ("chart", "coords")
+    The hash is computed once, in __init__: the per-point caches of the
+    oracle hash one point several times.  A pickle or copy rebuilds
+    through __init__ (Frozen), so the cached hash never travels."""
+
+    _fields = ("chart", "coords")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, chart: Chart, coords: Iterable[int]):
         coords = tuple(coords)
@@ -324,6 +329,10 @@ class ChartPoint(Frozen):
             raise ValueError(f"coordinates must be ints, got {coords!r}")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_hash", hash((chart, coords)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def k(self) -> int:

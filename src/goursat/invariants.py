@@ -120,7 +120,7 @@ def _check_vo(vo: tuple[int, ...], k: int) -> tuple[int, ...]:
     vo = tuple(vo)
     if len(vo) != max(k - 1, 0):
         raise ValueError(f"expected {k - 1} vertical orders for k={k}, got {len(vo)}")
-    if any(v < 0 for v in vo):
+    if vo and min(vo) < 0:
         raise ValueError("vertical orders must be nonnegative")
     return vo
 
@@ -282,7 +282,7 @@ def sg_from_beta(beta: tuple[int, ...]) -> StepSequence:
     items cost O(beta_last + k) to iterate.
     """
     beta = tuple(beta)
-    if not beta or beta[0] != 1 or any(a >= b for a, b in zip(beta, beta[1:])):
+    if not beta or beta[0] != 1 or any(map(operator.ge, beta, beta[1:])):
         raise ValueError(f"beta must be strictly increasing starting at 1: {beta}")
     return StepSequence(1, beta[-1], 1, beta)
 
@@ -362,9 +362,9 @@ def _normalize_multseq(ms: tuple[int, ...]) -> tuple[int, ...]:
     ms = tuple(ms)
     if not ms:
         raise NotRealizable("empty multiplicity sequence")
-    if any(m < 1 for m in ms):
+    if min(ms) < 1:
         raise NotRealizable(f"multiplicities must be positive: {ms}")
-    if any(a < b for a, b in zip(ms, ms[1:])):
+    if any(map(operator.lt, ms, ms[1:])):
         raise NonMonotone(f"multiplicity sequence must be non-increasing: {ms}")
     if ms[-1] != 1:
         raise NotRealizable(f"multiplicity sequence must end in 1: {ms}")
@@ -378,32 +378,36 @@ def pc_from_multseq(ms: tuple[int, ...]) -> PuiseuxCharacteristic:
     block per exponent.  A block expands (d, e) with d = q*e + r and
     0 < r < e, so it opens with q copies of e followed by r: the block's
     leading run gives q and the entry after it gives r.  Only these two
-    are read; the forward map then checks the whole sequence.
+    are read, and every entry past the end reads 1; the parse skips the
+    rest of the block by its length, the sum of the Euclidean quotients of
+    (d, e).  The forward map then checks the whole sequence.
     """
     target = _normalize_multseq(ms)
     if target == (1,):
         return PuiseuxCharacteristic(1, ())
-    lam0 = target[0]
-
-    def value_at(pos: int) -> int:
-        return target[pos] if pos < len(target) else 1
+    end = len(target)
+    padded = target + (1,)  # padded[end] is the 1 read past the end
 
     exponents: list[int] = []
-    e, pos = lam0, 0
+    e, pos, lam = target[0], 0, 0
     while e > 1:
-        run = 0
-        while value_at(pos + run) == e:
-            run += 1
-        r = value_at(pos + run)
+        start = stop = min(pos, end)
+        while padded[stop] == e:
+            stop += 1
+        run, r = stop - start, padded[stop]
         if not 0 < r < e:
             raise NotRealizable(f"no Puiseux characteristic yields {target}")
         # the first block expands (lambda_1, lambda_0) itself, later blocks
         # the gap (lambda_i - lambda_{i-1}, e)
         d = run * e + r
-        exponents.append((exponents[-1] if exponents else 0) + d)
-        pos += len(_euclid_multiset(d, e))
-        e = math.gcd(e, exponents[-1])
-    pc = PuiseuxCharacteristic(lam0, tuple(exponents))
+        lam += d
+        exponents.append(lam)
+        a, b = d, e
+        while b:
+            pos += a // b
+            a, b = b, a % b
+        e = math.gcd(e, lam)
+    pc = PuiseuxCharacteristic(target[0], tuple(exponents))
     if multseq_from_pc(pc) != target:
         raise NotRealizable(f"no Puiseux characteristic yields {target}")
     return pc

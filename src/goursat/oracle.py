@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache, reduce
 from operator import add, mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .codeword import Chart, ChartPoint, Frozen
 from .errors import (
@@ -455,6 +455,27 @@ class PathwayRow(NamedTuple):
         return render_term(self.coeff, self.mono, names, f"g{self.g_index}")
 
 
+@lru_cache(maxsize=4096)
+def _candidate_steps(
+    chart: Chart, slots_of: Callable[[Chart], tuple]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # The step (v, exponent change) of every coordinate below n_k and of
+    # n_k itself, in candidate order, from the top field slots_of(chart)[k].
+    # The steps depend on the chart alone, so each chart's are built once;
+    # slots_of is part of the key, so a patched focal_slots is never served
+    # another function's steps.  4,096 entries hold every chart of an RVT
+    # word with k <= 12, the limit of verify --all-words.
+    k = chart.k
+    nk_var = Chart.n_var(k)
+    fk = slots_of(chart)[k]
+    steps = []
+    for var, slot in ((nk_var, (0,) * chart.nvars), *enumerate(fk[:nk_var])):
+        change = list(slot)
+        change[var] -= 1
+        steps.append((var, tuple(change)))
+    return tuple(steps)
+
+
 @lru_cache(maxsize=1)
 def pathway_frame(p: ChartPoint) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The step of each coordinate of positive focal order at p, in
@@ -469,6 +490,9 @@ def pathway_frame(p: ChartPoint) -> tuple[tuple[int, tuple[int, ...]], ...]:
     is an exponent change and multiplies the tracked coefficient by nothing
     but the exponent it lowers.  The order change is exact because focal
     order is linear in the exponents; each step is (v, exponent change).
+    The steps depend on the chart alone and come from a bounded per-chart
+    cache (_candidate_steps); only the filter on positive order and the
+    order check read the point.
 
     The focal step lemma: each coordinate of positive focal order has a
     step that lowers the order by exactly one.  Such a coordinate vanishes
@@ -492,24 +516,16 @@ def pathway_frame(p: ChartPoint) -> tuple[tuple[int, tuple[int, ...]], ...]:
     from b" route checks the column sums.
     """
     chart = p.chart
-    k = chart.k
     o_coord = focal_orders(p).o_coord
-    nk_var = Chart.n_var(k)
-    fk = focal_slots(chart)[k]
-    steps = []
-    for var, slot in ((nk_var, (0,) * chart.nvars), *enumerate(fk[:nk_var])):
-        if not o_coord[var]:
-            continue
-        change = list(slot)
-        change[var] -= 1
+    steps = tuple([step for step in _candidate_steps(chart, focal_slots) if o_coord[step[0]]])
+    for var, change in steps:
         order_change = sum(map(mul, change, o_coord))
         if order_change != -1:
             raise OrderMismatch(
-                f"the focal step on {var_names(k)[var]} changes the order by "
+                f"the focal step on {var_names(chart.k)[var]} changes the order by "
                 f"{order_change}, not -1, on chart {chart.choices}"
             )
-        steps.append((var, tuple(change)))
-    return tuple(steps)
+    return steps
 
 
 def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:

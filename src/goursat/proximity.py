@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .codeword import GoursatWord, as_goursat, critical_block, lift_symbols
+from .codeword import GoursatWord, as_goursat
 
 Edge = tuple[int, int]
 
@@ -50,28 +50,40 @@ def _multiplicities(edges: frozenset[Edge], k: int) -> tuple[int, ...]:
 
 
 def build_diagram(w: GoursatWord | str) -> ProximityDiagram:
-    """Build the proximity diagram by recursion on the lifted word.
+    """Build the proximity diagram in one scan of the word.
 
-    The lift of length L sits at vertices k-L..k of the diagram of w: its
-    base edge (0, 1) and its long edges (1, v), for v in the critical block
-    starting at its position 3 (the labels that change under lifting),
-    are edges of the diagram of w shifted by k - L.  So one walk down the
-    lift chain collects every edge, and the multiplicities are computed
-    once, on the final edges.  The word is validated once; its lifts are
-    Goursat words by construction, so the walk lifts plain symbol strings
-    (lift_symbols), as lift_chain does with validation.  The lift of length
-    k - i gives vertex i its chain edge (i, i+1), and long edges start at
-    vertex 1 or later, so the multiplicities never increase and m_0 = m_1
-    (see _multiplicities).  Vertex 0's multiplicity is read only by prox,
-    which prints it.
+    The lifting recursion: the lift of length L sits at vertices k-L..k of
+    the diagram of w, and its base edge (0, 1) and its long edges (1, v),
+    for v in the critical block starting at its position 3 (the labels that
+    change under lifting), are edges of the diagram of w shifted by k - L.
+    Walking the lift chain w = w_0, w_1, ... would collect every edge, but
+    no lifted word needs building, by this lemma:
+
+    - w_base holds w's letters at positions base+1..k, except those of
+      the blocks earlier lifts regularized: the lift of w_base regularizes
+      only the critical block at its level 3, at position base+3 of w;
+    - a regularized block is all R's;
+    - so the block met at step base is w's own block V T^t starting at
+      position base+3, unless an earlier block covered that position.
+
+    A block's only V is its first letter, so no V is covered: the blocks
+    met are exactly w's blocks, one per V.  The V at position q gives the
+    edges (q-2, v) for v over its block, and each T belongs to the block of
+    the nearest V before it.  The chain edges (i, i+1) come from the base
+    edges.  The word is validated once, and the multiplicities are computed
+    once, on the final edges.  Vertex i has its chain edge and long edges
+    start at vertex 1 or later, so the multiplicities never increase and
+    m_0 = m_1 (see _multiplicities).  Vertex 0's multiplicity is read only
+    by prox, which prints it.
     """
     word = as_goursat(w)
-    symbols = word.symbols
-    edges = set()
-    for base in range(word.k):
-        edges.add((base, base + 1))
-        edges.update((base + 1, base + v) for v in critical_block(symbols, 3))
-        symbols = lift_symbols(symbols)
+    edges = {(i, i + 1) for i in range(word.k)}
+    opener = 0
+    for v, s in enumerate(word.symbols, 1):
+        if s == "V":
+            opener = v - 2
+        if s != "R":
+            edges.add((opener, v))
     edges = frozenset(edges)
     return ProximityDiagram(word, edges, _multiplicities(edges, word.k))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from goursat import cli, codeword, invariants, symcalc
+from goursat import cli, codeword, invariants, oracle, proximity, symcalc
 from goursat.codeword import (
     CHART_CHOICES,
     LETTER_MAP,
@@ -879,10 +879,13 @@ class TestVerifyCommand:
 
 def test_verify_word_validates_no_word_and_builds_one_chart_per_chart(monkeypatch):
     # A cost guard: verify_word works on the one validated word and the
-    # shared charts, so it validates no lift or re-typed word and builds
-    # each of the 64 charts of k = 8 once.
+    # shared charts, so it validates no lift or re-typed word, builds each
+    # of the 64 charts of k = 8 once, builds each chart's candidate pathway
+    # steps once (each build reads focal_slots once; the patched function
+    # is a new cache key, so no step built before counts), and scans the
+    # word for its proximity diagram without lifting it.
     words = list(enumerate_goursat_words(8))
-    validated, charts = [], []
+    validated, charts, slots, lifts = [], [], [], []
 
     def counting_validate(symbols):
         validated.append(symbols)
@@ -892,14 +895,29 @@ def test_verify_word_validates_no_word_and_builds_one_chart_per_chart(monkeypatc
         charts.append(choices)
         init(self, choices)
 
+    def counting_slots(chart):
+        slots.append(chart.choices)
+        return focal_slots(chart)
+
+    def counting_lift(symbols):
+        lifts.append(symbols)
+        return lift_symbols(symbols)
+
     validate, init = codeword._validate_rvt, Chart.__init__
+    focal_slots, lift_symbols = oracle.focal_slots, codeword.lift_symbols
     codeword._chart.cache_clear()
     monkeypatch.setattr(codeword, "_validate_rvt", counting_validate)
     monkeypatch.setattr(Chart, "__init__", counting_init)
+    monkeypatch.setattr(oracle, "focal_slots", counting_slots)
+    monkeypatch.setattr(codeword, "lift_symbols", counting_lift)
+    # a proximity that imported the name would hold its own reference
+    monkeypatch.setattr(proximity, "lift_symbols", counting_lift, raising=False)
     for w in words:
         assert verify_word(w)[0]
     assert validated == []
     assert len(charts) == len(set(charts)) == 64
+    assert len(slots) == len(set(slots)) == 64
+    assert lifts == []
 
 
 @pytest.mark.parametrize(

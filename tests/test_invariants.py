@@ -1,3 +1,5 @@
+import itertools
+import math
 import pickle
 import tracemalloc
 
@@ -226,6 +228,46 @@ class TestPCFromMultseq:
 
     def test_tolerates_trailing_ones(self):
         assert pc_from_multseq((2, 2, 2, 2, 1, 1, 1)) == PuiseuxCharacteristic(2, (9,))
+
+    def test_returns_a_characteristic_exactly_when_one_exists(self):
+        # Brute force: every characteristic with lambda_0 <= 8 and
+        # lambda_g <= 64, through the forward map.  The uncut sequence of
+        # [lambda_0; ..., lambda_g] sums to lambda_0 + lambda_g - 1 (one
+        # Euclidean expansion per exponent, telescoping), and the cut drops
+        # fewer than 8 of its 1s, so a sequence of at most 7 entries <= 8
+        # has lambda_g <= 6 * 8 + 1 + 7 - 1 + 1 = 56.
+        def characteristics(e, prev, exps):
+            if e == 1:
+                yield exps
+                return
+            for lam in range(prev + 1, 65):
+                if math.gcd(e, lam) < e:
+                    yield from characteristics(math.gcd(e, lam), lam, exps + (lam,))
+
+        realized = {}
+        for lam0 in range(1, 9):
+            for exps in characteristics(lam0, lam0, ()):
+                pc = PuiseuxCharacteristic(lam0, exps)
+                realized[multseq_from_pc(pc)] = pc
+
+        # Every non-increasing positive sequence ending in 1, with entries
+        # <= 8 and length <= 7: 3,003 of them.
+        sequences = [(1,)]
+        for head in itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(8, 0, -1), n) for n in range(1, 7)
+        ):
+            sequences.append(head + (1,))
+        assert len(sequences) == 3003
+        accepted = 0
+        for ms in sequences:
+            pc = realized.get(ms[: ms.index(1) + 1])
+            if pc is None:
+                with pytest.raises(NotRealizable):
+                    pc_from_multseq(ms)
+            else:
+                assert pc_from_multseq(ms) == pc, ms
+                accepted += 1
+        assert 0 < accepted < len(sequences)
 
 
 class TestPuiseuxOfWord:

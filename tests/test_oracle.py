@@ -15,6 +15,7 @@ from goursat.codeword import (
 )
 from goursat.errors import (
     IndexRange,
+    OrderMismatch,
     StepBudgetExceeded,
     TruncationTooSmall,
     VariableMismatch,
@@ -288,6 +289,24 @@ class TestPathway:
         for w in words:
             rows = pathway_sections(canonical_chart_point(w), 3)
             assert rows[-1].order == 0, str(w)
+
+    def test_frame_reads_a_patched_focal_slots(self, monkeypatch):
+        # The steps are cached per chart.  A focal_slots patched after the
+        # chart's steps were built is read, not served the cached steps:
+        # f_6 times n_6 leaves r0's order unchanged, as in the field matrix.
+        p = canonical_chart_point("RRVVVV")
+        oracle.pathway_frame(ChartPoint(p.chart, (1,) + p.coords[1:]))
+        focal_slots = oracle.focal_slots
+
+        def scaled_top_field(chart):
+            *below, top = focal_slots(chart)
+            nk = chart.k + 1
+            top = tuple(None if s is None else s[:nk] + (s[nk] + 1,) + s[nk + 1 :] for s in top)
+            return (*below, top)
+
+        monkeypatch.setattr(oracle, "focal_slots", scaled_top_field)
+        with pytest.raises(OrderMismatch, match="focal step on r0 changes the order by 0"):
+            oracle.pathway_frame(p)
 
 
 class TestSeries:

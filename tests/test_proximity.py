@@ -1,3 +1,5 @@
+import random
+
 from goursat.codeword import enumerate_goursat_words, lift_chain
 from goursat.invariants import der_backend
 from goursat.proximity import (
@@ -95,25 +97,40 @@ class TestProperties:
 
     def test_matches_the_validated_lift_chain(self):
         # The edges collected from lift_chain's validated GoursatWords, and
-        # each m_i summed over the vertices joined to i from the right.
-        for k in range(1, 11):
-            for w in enumerate_goursat_words(k):
-                edges = set()
-                for lifted in lift_chain(w):
-                    base = k - lifted.k
-                    edges.add((base, base + 1))
-                    if lifted.k >= 3 and lifted.letter(3) == "V":
-                        edges.add((base + 1, base + 3))
-                        pos = 4
-                        while pos <= lifted.k and lifted.letter(pos) == "T":
-                            edges.add((base + 1, base + pos))
-                            pos += 1
-                mult = [0] * k + [1]
-                for i in range(k - 1, -1, -1):
-                    mult[i] = sum(mult[j] for a, j in edges if a == i)
-                d = build_diagram(w)
-                assert d.edges == edges, w
-                assert d.mult == tuple(mult), w
+        # each m_i summed over the vertices joined to i from the right: on
+        # every Goursat word with k <= 12, and on seeded long words with
+        # long T runs and critical blocks back to back, where the walk
+        # down the lift chain was quadratic in k.
+        rng = random.Random(29)
+        long_words = ["RR" + "V" + "T" * 120 + "V" * 80, "RR" + "VT" * 100]
+        for k in (50, 120, 300):
+            letters = ["R", "R"]
+            while len(letters) < k:
+                letters += ["V"] + ["T"] * rng.choice((0, 0, 1, 5, 40))
+            long_words.append("".join(letters[:k]))
+        words = [w for k in range(1, 13) for w in enumerate_goursat_words(k)]
+        for w in words + long_words:
+            k = len(str(w))
+            edges = set()
+            for lifted in lift_chain(w):
+                base = k - lifted.k
+                edges.add((base, base + 1))
+                if lifted.k >= 3 and lifted.letter(3) == "V":
+                    edges.add((base + 1, base + 3))
+                    pos = 4
+                    while pos <= lifted.k and lifted.letter(pos) == "T":
+                        edges.add((base + 1, base + pos))
+                        pos += 1
+            into = [[] for _ in range(k + 1)]
+            for i, j in edges:
+                into[i].append(j)
+            mult = [0] * k + [1]
+            for i in range(k - 1, -1, -1):
+                mult[i] = sum(mult[j] for j in into[i])
+            d = build_diagram(w)
+            assert d.edges == edges, w
+            assert d.mult == tuple(mult), w
+        assert len(words) == 17712
 
     def test_edge_count(self):
         for k in range(1, 9):
