@@ -56,6 +56,11 @@ CRITICAL = frozenset("VT")
 # than 12 levels.  The focal orders that give a word's m_0 need no cap.
 MAX_LEVELS = 16
 
+# Each memo keyed by a chart (_chart, oracle._candidate_steps, symcalc.verify_structure)
+# keeps one entry per chart, as a run meets its charts interleaved: 4,096 hold the 4,095
+# charts of the RVT words with k <= 12, so the 1,024 of verify --all-words 12, its limit.
+CHART_MEMO_SIZE = 4096
+
 
 class Frozen:
     """Base of the package's immutable value types.
@@ -364,11 +369,8 @@ _LETTER_OF = {
 }
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CHART_MEMO_SIZE)
 def _chart(choices: str) -> Chart:
-    # The words of verify --all-words share their charts (256 for the
-    # 1,597 words of k = 10), so each chart and its cached properties are
-    # built once; the 4,096 charts of the Goursat words with k <= 14 fit.
     return Chart(choices)
 
 

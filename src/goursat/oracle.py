@@ -17,7 +17,7 @@ from functools import lru_cache, reduce
 from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
-from .codeword import Chart, ChartPoint, Frozen
+from .codeword import CHART_MEMO_SIZE, Chart, ChartPoint, Frozen
 from .errors import (
     IndexRange,
     OrderMismatch,
@@ -41,9 +41,10 @@ from .symcalc import lie_bracket  # noqa: F401
 PRIME = 2**61 - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _inverses(n: int) -> tuple[int, ...]:
-    """The inverses of 1..n mod PRIME; integration divides by each."""
+    """The inverses of 1..n mod PRIME, by which integration divides; n is
+    below the jets' precision, at most 39 under verify --symbolic (k <= 7)."""
     return tuple(pow(i, -1, PRIME) for i in range(1, n + 1))
 
 
@@ -296,9 +297,9 @@ def focal_orders(p: ChartPoint) -> FocalOrders:
     VO_j is the order of n_j, which cuts out the divisor at infinity, at an
     inverted level j, and 0 at an ordinary one (and off the divisor).
 
-    verify_word reads the orders of one point several times (the vertical
-    orders, the pathway frame, the generic-jet comparison, and m_0 for a
-    word that is not a Goursat word), so the last point's are cached."""
+    verify_word reads one point's orders up to four times in a row (m_0
+    off the Goursat words, the vertical orders, the pathway frame and the
+    jets), so one entry, the last point's, serves all reads but the first."""
     chart, coords = p.chart, p.coords
     choices, retained = chart.choices, chart.retained
     k = chart.k
@@ -455,7 +456,7 @@ class PathwayRow(NamedTuple):
         return render_term(self.coeff, self.mono, names, f"g{self.g_index}")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CHART_MEMO_SIZE)
 def _candidate_steps(
     chart: Chart, slots_of: Callable[[Chart], tuple]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -463,8 +464,7 @@ def _candidate_steps(
     # n_k itself, in candidate order, from the top field slots_of(chart)[k].
     # The steps depend on the chart alone, so each chart's are built once;
     # slots_of is part of the key, so a patched focal_slots is never served
-    # another function's steps.  4,096 entries hold every chart of an RVT
-    # word with k <= 12, the limit of verify --all-words.
+    # another function's steps.
     k = chart.k
     nk_var = Chart.n_var(k)
     fk = slots_of(chart)[k]
@@ -476,7 +476,6 @@ def _candidate_steps(
     return tuple(steps)
 
 
-@lru_cache(maxsize=1)
 def pathway_frame(p: ChartPoint) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The step of each coordinate of positive focal order at p, in
     candidate order (n_k first, then by index): what every pathway column

@@ -22,7 +22,7 @@ from math import gcd
 from operator import lshift, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .codeword import Chart, Frozen
+from .codeword import CHART_MEMO_SIZE, Chart, Frozen
 from .errors import (
     ExponentOverflow,
     IndexRange,
@@ -100,7 +100,6 @@ class RankTracker:
 # Standard frames
 
 
-@lru_cache(maxsize=None)
 def focal_slots(chart: Chart) -> tuple[tuple[Monomial | None, ...], ...]:
     """The focal frame f_0..f_k of a chart, each field as one slot per
     coordinate: None where its component is zero, else the exponent tuple
@@ -310,13 +309,13 @@ def lie_bracket(pk: Packing, x: Row, y: Row) -> Row:
     return pk.bracket(x)(y)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def lemma_packing(chart: Chart) -> Packing:
-    """The packing the structure lemmas run on, one per chart.  Their rows
-    are the frame fields, with exponents of at most 1, and products of two
-    such (the closed forms, the brackets and the g-basis before its
-    division), so 3-bit fields, which hold exponents up to 3, leave room
-    to spare."""
+    """The packing the structure lemmas run on; every read falls inside one
+    chart's sweep (verify_structure), so one entry serves.  Rows are frame
+    fields, with exponents of at most 1, and products of two such (closed
+    forms, brackets, the g-basis before its division), so 3-bit fields,
+    which hold exponents up to 3, leave room to spare."""
     return Packing(chart, 3)
 
 
@@ -552,7 +551,7 @@ def _delta_annihilators(chart: Chart) -> None:
                 raise RouteMismatch(f"standard basis of depth {i} fails pairing")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHART_MEMO_SIZE)
 def verify_structure(chart: Chart) -> None:
     """Machine-check the structure lemmas on one chart, in order.
 

@@ -770,7 +770,8 @@ class TestVerifyCommand:
     def test_structure_lemmas_run_once_per_chart(self, monkeypatch, capsys):
         # verify --all-words 6 --symbolic, in this process and serially: the
         # 34 words share 16 charts, and each chart's bracket table is built
-        # once.
+        # once.  lemma_packing keeps one entry, so it misses once per chart
+        # only while every lemma read falls inside its chart's sweep.
         charts = []
         bracket_table = symcalc.bracket_table
 
@@ -781,12 +782,15 @@ class TestVerifyCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(symcalc, "bracket_table", counted)
         symcalc.verify_structure.cache_clear()
+        symcalc.lemma_packing.cache_clear()
         assert main(["verify", "--all-words", "6", "--symbolic"]) == EXIT_OK
         assert capsys.readouterr().out.endswith("PASS\n")
         words = list(enumerate_goursat_words(6))
         distinct = {canonical_chart_point(w).chart for w in words}
         assert (len(words), len(distinct)) == (34, 16)
         assert len(charts) == len(distinct) and set(charts) == distinct
+        assert symcalc.verify_structure.cache_info().misses == 16
+        assert symcalc.lemma_packing.cache_info().misses == 16
 
     def test_structure_lemmas_run_once_per_chart_across_processes(self):
         # On two CPUs, each chart's words run in one process, so the 16

@@ -108,8 +108,9 @@ SCRIPT = textwrap.dedent(
 
     # Each pathway mutation runs through a check: the walk down one column
     # (pathway_sections), or verify's own path (verify_word), which checks
-    # the frame once per point.  The frame is cached per point, so each
-    # mutation uses its own word.
+    # the frame once per point.  The frame is built at every call, from
+    # candidate steps cached per chart and focal_slots function, so a
+    # mutation that patches focal_slots is read on a chart already seen.
     def walk(word, i):
         oracle.pathway_sections(canonical_chart_point(word), i)
 

@@ -11,7 +11,9 @@ catches only a name that nothing reads at all.
 
 Two boundaries are kept too: only ``polynomial.py`` names ``Poly`` (the
 other modules hold a monomial as an int and an exponent tuple), and only
-``polynomial.py`` adopts a term dict through ``Poly._wrap``.
+``polynomial.py`` adopts a term dict through ``Poly._wrap``.  And every
+memo is bounded: no ``functools.cache``, bare ``lru_cache`` or
+``lru_cache(maxsize=None)``.
 """
 
 import ast
@@ -118,3 +120,45 @@ def test_only_polynomial_wraps_a_term_dict():
         p.name for p in paths if p.name != "polynomial.py" and "_wrap" in set(_names(p))
     )
     assert not callers, f"Poly._wrap called outside polynomial.py: {callers}"
+
+
+def _called(node) -> str | None:
+    """The name a decorator or call refers to, as in lru_cache or
+    functools.lru_cache."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _unbounded_memos(path: Path):
+    """Each memo in the file with no bound: functools.cache, a bare
+    lru_cache decorator or lru_cache(maxsize=None), named by the function
+    it decorates, else by its line."""
+    tree = _parse(path)
+    owner = {
+        deco: node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for deco in node.decorator_list
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node.func) == "lru_cache":
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            unbounded = any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+        elif isinstance(node, ast.ImportFrom):
+            unbounded = node.module == "functools" and "cache" in {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            unbounded = _called(node.value) == "functools"
+        else:
+            unbounded = node in owner and _called(node) == "lru_cache"
+        if unbounded:
+            yield owner.get(node, f"line {node.lineno}")
+
+
+def test_every_memo_is_bounded():
+    unbounded = [
+        f"{path.name}: {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _unbounded_memos(path)
+    ]
+    assert not unbounded, f"memos with no bound: {unbounded}"
