@@ -71,23 +71,15 @@ MAX_WORD_LENGTH = 1000
 
 def _bundle_fields(b: InvariantBundle) -> dict:
     # The serialized shape: dicts, strs, ints, and sequences of ints or of
-    # sequences.  The SG vectors stay lazy here, and the e-table rows are
-    # the table itself, which _dumps writes through _json_rows.
+    # sequences.  Every field is written as it stands but the four that are
+    # reshaped here.  The SG vectors stay lazy, and the e-table rows are the
+    # table itself, which _dumps writes through _json_rows.
     return {
+        **b._asdict(),
         "word": str(b.word),
         "goursat_word": str(b.goursat_word),
-        "k": b.k,
-        "beta": b.beta,
-        "der": b.der,
-        "der2": b.der2,
-        "sg": b.sg,
-        "mult_vector": b.mult_vector,
-        "m0": b.m0,
-        "vo": b.vo,
-        "b": b.b,
         "e_table": {"h_first": 2, "rows": b.e_table, "sg": b.e_table.sg},
         "puiseux": {"lambda0": b.puiseux.lambda0, "exponents": b.puiseux.exponents},
-        "nonholonomy_degree": b.nonholonomy_degree,
     }
 
 

@@ -19,8 +19,9 @@ the corresponding tower level.  A chart is named by a choice word over
   deactivate ``r_{j-1}``.
 
 Both read ``d(d_j) = n_j d(r_j)`` with ``d_j`` the deactivated and ``r_j`` the
-retained coordinate, as :meth:`Chart.deactivated_var` and
-:meth:`Chart.retained_var` give them.
+retained coordinate.  :attr:`Chart.relations` holds the relation as one
+table of ``(d_j, n_j, r_j)``, j = 1..k, which every recursion over a chart's
+levels walks.
 
 One table, ``LETTER_MAP``, holds the letter map: by the letter and whether
 the previous letter is critical, the chart choice at its level and n_j at
@@ -267,14 +268,10 @@ class Chart(Frozen):
     def nvars(self) -> int:
         return self.k + 2
 
-    def choice(self, j: int) -> str:
-        """'o' or 'i' at level j (1-indexed)."""
-        return self.choices[j - 1]
-
     @cached_property
     def ip(self) -> frozenset[int]:
         """Levels at which the inverted choice was made."""
-        return frozenset(j for j in range(1, self.k + 1) if self.choice(j) == "i")
+        return frozenset(j for j, c in enumerate(self.choices, start=1) if c == "i")
 
     @staticmethod
     def n_var(j: int) -> int:
@@ -286,27 +283,28 @@ class Chart(Frozen):
         """The coordinate index of each retained coordinate r_j, j = 0..k."""
         out = [0]
         for j in range(1, self.k + 1):
-            out.append(self.n_var(j - 1) if self.choice(j) == "i" else out[j - 1])
+            out.append(self.n_var(j - 1) if j in self.ip else out[j - 1])
         return tuple(out)
 
-    def retained_var(self, j: int) -> int:
-        """Coordinate index of the retained coordinate r_j (j = 0..k)."""
-        return self.retained[j]
-
-    def deactivated_var(self, j: int) -> int:
-        """Coordinate index of the deactivated coordinate d_j (j = 1..k)."""
-        if self.choice(j) == "i":
-            return self.retained[j - 1]
-        return self.n_var(j - 1)
+    @cached_property
+    def relations(self) -> tuple[tuple[int, int, int], ...]:
+        """The coordinate indices (d_j, n_j, r_j) of level j's relation
+        d(d_j) = n_j d(r_j), for j = 1..k: of the pair r_{j-1}, n_{j-1}
+        active below level j, r_j is the one retained and d_j the other."""
+        r = self.retained
+        return tuple(
+            (self.n_var(j - 1) if r[j] == r[j - 1] else r[j - 1], self.n_var(j), r[j])
+            for j in range(1, self.k + 1)
+        )
 
     @cached_property
     def alt_names(self) -> tuple[str, ...]:
         """Coordinate names in the x/y naming scheme (x = r_0, y = n_0)."""
         fam = {0: ("x", 0), 1: ("y", 0)}
-        for j in range(1, self.k + 1):
+        for d, n, _ in self.relations:
             # n_j = d d_j / d r_j is one derivative more than d_j.
-            base, order = fam[self.deactivated_var(j)]
-            fam[self.n_var(j)] = (base, order + 1)
+            base, order = fam[d]
+            fam[n] = (base, order + 1)
 
         def render(base, order):
             if order <= 2:
@@ -400,9 +398,9 @@ def rvt_of_chart_point(p: ChartPoint) -> RvtWord:
     cannot reach.
     """
     letters = ""
-    for j in range(1, p.k + 1):
+    for j, c in enumerate(p.chart.choices, start=1):
         after = letters[-1] in CRITICAL if letters else None
-        key = (after, p.chart.choice(j), p.n_value(j) != 0)
+        key = (after, c, p.n_value(j) != 0)
         if key not in _LETTER_OF:
             raise Unsupported(
                 f"level {j}: choice {key[1]!r} with n_{j} = {p.n_value(j)} after "

@@ -185,21 +185,19 @@ class GeneratorSet:
     focal-pair brackets are Packing.bracket prepared once, on x = f_k and
     on x = v_k.
 
-    Width.  Each slot of f_k is a monomial (focal_slots); let rise be the
-    largest exponent in any slot (1, as a slot is a product of distinct
-    n_i).  A bracket against the focal pair raises an exponent by at most
-    rise: v_k = d/dn_k only lowers one, f_k(Y_c) multiplies a term by slot
-    v over x_v, and Y(f_k,c) by slot c over x_v.  So every exponent at step
-    j is at most j * rise, and fields of (max_steps * rise).bit_length() + 1
-    bits hold the first max_steps steps below their guard bits.  Past
-    max_steps, growth goes on until a bracket reaches a guard bit and
-    raises ExponentOverflow (Packing's guard argument).
+    Width.  Each slot of f_k is a product of distinct n_i (focal_slots), so
+    it holds every exponent at most 1.  A bracket against the focal pair
+    raises an exponent by at most 1: v_k = d/dn_k only lowers one, f_k(Y_c)
+    multiplies a term by slot v over x_v, and Y(f_k,c) by slot c over x_v.
+    So every exponent at step j is at most j, and fields of
+    max_steps.bit_length() + 1 bits hold the first max_steps steps below
+    their guard bits.  Past max_steps, growth goes on until a bracket
+    reaches a guard bit and raises ExponentOverflow (Packing's guard
+    argument).
     """
 
     def __init__(self, chart: Chart, max_steps: int):
-        fk = focal_slots(chart)[chart.k]
-        rise = max(e for s in fk if s is not None for e in s)
-        self.packing = Packing(chart, (max_steps * rise).bit_length() + 1)
+        self.packing = Packing(chart, max_steps.bit_length() + 1)
         fs, vs = self.packing.frames
         self._f = self.packing.bracket(fs[chart.k])
         self._v = self.packing.bracket(vs[chart.k])
@@ -301,18 +299,14 @@ def focal_orders(p: ChartPoint) -> FocalOrders:
     off the Goursat words, the vertical orders, the pathway frame and the
     jets), so one entry, the last point's, serves all reads but the first."""
     chart, coords = p.chart, p.coords
-    choices, retained = chart.choices, chart.retained
-    k = chart.k
+    k, ip = chart.k, chart.ip
     # Every coordinate but n_k and r_k is d_j at exactly one level j.
     o_diff = [0] * chart.nvars
-    o_diff[Chart.n_var(k)] = o_diff[retained[k]] = 1
-    for j in range(k, 0, -1):
-        # d(d_j) = n_j d(r_j); d_j is r_{j-1} at an inverted level, else n_{j-1}
-        n_j = Chart.n_var(j)
-        d_j = retained[j - 1] if choices[j - 1] == "i" else Chart.n_var(j - 1)
-        o_diff[d_j] = (o_diff[n_j] if coords[n_j] == 0 else 0) + o_diff[retained[j]]
+    o_diff[Chart.n_var(k)] = o_diff[chart.retained[k]] = 1
+    for d, n, r in reversed(chart.relations):
+        o_diff[d] = (o_diff[n] if coords[n] == 0 else 0) + o_diff[r]
     o_coord = tuple([o if x == 0 else 0 for o, x in zip(o_diff, coords)])
-    vo = tuple([o_coord[Chart.n_var(j)] if choices[j - 1] == "i" else 0 for j in range(2, k + 1)])
+    vo = tuple([o_coord[Chart.n_var(j)] if j in ip else 0 for j in range(2, k + 1)])
     return FocalOrders(p, o_coord, tuple(o_diff), vo)
 
 
@@ -351,12 +345,10 @@ def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
         terms = {m: rng.randrange(1, PRIME) for m in range(1, prec)}
         return Series.from_terms(prec, {0: value, **terms})
 
-    series = {v: free_series(p.coords[v]) for v in (Chart.n_var(k), chart.retained_var(k))}
-    for j in range(k, 0, -1):
-        # d(d_j) = n_j d(r_j)
-        target = chart.deactivated_var(j)
-        integrand = series[Chart.n_var(j)] * series[chart.retained_var(j)].deriv()
-        series[target] = integrand.integrate(p.coords[target])
+    series = {v: free_series(p.coords[v]) for v in (Chart.n_var(k), chart.retained[k])}
+    for d, n, r in reversed(chart.relations):
+        # d(d_j) = n_j d(r_j), integrated from d_j's value at the point
+        series[d] = (series[n] * series[r].deriv()).integrate(p.coords[d])
 
     prec_min = min(s.prec for s in series.values())
     return JetCurve(chart, tuple(series[v].truncate(prec_min) for v in range(chart.nvars)))

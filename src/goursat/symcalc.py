@@ -499,9 +499,8 @@ def annihilator_check(chart: Chart, x: Row, imax: int) -> bool:
         raise IndexRange("imax", imax, 0, chart.k)
     pk = lemma_packing(chart)
     cmask = pk.cmask
-    for i in range(1, imax + 1):
-        d, r = chart.deactivated_var(i), chart.retained_var(i)
-        n_i = 1 << pk.shifts[Chart.n_var(i)]
+    for d, n, r in chart.relations[:imax]:
+        n_i = 1 << pk.shifts[n]
         if {key - d: c for key, c in x.items() if key & cmask == d} != {
             key - r + n_i: c for key, c in x.items() if key & cmask == r
         }:

@@ -241,9 +241,7 @@ class TestChartBookkeeping:
                 assert cached.ip == new.ip
                 assert cached.alt_names == new.alt_names
                 assert cached.retained == new.retained
-                assert [cached.deactivated_var(j) for j in range(1, k + 1)] == [
-                    new.deactivated_var(j) for j in range(1, k + 1)
-                ]
+                assert cached.relations == new.relations
                 assert canonical_chart_point(w).chart is cached
 
     def test_alt_names_ooioii(self):
@@ -252,11 +250,33 @@ class TestChartBookkeeping:
 
     def test_retained_and_deactivated(self):
         chart = Chart("ooioii")
+
+        def deactivated(j):
+            # d_j is r_{j-1} at an inverted level, else n_{j-1}
+            return chart.retained[j - 1] if chart.choices[j - 1] == "i" else Chart.n_var(j - 1)
+
         # level 3 inverts: retains n_2, deactivates r_0's lineage coordinate
-        assert chart.retained_var(2) == 0
-        assert chart.retained_var(3) == Chart.n_var(2)
-        assert chart.deactivated_var(3) == 0
-        assert chart.deactivated_var(6) == Chart.n_var(4)
+        assert chart.retained[2] == 0
+        assert chart.retained[3] == Chart.n_var(2)
+        assert deactivated(3) == 0
+        assert deactivated(6) == Chart.n_var(4)
+
+    def test_relations_deactivate_each_coordinate_once(self):
+        # focal_orders relies on it: every coordinate but n_k and r_k is d_j
+        # at exactly one level j.  Every chart with k <= 10 (2,047).
+        charts = 0
+        for k in range(11):
+            for choices in itertools.product("oi", repeat=k):
+                chart = Chart("".join(choices))
+                ds = [d for d, _, _ in chart.relations]
+                assert sorted(ds + [Chart.n_var(k), chart.retained[k]]) == list(
+                    range(chart.nvars)
+                ), chart.choices
+                assert [n for _, n, _ in chart.relations] == [
+                    Chart.n_var(j) for j in range(1, k + 1)
+                ]
+                charts += 1
+        assert charts == 2047
 
     def test_ip(self):
         assert Chart("ooioii").ip == {3, 5, 6}

@@ -88,10 +88,10 @@ class TestFocalOrders:
             p = canonical_chart_point(w)
             fo = focal_orders(p)
             assert fo.o_diff[Chart.n_var(p.k)] == 1
-            assert fo.o_diff[p.chart.retained_var(p.k)] == 1
+            assert fo.o_diff[p.chart.retained[p.k]] == 1
 
     def test_base_chart(self):
-        # At k = 0 the active pair is (n_0, r_0) = (n_var(0), retained_var(0)),
+        # At k = 0 the active pair is (n_0, r_0) = (n_var(0), retained[0]),
         # so no level relation runs and each order is read off the point.
         chart = Chart("")
         origin = focal_orders(ChartPoint(chart, (0, 0)))
@@ -219,11 +219,11 @@ class TestGenericJet:
         chart = p.chart
         for j in range(1, 7):
             nj = jet.series[Chart.n_var(j)]
-            if chart.choice(j) == "o":
+            if chart.choices[j - 1] == "o":
                 target = jet.series[Chart.n_var(j - 1)]
-                base = jet.series[chart.retained_var(j)]
+                base = jet.series[chart.retained[j]]
             else:
-                target = jet.series[chart.retained_var(j - 1)]
+                target = jet.series[chart.retained[j - 1]]
                 base = jet.series[Chart.n_var(j - 1)]
             lhs = target.deriv()
             rhs = (nj * base.deriv()).truncate(lhs.prec)

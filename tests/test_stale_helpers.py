@@ -13,10 +13,14 @@ Two boundaries are kept too: only ``polynomial.py`` names ``Poly`` (the
 other modules hold a monomial as an int and an exponent tuple), and only
 ``polynomial.py`` adopts a term dict through ``Poly._wrap``.  And every
 memo is bounded: no ``functools.cache``, bare ``lru_cache`` or
-``lru_cache(maxsize=None)``.
+``lru_cache(maxsize=None)``.  And every name that the benchmark's tracer
+(``bench/trace_worker.py``) patches still resolves.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import goursat
@@ -162,3 +166,21 @@ def test_every_memo_is_bounded():
         for where in _unbounded_memos(path)
     ]
     assert not unbounded, f"memos with no bound: {unbounded}"
+
+
+def test_every_traced_name_resolves():
+    # trace_worker.install looks up each function it wraps on the module
+    # that calls it; a renamed or removed name raises AttributeError there.
+    root = TESTS.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "bench"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import trace_worker; trace_worker.install(trace_worker.Tracer())"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
