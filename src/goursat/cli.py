@@ -14,21 +14,20 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from itertools import chain, islice, repeat
 
-# oracle, symcalc and polynomial are imported by the commands that use
-# them, so that invariants, etable and the other commands start without
-# them.
+# oracle and symcalc are imported by the commands that use them, so that
+# invariants, etable and the other commands start without them.
 from . import invariants, proximity
 from .codeword import (
     CHART_CHOICES,
     Chart,
     RvtWord,
     canonical_chart_point,
-    check_levels,
     enumerate_goursat_words,
     is_goursat,
     lift,
     parse_word,
     rvt_of_chart_point,
+    var_names,
 )
 from .errors import (
     GoursatError,
@@ -47,6 +46,10 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
+# chart, bracket-table and verify cap a chart's levels (_check_levels): its
+# tables grow quadratically with the level and nothing in scope needs more
+# than 12 levels.  The focal orders that give a word's m_0 need no cap.
+MAX_LEVELS = 16
 # Brute-force small growth is exponential in the worst case; past this many
 # levels the symbolic verification refuses to run rather than hang.
 SYMBOLIC_LEVEL_LIMIT = 7
@@ -70,10 +73,10 @@ MAX_WORD_LENGTH = 1000
 
 
 def _bundle_fields(b: InvariantBundle) -> dict:
-    # The serialized shape: dicts, strs, ints, and sequences of ints or of
-    # sequences.  Every field is written as it stands but the four that are
-    # reshaped here.  The SG vectors stay lazy, and the e-table rows are the
-    # table itself, which _dumps writes through _json_rows.
+    # The serialized shape: dicts, strs, ints, sequences of ints and the
+    # e-table rows.  Every field is written as it stands but the four that
+    # are reshaped here.  The SG vectors stay lazy, and the e-table rows are
+    # the table itself, which _dumps writes through _json_rows.
     return {
         **b._asdict(),
         "word": str(b.word),
@@ -133,12 +136,11 @@ def _dumps(value, indent: str) -> str:
         items = (f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value))
     else:
         brackets = "[]"
+        # Every sequence holds ints but the e-table, whose rows _json_rows writes.
         if isinstance(value, invariants.ETable):
             items = _json_rows(value, inner)
-        elif isinstance(value[0], int):
-            items = map(str, value)
         else:
-            items = (_dumps(item, inner) for item in value)
+            items = map(str, value)
     sep = ",\n" + inner
     return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
@@ -296,6 +298,13 @@ def _wired(word: RvtWord) -> InvariantBundle:
 # Verification
 
 
+def _check_levels(k: int) -> None:
+    if k > MAX_LEVELS:
+        raise LevelLimitExceeded(
+            f"charts are limited to MAX_LEVELS = {MAX_LEVELS} levels, got {k}"
+        )
+
+
 def _check_symbolic_level(k: int) -> None:
     if k > SYMBOLIC_LEVEL_LIMIT:
         raise LevelLimitExceeded(
@@ -346,7 +355,6 @@ def route_checks(word: RvtWord, seed: int = 0, symbolic: bool = False) -> list[t
         steps.append(("pathway orders match the e-table for all columns", []))
     if symbolic:
         from . import symcalc
-        from .polynomial import var_names
 
         sg = oracle.small_growth_bruteforce(point, bundle.nonholonomy_degree + 2)
         brute = RouteCheck("sg", "small growth", ("brute", sg), ("combinatorial", bundle.sg))
@@ -504,10 +512,8 @@ def cmd_puiseux(args) -> int:
 
 
 def cmd_chart(args) -> int:
-    from .polynomial import var_names
-
     word = _read_word(args.word)
-    check_levels(word.k)
+    _check_levels(word.k)
     point = canonical_chart_point(word)
     chart = point.chart
     print(f"word:        {word}")
@@ -530,7 +536,7 @@ def cmd_bracket_table(args) -> int:
     from . import symcalc
 
     chart = Chart(args.chartword)
-    check_levels(chart.k)
+    _check_levels(chart.k)
     table = symcalc.bracket_table(chart)
     print(render_bracket_table(table), end="")
     return EXIT_OK
@@ -584,7 +590,7 @@ def cmd_verify(args) -> int:
     deepest = max(w.k for w in words)
     if args.symbolic:
         _check_symbolic_level(deepest)
-    check_levels(deepest)
+    _check_levels(deepest)
     # verify_word imports the oracle; importing it here, before any worker
     # is forked, lets the workers share the parent's copy.
     from . import fanout, oracle  # noqa: F401

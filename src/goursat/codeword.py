@@ -42,7 +42,6 @@ from .errors import (
     BadSymbol,
     EmptyWord,
     LeadingCritical,
-    LevelLimitExceeded,
     OrphanT,
     TooShort,
     Unsupported,
@@ -51,11 +50,6 @@ from .errors import (
 
 ALPHABET = frozenset("RVT")
 CRITICAL = frozenset("VT")
-
-# chart, bracket-table and verify cap a chart's levels (check_levels): its
-# tables grow quadratically with the level and nothing in scope needs more
-# than 12 levels.  The focal orders that give a word's m_0 need no cap.
-MAX_LEVELS = 16
 
 # Each memo keyed by a chart (_chart, oracle._candidate_steps, symcalc.verify_structure)
 # keeps one entry per chart, as a run meets its charts interleaved: 4,096 hold the 4,095
@@ -174,38 +168,26 @@ def as_goursat(w: RvtWord | str) -> GoursatWord:
     return w if isinstance(w, GoursatWord) else GoursatWord(w.symbols)
 
 
-def critical_block(symbols: str, level: int) -> range:
-    """The levels of the critical block ``V T^t`` that starts at the given
-    level (1-indexed); empty when the symbol there is not V."""
-    if symbols[level - 1 : level] != "V":
-        return range(level, level)
-    return range(level, len(symbols) + 1 - len(symbols[level:].lstrip("T")))
-
-
 def _regularize(symbols: str, level: int) -> str:
-    # Replace the critical block starting at the level by R's.
-    block = critical_block(symbols, level)
-    return symbols[: level - 1] + "R" * len(block) + symbols[block.stop - 1 :]
-
-
-def lift_symbols(symbols: str) -> str:
-    """One lift step on the symbols of a Goursat word.
-
-    Drop the leading R; if the remaining word starts with ``R V T^t``, the
-    critical block ``V T^t`` is regularized to R's so the result is again
-    a Goursat word.  The length always drops by exactly one (R lifts to the
-    empty string).  The symbols are not validated: the lift of a Goursat
-    word is one.
-    """
-    return _regularize(symbols[1:], 2)
+    # Replace the critical block V T^t that starts at the level (1-indexed),
+    # if the symbol there is V, by R's.
+    if symbols[level - 1 : level] != "V":
+        return symbols
+    stop = len(symbols) + 1 - len(symbols[level:].lstrip("T"))
+    return symbols[: level - 1] + "R" * (stop - level) + symbols[stop - 1 :]
 
 
 def lift(w: GoursatWord | RvtWord | str) -> GoursatWord:
-    """The lifted Goursat word, one level down the tower (lift_symbols)."""
+    """The lifted Goursat word, one level down the tower.
+
+    Drop the leading R; if the remaining word starts with ``R V T^t``, the
+    critical block ``V T^t`` is regularized to R's so the result is again
+    a Goursat word.  The length always drops by exactly one.
+    """
     w = as_goursat(w)
     if w.k < 2:
         raise TooShort(2, w.k)
-    return GoursatWord(lift_symbols(w.symbols))
+    return GoursatWord(_regularize(w.symbols[1:], 2))
 
 
 def lift_chain(w: GoursatWord | str) -> list[GoursatWord]:
@@ -237,12 +219,10 @@ def goursat_normalize(w: RvtWord | str) -> GoursatWord:
 # Charts
 
 
-def check_levels(k: int) -> None:
-    """Raise LevelLimitExceeded for a chart of more than MAX_LEVELS levels."""
-    if k > MAX_LEVELS:
-        raise LevelLimitExceeded(
-            f"charts are limited to MAX_LEVELS = {MAX_LEVELS} levels, got {k}"
-        )
+def var_names(k: int) -> tuple[str, ...]:
+    """Standard chart coordinate names (r0, n0, n1, ..., nk), in the order
+    of the coordinate indices (Chart.n_var)."""
+    return ("r0",) + tuple(f"n{j}" for j in range(k + 1))
 
 
 class Chart(Frozen):

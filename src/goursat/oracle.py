@@ -17,7 +17,7 @@ from functools import lru_cache, reduce
 from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
-from .codeword import CHART_MEMO_SIZE, Chart, ChartPoint, Frozen
+from .codeword import CHART_MEMO_SIZE, Chart, ChartPoint, Frozen, var_names
 from .errors import (
     IndexRange,
     OrderMismatch,
@@ -26,8 +26,7 @@ from .errors import (
     VariableMismatch,
 )
 from .invariants import PuiseuxCharacteristic
-from .polynomial import Monomial, render_term, var_names
-from .symcalc import Packing, RankTracker, Row, focal_slots
+from .symcalc import Monomial, Packing, RankTracker, Row, focal_slots, render_term
 # GeneratorSet brackets through Packing.bracket, prepared once per focal
 # field, and makes no lie_bracket call; bench/trace_worker.py patches the
 # name here.
@@ -350,8 +349,8 @@ def focal_jet(p: ChartPoint, rng: random.Random, prec: int) -> JetCurve:
         # d(d_j) = n_j d(r_j), integrated from d_j's value at the point
         series[d] = (series[n] * series[r].deriv()).integrate(p.coords[d])
 
-    prec_min = min(s.prec for s in series.values())
-    return JetCurve(chart, tuple(series[v].truncate(prec_min) for v in range(chart.nvars)))
+    # Each series is known to prec: integrate wins back the coefficient deriv loses.
+    return JetCurve(chart, tuple(series[v] for v in range(chart.nvars)))
 
 
 @lru_cache(maxsize=1)
@@ -534,7 +533,7 @@ def pathway_sections(p: ChartPoint, i: int) -> tuple[PathwayRow, ...]:
     The tracked coefficient is always a monomial: the diagonal terms are,
     and a step multiplies by a monomial slot of f_k, so the walk runs on
     exponent tuples with int coefficients, and a row renders as one term
-    (polynomial.render_term).  No row needs a search, by induction down the
+    (symcalc.render_term).  No row needs a search, by induction down the
     column: while the order is positive, the monomial holds a coordinate
     of positive order, and by the focal step lemma (checked in
     pathway_frame) its step lowers the order by exactly one.  So the walk

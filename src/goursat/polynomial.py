@@ -3,9 +3,9 @@
 Polynomials are stored as a canonical mapping from exponent tuples to
 nonzero int coefficients.  Terms are ordered graded-lexicographically over
 the fixed variable order (r_0, n_0, ..., n_k), which makes serialization
-deterministic: equal polynomials render identically.
-Elsewhere a monomial term is an int and an exponent tuple; render_term
-is the one text form of a term, for those and for each term of a Poly.
+deterministic: equal polynomials render identically, each term in the
+one text form of a monomial term (symcalc.render_term).  No command
+imports this module: Poly is the tests' reference algebra.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import VariableMismatch
-
-Monomial = tuple[int, ...]
+from .symcalc import Monomial, render_term
 
 
 def _grlex(mono: Monomial) -> tuple[int, Monomial]:
@@ -181,23 +180,3 @@ class Poly:
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.nvars)]
         return f"Poly({self.render(names)})"
-
-
-def render_term(c: int, mono: Monomial, names: Sequence[str], field: str | None = None) -> str:
-    """The text of the term c * x^mono, times the named field if one is
-    given: ``-n4*n5^2``, ``-n4*n5^2*f2``, ``2*g5``, ``g3``, ``1``."""
-    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
-    if field is not None:
-        factors.append(field)
-    if not factors:
-        return str(c)
-    if c == 1:
-        return "*".join(factors)
-    if c == -1:
-        return "-" + "*".join(factors)
-    return f"{c}*" + "*".join(factors)
-
-
-def var_names(k: int) -> tuple[str, ...]:
-    """Standard chart coordinate names (r0, n0, n1, ..., nk)."""
-    return ("r0",) + tuple(f"n{j}" for j in range(k + 1))

@@ -10,8 +10,7 @@ oracle shares, constructs the mixed g-basis in which all brackets against
 g_0 collapse to a single monomial multiple, and mechanically verifies the
 structure lemmas that the invariant computations rest on.  A
 closed-form coefficient is a term, an int times an exponent tuple
-(polynomial.render_term renders it), which Packing packs like any other
-monomial.
+(render_term renders it), which Packing packs like any other monomial.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from math import gcd
 from operator import lshift, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .codeword import CHART_MEMO_SIZE, Chart, Frozen
+from .codeword import CHART_MEMO_SIZE, Chart, Frozen, var_names
 from .errors import (
     ExponentOverflow,
     IndexRange,
@@ -30,7 +29,25 @@ from .errors import (
     RouteMismatch,
     VariableMismatch,
 )
-from .polynomial import Monomial, render_term, var_names
+
+# A monomial term is an int coefficient and one of these exponent tuples,
+# in the order of the chart's coordinates.
+Monomial = tuple[int, ...]
+
+
+def render_term(c: int, mono: Monomial, names: Sequence[str], field: str | None = None) -> str:
+    """The text of the term c * x^mono, times the named field if one is
+    given: ``-n4*n5^2``, ``-n4*n5^2*f2``, ``2*g5``, ``g3``, ``1``."""
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+    if field is not None:
+        factors.append(field)
+    if not factors:
+        return str(c)
+    if c == 1:
+        return "*".join(factors)
+    if c == -1:
+        return "-" + "*".join(factors)
+    return f"{c}*" + "*".join(factors)
 
 
 class RankTracker:

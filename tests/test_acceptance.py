@@ -33,9 +33,10 @@ from goursat.codeword import (
     canonical_chart_point,
     enumerate_goursat_words,
     enumerate_rvt_words,
+    var_names,
 )
 from goursat.invariants import PuiseuxCharacteristic
-from goursat.polynomial import render_term, var_names
+from goursat.symcalc import render_term
 
 
 @contextmanager

@@ -14,7 +14,6 @@ from goursat import cli, codeword, invariants, oracle, proximity, symcalc
 from goursat.codeword import (
     CHART_CHOICES,
     LETTER_MAP,
-    MAX_LEVELS,
     Chart,
     canonical_chart_point,
     enumerate_goursat_words,
@@ -27,6 +26,7 @@ from goursat.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
+    MAX_LEVELS,
     MAX_OUTPUT_BYTES,
     MAX_WORD_LENGTH,
     bundle_from_json,
@@ -903,19 +903,19 @@ def test_verify_word_validates_no_word_and_builds_one_chart_per_chart(monkeypatc
         slots.append(chart.choices)
         return focal_slots(chart)
 
-    def counting_lift(symbols):
-        lifts.append(symbols)
-        return lift_symbols(symbols)
+    def counting_lift(w):
+        lifts.append(w)
+        return lift(w)
 
     validate, init = codeword._validate_rvt, Chart.__init__
-    focal_slots, lift_symbols = oracle.focal_slots, codeword.lift_symbols
+    focal_slots, lift = oracle.focal_slots, codeword.lift
     codeword._chart.cache_clear()
     monkeypatch.setattr(codeword, "_validate_rvt", counting_validate)
     monkeypatch.setattr(Chart, "__init__", counting_init)
     monkeypatch.setattr(oracle, "focal_slots", counting_slots)
-    monkeypatch.setattr(codeword, "lift_symbols", counting_lift)
+    monkeypatch.setattr(codeword, "lift", counting_lift)
     # a proximity that imported the name would hold its own reference
-    monkeypatch.setattr(proximity, "lift_symbols", counting_lift, raising=False)
+    monkeypatch.setattr(proximity, "lift", counting_lift, raising=False)
     for w in words:
         assert verify_word(w)[0]
     assert validated == []
@@ -1026,10 +1026,29 @@ def test_verify_mismatch_exit_code(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "RRVTVV", "--symbolic"], ["chart", "RRVTVV"], ["bracket-table", "oi"]],
+    ids=" ".join,
+)
+def test_chart_commands_run_without_the_polynomials(argv):
+    # Poly is the tests' reference algebra: the commands that build charts
+    # take their monomial terms from symcalc and their coordinate names
+    # from codeword, and never load polynomial.
+    script = (
+        "import contextlib, io, sys, goursat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = goursat.cli.main({argv!r})\n"
+        "print(code, 'goursat.polynomial' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
 def test_cli_starts_without_the_symbolic_modules():
     # Only verify, chart, bracket-table and a word that is not a Goursat
-    # word need the oracle, the vector fields or the polynomials; they
-    # import them when they run.
+    # word need the oracle or the vector fields; they import them when they
+    # run.  No command needs the polynomials.
     script = (
         "import sys, goursat.cli\n"
         "print([m for m in ('goursat.oracle', 'goursat.symcalc', 'goursat.polynomial',"

@@ -12,6 +12,7 @@ from goursat.codeword import (
     enumerate_goursat_words,
     enumerate_rvt_words,
     parse_word,
+    var_names,
 )
 from goursat.errors import (
     IndexRange,
@@ -33,7 +34,6 @@ from goursat.oracle import (
     small_growth_bruteforce,
     vo_at_point,
 )
-from goursat.polynomial import var_names
 
 from reference_fields import std_fields, unpack
 from worked_fixtures import (
@@ -216,6 +216,8 @@ class TestGenericJet:
     def test_jet_satisfies_defining_relations(self):
         p = canonical_chart_point("RRVTVV")
         jet = focal_jet(p, random.Random(3), 10)
+        # every coordinate is known to the precision asked for
+        assert [s.prec for s in jet.series] == [10] * 8
         chart = p.chart
         for j in range(1, 7):
             nj = jet.series[Chart.n_var(j)]

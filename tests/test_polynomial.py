@@ -1,7 +1,8 @@
 import pytest
 
 from goursat.errors import VariableMismatch
-from goursat.polynomial import Poly, var_names
+from goursat.codeword import var_names
+from goursat.polynomial import Poly
 
 
 def p_var(i, n=4):

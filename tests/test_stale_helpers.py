@@ -9,9 +9,10 @@ the package or the tests; names such as ``render`` are shared by several
 classes, so a reference cannot be told apart from another's, and this
 catches only a name that nothing reads at all.
 
-Two boundaries are kept too: only ``polynomial.py`` names ``Poly`` (the
-other modules hold a monomial as an int and an exponent tuple), and only
-``polynomial.py`` adopts a term dict through ``Poly._wrap``.  And every
+Three boundaries are kept too: only ``polynomial.py`` names ``Poly`` (the
+other modules hold a monomial as an int and an exponent tuple), only
+``polynomial.py`` adopts a term dict through ``Poly._wrap``, and no other
+module imports ``polynomial``, which holds ``Poly`` alone.  And every
 memo is bounded: no ``functools.cache``, bare ``lru_cache`` or
 ``lru_cache(maxsize=None)``.  And every name that the benchmark's tracer
 (``bench/trace_worker.py``) patches still resolves.
@@ -124,6 +125,33 @@ def test_only_polynomial_wraps_a_term_dict():
         p.name for p in paths if p.name != "polynomial.py" and "_wrap" in set(_names(p))
     )
     assert not callers, f"Poly._wrap called outside polynomial.py: {callers}"
+
+
+def _imports_polynomial(path: Path) -> bool:
+    """True iff the file imports the polynomial module, by any spelling:
+    ``from .polynomial import ...``, ``from . import polynomial``,
+    ``import goursat.polynomial`` or ``from goursat.polynomial import ...``."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.rpartition(".")[2] == "polynomial":
+                return True
+            if module in ("", "goursat") and "polynomial" in {a.name for a in node.names}:
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name.rpartition(".")[2] == "polynomial" for a in node.names):
+                return True
+    return False
+
+
+def test_no_module_imports_polynomial():
+    # polynomial.py is Poly alone, the tests' reference algebra; the
+    # monomial format and its text form live in symcalc, the chart's
+    # coordinate names in codeword.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {"symcalc.py", "oracle.py", "cli.py", "polynomial.py"} <= {p.name for p in modules}
+    importing = [p.name for p in modules if p.name != "polynomial.py" and _imports_polynomial(p)]
+    assert not importing, f"modules that import polynomial: {importing}"
 
 
 def _called(node) -> str | None:

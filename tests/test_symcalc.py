@@ -4,14 +4,14 @@ import random
 import pytest
 
 from goursat import symcalc
-from goursat.codeword import Chart
+from goursat.codeword import Chart, var_names
 from goursat.errors import (
     ExponentOverflow,
     IndexRange,
     NonExactDivision,
     VariableMismatch,
 )
-from goursat.polynomial import Poly, render_term, var_names
+from goursat.polynomial import Poly
 from goursat.symcalc import (
     Packing,
     a_coeff,
@@ -22,6 +22,7 @@ from goursat.symcalc import (
     g_basis,
     lemma_packing,
     lie_bracket,
+    render_term,
     verify_structure,
 )
 
