@@ -39,19 +39,10 @@ from goursat.cli import (
     verify_word,
 )
 from goursat.errors import LevelLimitExceeded, NonExactDivision, NotRealizable, RouteMismatch
-from test_cli_corpus import corpus_commands
+from test_cli_corpus import LONG_WORDS, corpus_commands
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Drawn Goursat words of length 20, 24 and 28 (degrees 8,173, 9,827 and
-# 10,162), then RR V^16 and RR V^18 (degrees 6,765 and 17,711).
-LONG_WORDS = [
-    "RRVRVVTTVVVVTVVVVVTV",
-    "RRVTRVTTVTVTTTTVTTTVTTRV",
-    "RRVVTRVTTVRRVTVTRRVTTTVRRRVR",
-    "RR" + "V" * 16,
-    "RR" + "V" * 18,
-]
 # Words whose table ends at a height H <= k + 1: no row has all k columns.
 SHORT_TABLE_WORDS = [("R", None), ("RR", None), ("RRR", None), ("RVT", 3)]
 

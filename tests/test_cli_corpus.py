@@ -20,6 +20,19 @@ from goursat.errors import WordError
 
 DIGESTS = Path(__file__).parent / "golden" / "cli_corpus.json"
 
+# Drawn Goursat words of length 20, 24 and 28 (degrees 8,173, 9,827 and
+# 10,162), RR V^16 and RR V^18 (degrees 6,765 and 17,711), then RRV T^60
+# (k = 63, degree 125): 63 rows h <= k + 1, then 61 rows in which only the
+# last column is positive.
+LONG_WORDS = [
+    "RRVRVVTTVVVVTVVVVVTV",
+    "RRVTRVTTVTVTTTTVTTTVTTRV",
+    "RRVVTRVTTVRRVTVTRRVTTTVRRRVR",
+    "RR" + "V" * 16,
+    "RR" + "V" * 18,
+    "RRV" + "T" * 60,
+]
+
 
 def _words(max_k: int, goursat: bool, min_k: int = 1):
     for k in range(min_k, max_k + 1):
@@ -67,6 +80,9 @@ def corpus_commands() -> list[tuple[str, ...]]:
     for n in (16, 18, 20):
         commands.append(("invariants", "RR" + "V" * n))
     commands += [("invariants", "RV" + "T" * 14), ("puiseux", "RV" + "T" * 14)]
+    # The e-table forms past k = 8
+    for w in LONG_WORDS:
+        commands += [("invariants", w, "--json"), ("etable", w)]
     return list(dict.fromkeys(commands))
 
 
