@@ -8,18 +8,7 @@ against a symbolic Lie-bracket oracle on monster-tower charts.  All
 arithmetic is exact.
 """
 
-from .codeword import (
-    Chart,
-    ChartPoint,
-    GoursatWord,
-    RvtWord,
-    canonical_chart_point,
-    goursat_normalize,
-    is_goursat,
-    lift,
-    parse_word,
-    rvt_of_chart_point,
-)
+from .codeword import GoursatWord, RvtWord, goursat_normalize, is_goursat, lift, parse_word
 from .invariants import (
     ETable,
     InvariantBundle,
@@ -61,3 +50,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The chart names load with goursat.charts on first use: only the commands
+# that build a chart import it, so the others start without it.
+_CHART_NAMES = frozenset({"Chart", "ChartPoint", "canonical_chart_point", "rvt_of_chart_point"})
+
+
+def __getattr__(name: str):
+    if name not in _CHART_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import charts
+
+    return getattr(charts, name)

@@ -10,25 +10,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import namedtuple
-from collections.abc import Callable, Iterator
-from itertools import chain, islice, repeat
+from bisect import bisect_right
+from collections.abc import Iterator
+from itertools import chain, repeat
 
-# oracle and symcalc are imported by the commands that use them, so that
-# invariants, etable and the other commands start without them.
+# goursat.verify (the verify, chart and bracket-table commands), charts,
+# oracle and symcalc are imported where they are used, so that invariants,
+# etable and the other commands start without them.
 from . import invariants, proximity
-from .codeword import (
-    CHART_CHOICES,
-    Chart,
-    RvtWord,
-    canonical_chart_point,
-    enumerate_goursat_words,
-    is_goursat,
-    lift,
-    parse_word,
-    rvt_of_chart_point,
-    var_names,
-)
+from .codeword import RvtWord, is_goursat, lift, parse_word
 from .errors import (
     GoursatError,
     InvalidM0,
@@ -46,16 +36,6 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
-# chart, bracket-table and verify cap a chart's levels (_check_levels): its
-# tables grow quadratically with the level and nothing in scope needs more
-# than 12 levels.  The focal orders that give a word's m_0 need no cap.
-MAX_LEVELS = 16
-# Brute-force small growth is exponential in the worst case; past this many
-# levels the symbolic verification refuses to run rather than hang.
-SYMBOLIC_LEVEL_LIMIT = 7
-# The number of Goursat words of length N grows like 2.6^N; past this length
-# verify --all-words refuses rather than run for hours.
-ALL_WORDS_LEVEL_LIMIT = 12
 # The output of invariants, invariants --json and etable grows like
 # degree * k, and the degree like Fibonacci in k; past this many bytes
 # (predicted by output_bound) the command refuses rather than run out of
@@ -76,7 +56,7 @@ def _bundle_fields(b: InvariantBundle) -> dict:
     # The serialized shape: dicts, strs, ints, sequences of ints and the
     # e-table rows.  Every field is written as it stands but the four that
     # are reshaped here.  The SG vectors stay lazy, and the e-table rows are
-    # the table itself, which _dumps writes through _json_rows.
+    # the table itself, which _write writes through _write_rows.
     return {
         **b._asdict(),
         "word": str(b.word),
@@ -117,74 +97,93 @@ def bundle_from_json(data: dict) -> InvariantBundle:
     return rebuilt
 
 
-def _dumps(value, indent: str) -> str:
-    # json.dumps(value, sort_keys=True, indent=2) for the shapes of
-    # _bundle_fields.  With indent set, the json module falls back to its
-    # pure-Python encoder, which is several times slower than this.  json
-    # is imported here, so that the other commands start without it.
+def _write(value, indent: str, parts: list[str]) -> None:
+    # Appends to parts what json.dumps(value, sort_keys=True, indent=2)
+    # writes at indent, for the shapes of _bundle_fields.  With indent set,
+    # the json module falls back to its pure-Python encoder, which is
+    # several times slower than this.  json is imported here, so that the
+    # other commands start without it.
     import json
 
     if isinstance(value, str):
-        return json.dumps(value)
+        parts.append(json.dumps(value))
+        return
     if isinstance(value, int):
-        return str(value)
+        parts.append(str(value))
+        return
     if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+        parts.append("{}" if isinstance(value, dict) else "[]")
+        return
     inner = indent + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = (f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value))
-    else:
-        brackets = "[]"
-        # Every sequence holds ints but the e-table, whose rows _json_rows writes.
-        if isinstance(value, invariants.ETable):
-            items = _json_rows(value, inner)
-        else:
-            items = map(str, value)
     sep = ",\n" + inner
-    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
+    if isinstance(value, dict):
+        parts.append("{\n" + inner)
+        for n, key in enumerate(sorted(value)):
+            parts.append(f"{sep if n else ''}{json.dumps(key)}: ")
+            _write(value[key], inner, parts)
+        parts.append("\n" + indent + "}")
+        return
+    # Every sequence holds ints; each item is written with sep after it,
+    # and the last sep gives way to the closing bracket.
+    parts.append("[\n" + inner)
+    if isinstance(value, invariants.ETable):
+        _write_rows(value, inner, parts)
+    elif isinstance(value, invariants.StepSequence):
+        parts += (f"{v}{sep}" * n for v, n in value.runs())
+    else:
+        parts.append(sep.join(map(str, value)) + sep)
+    parts[-1] = parts[-1][: -len(sep)] + "\n" + indent + "]"
 
 
-def _full_columns(
-    table: invariants.ETable, fmt: Callable[[int], str], blank: str
-) -> list[Iterator[str]]:
-    """Columns i = 2..k+1 of the e-table rows h = 2..H, each entry v
-    written as fmt(v), and each cell above the diagonal (h < i) as blank.
+# The e-table rows are rendered a chunk at a time, each chunk by one string
+# operation over rows of one layout; a chunk holds at most this many rows,
+# so that each piece, and what it takes to build it, stays small.
+CHUNK_ROWS = 256
 
-    Down column i the entry e_{h,i} = (b_i - h)^+ falls by one from S_i on
-    the diagonal to 1 and then stays 0: i - 2 blanks, a reversed run over
-    the formatted cells, then the zero cell repeated.  No S_i exceeds
-    S_{k+1} = H - k - 1, and each value is formatted once, however many
-    cells hold it.
+
+def _chunks(table: invariants.ETable) -> Iterator[tuple[int, int, int, int]]:
+    """The rows h = 2..H of the e-table as (lo, hi, z, c): rows lo..hi-1,
+    at most CHUNK_ROWS of them, of one layout.  Each row holds the c
+    entries of columns 2..c+1, the first z of them 0; column i > z + 1
+    holds b_i - h.
+
+    A column vanishes from row b_i on, and b rises, so the zero columns
+    are the first z = #{i : b_i <= h}, and SG_h = z + 2.  Each row h <= k+1
+    adds a column and is a block of its own; from h = k + 2 on every row
+    holds all k columns, and only a row h in b starts a new block.
     """
-    k, height = table.k, table.height
-    cells = list(map(fmt, range(height - k)))
-    return [
-        chain(
-            repeat(blank, i - 2),
-            map(cells.__getitem__, range(bi - i, 0, -1)),
-            repeat(cells[0], height + 1 - bi),
-        )
-        for i, bi in enumerate(table.b, start=2)
-    ]
+    k, b, height = table.k, table.b, table.height
+    starts = [*range(2, min(k + 2, height) + 1), *(x for x in b if x > k + 2)]
+    for lo, hi in zip(starts, [*starts[1:], height + 1]):
+        z, c = bisect_right(b, lo), min(lo, k + 1) - 1
+        for start in range(lo, hi, CHUNK_ROWS):
+            yield start, min(start + CHUNK_ROWS, hi), z, c
 
 
-def _json_rows(table: invariants.ETable, indent: str) -> Iterator[str]:
-    # The rows as _dumps writes them at indent: rows h <= k+1 one by one,
-    # the full rows h >= k+2 from their columns.
+def _entries(table: invariants.ETable, lo: int, hi: int, z: int, c: int, *head) -> tuple:
+    """The positive entries b_i - h of the rows lo..hi-1 of a chunk, row
+    after row, each row led by its item of each range in head."""
+    columns = [range(x - lo, x - hi, -1) for x in table.b[z:c]]
+    return tuple(chain.from_iterable(zip(*head, *columns)))
+
+
+def _write_rows(table: invariants.ETable, indent: str, parts: list[str]) -> None:
+    # The rows as _write writes them at indent, a chunk at a time: the
+    # chunk's row, each positive entry a %d, repeated and filled by one %.
     inner = indent + "  "
-    head = (_dumps(table.row(h), indent) for h in range(2, min(table.k + 2, table.height + 1)))
-    columns = _full_columns(table, str, "")
-    for column in columns:
-        next(islice(column, table.k, table.k), None)  # skip the rows h <= k+1
-    full = map((",\n" + inner).join, zip(*columns))
-    return chain(head, map(f"[\n{inner}%s\n{indent}]".__mod__, full))
+    for lo, hi, z, c in _chunks(table):
+        entries = (",\n" + inner).join(chain(repeat("0", z), repeat("%d", c - z)))
+        row = f"[\n{inner}{entries}\n{indent}],\n{indent}"
+        parts.append(row * (hi - lo) % _entries(table, lo, hi, z, c))
 
 
 def dumps_bundle(b: InvariantBundle) -> str:
     """Deterministic JSON text: what json.dumps(..., sort_keys=True,
-    indent=2) writes for the bundle's fields, without building plain lists."""
-    return _dumps(_bundle_fields(b), "")
+    indent=2) writes for the bundle's fields, without building plain
+    lists, joined once from its parts."""
+    parts: list[str] = []
+    _write(_bundle_fields(b), "", parts)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,6 @@ def render_bundle(b: InvariantBundle) -> str:
 def render_etable(table: invariants.ETable) -> str:
     """ASCII e-table: one row per h with the SG column; rows h in the b
     vector (where a column first vanishes) are marked with '*'."""
-    red = set(table.b)
     # Column i is largest on the diagonal, where e_{i,i} = S_i.
     width = max(2, max(len(str(table.entry(i, i))) for i in range(2, table.k + 2))) + 1
     hwidth = max(2, len(str(table.height)))
@@ -227,16 +225,19 @@ def render_etable(table: invariants.ETable) -> str:
         + "".join(str(i).rjust(width) for i in range(2, table.k + 2))
         + " | SG"
     )
-    # Every row is joined from columns: the marks (" *"[h in red]), h,
-    # the entries and SG_h.
-    hs = range(2, table.height + 1)
-    marks = map(" *".__getitem__, map(red.__contains__, hs))
-    rows = zip(
-        map(f"%s %{hwidth}d |".__mod__, zip(marks, hs)),
-        *_full_columns(table, f"%{width}d".__mod__, " " * width),
-        map(" | %d".__mod__, table.sg),
-    )
-    return "\n".join(chain([header, "-" * len(header)], map("".join, rows), [""]))
+    parts = [f"{header}\n{'-' * len(header)}\n"]
+    red = set(table.b)
+    cell = f"%{width}d"
+    # Row h: its mark (only a chunk's first row can be in b), h, the z
+    # zeros, the positive entries, a blank for each column i > h and SG_h.
+    for lo, hi, z, c in _chunks(table):
+        row = (
+            f"  %{hwidth}d |{cell % 0 * z}{cell * (c - z)}{' ' * width * (table.k - c)}"
+            f" | {z + 2}\n"
+        )
+        text = row * (hi - lo) % _entries(table, lo, hi, z, c, range(lo, hi))
+        parts.append("*" + text[1:] if lo in red else text)
+    return "".join(parts)
 
 
 def render_proximity(d: proximity.ProximityDiagram) -> str:
@@ -253,29 +254,6 @@ def render_proximity(d: proximity.ProximityDiagram) -> str:
     return "\n".join(rows) + "\n"
 
 
-def render_bracket_table(table: symcalc.BracketTable) -> str:
-    k = table.chart.k
-    rows = [("v", i) for i in range(k + 1)] + [("f", i) for i in range(k + 1)]
-    cols = list(range(k + 1))
-    cells = {}
-    width = 0
-    for kind, i in rows:
-        for j in cols:
-            text = table.render_entry(kind, i, j)
-            cells[(kind, i, j)] = text
-            width = max(width, len(text))
-    width = max(width, 6) + 2
-    head = " " * 5 + "".join(f"f{j}".rjust(width) for j in cols)
-    lines = [f"chart {table.chart.choices}  (left slot x rows, [row, column]):", head]
-    for kind, i in rows:
-        line = f"{kind}{i}".rjust(4) + " "
-        line += "".join(cells[(kind, i, j)].rjust(width) for j in cols)
-        lines.append(line)
-        if (kind, i) == ("v", k):
-            lines.append("")
-    return "\n".join(lines) + "\n"
-
-
 def _wired(word: RvtWord) -> InvariantBundle:
     """The word's bundle, with m_0 wired for a word that is not a Goursat
     word: m_0 is the oracle's base multiplicity at the canonical chart
@@ -287,111 +265,32 @@ def _wired(word: RvtWord) -> InvariantBundle:
     if not is_goursat(word):
         from . import oracle
 
-        m0 = oracle.base_multiplicity_at_point(canonical_chart_point(word))
+        m0 = oracle.base_multiplicity_at_point(_canonical_point(word))
     try:
         return invariants.bundle(word, m0=m0)
     except InvalidM0 as exc:
         raise RouteMismatch(f"oracle-wired {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# Verification
+def _canonical_point(word: RvtWord):
+    """The word's canonical chart point, from this module's
+    canonical_chart_point, looked up at each call: the benchmark's tracer
+    replaces that attribute, and so sees every call, verify's too."""
+    return sys.modules[__name__].canonical_chart_point(word)
 
 
-def _check_levels(k: int) -> None:
-    if k > MAX_LEVELS:
-        raise LevelLimitExceeded(
-            f"charts are limited to MAX_LEVELS = {MAX_LEVELS} levels, got {k}"
-        )
+def __getattr__(name: str):
+    # The names of goursat.charts and goursat.verify that the benchmark's
+    # tracer reads on cli, loaded with their module on first use.
+    if name == "verify_word":
+        from .verify import verify_word
 
+        return verify_word
+    if name in ("canonical_chart_point", "enumerate_goursat_words"):
+        from . import charts
 
-def _check_symbolic_level(k: int) -> None:
-    if k > SYMBOLIC_LEVEL_LIMIT:
-        raise LevelLimitExceeded(
-            f"symbolic verification is limited to k <= SYMBOLIC_LEVEL_LIMIT = "
-            f"{SYMBOLIC_LEVEL_LIMIT}, got {k}"
-        )
-
-
-# A check of verify: the InvariantBundle field it covers (None for a value
-# the bundle does not hold), its MISMATCH label and each route's (name, value).
-RouteCheck = namedtuple("RouteCheck", "field label left right")
-
-
-def route_checks(word: RvtWord, seed: int = 0, symbolic: bool = False) -> list[tuple]:
-    """The checks of verify_word as (agree text, [RouteCheck]) steps, in
-    report order.  A step with no checks follows a call that raises if it
-    fails: the bundle's own routes, the pathway frame and the structure
-    lemmas.
-
-    The pathway frame is checked once at the word's point; no column is
-    walked.  By the induction in oracle.pathway_sections' docstring, the
-    frame's focal step lemma implies that every column i = 3..k+1 walks
-    from order S_i down to order 0 at row b_i, its orders matching the
-    e-table, so the pathway line holds for all columns.  A frame that fails
-    raises OrderMismatch.  A column's diagonal order is S_i of the point's
-    vertical orders term for term, so the frame need not check it: the
-    bundle's "beta from b" route checks the column sums, and the
-    vertical-order checks the point's orders.
-    """
-    from . import oracle
-
-    if symbolic:
-        _check_symbolic_level(word.k)
-    bundle = _wired(word)
-    point = canonical_chart_point(word)
-    vo = oracle.vo_at_point(point)
-    orders = [RouteCheck(
-        "vo", "restricted vertical orders", ("oracle", vo[1:]), ("combinatorial", bundle.vo[1:])
-    )]
-    steps = [
-        (f"three-route invariants agree (beta ends {bundle.beta[-1]})", []),
-        (f"focal-order vertical orders agree {vo}", orders),
-    ]
-    if word.k >= 2:
-        # VO_2 is an order of the same step, so its agree text waits for it
-        orders.append(RouteCheck("vo", "VO_2", ("oracle", vo[0]), ("bundle", bundle.vo[0])))
-        oracle.pathway_frame(point)
-        steps.append(("pathway orders match the e-table for all columns", []))
-    if symbolic:
-        from . import symcalc
-
-        sg = oracle.small_growth_bruteforce(point, bundle.nonholonomy_degree + 2)
-        brute = RouteCheck("sg", "small growth", ("brute", sg), ("combinatorial", bundle.sg))
-        steps.append((f"brute-force small growth agrees ({len(sg)} steps)", [brute]))
-        symcalc.verify_structure(point.chart)
-        steps.append((f"structure lemmas verified on chart {point.chart.choices}", []))
-        fo = oracle.focal_orders(point)
-        prec, n = bundle.nonholonomy_degree + 5, point.chart.nvars
-        jets = []
-        for var, name in enumerate(var_names(word.k)):
-            # the coordinate as its one term, 1 * x_var
-            probe = (1, (0,) * var + (1,) + (0,) * (n - 1 - var))
-            order = oracle.focal_order_generic_jet(point, [probe], prec, seed=seed)
-            jets.append(RouteCheck(
-                None, f"generic-jet order of {name}", ("jet", order), ("procedural", fo.o_coord[var])
-            ))
-        steps.append(("generic-jet focal orders agree", jets))
-    return steps
-
-
-def verify_word(
-    word: RvtWord, seed: int = 0, symbolic: bool = False
-) -> tuple[bool, list[str]]:
-    """Run the cross-checks for one word; returns (ok, report lines): a
-    MISMATCH line for each failed check of route_checks, in order, and the
-    agree text of each step whose checks all agree."""
-    ok, lines = True, []
-    for agree, checks in route_checks(word, seed, symbolic):
-        failed = [c for c in checks if c.left[1] != c.right[1]]
-        ok = ok and not failed
-        lines += (
-            f"{word}: MISMATCH {c.label} {c.left[0]}={c.left[1]} {c.right[0]}={c.right[1]}"
-            for c in failed
-        )
-        if not failed:
-            lines.append(f"{word}: {agree}")
-    return ok, lines
+        return getattr(charts, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,114 +410,6 @@ def cmd_puiseux(args) -> int:
     return EXIT_OK
 
 
-def cmd_chart(args) -> int:
-    word = _read_word(args.word)
-    _check_levels(word.k)
-    point = canonical_chart_point(word)
-    chart = point.chart
-    print(f"word:        {word}")
-    print(f"chart:       {chart.choices}")
-    print(f"IP:          {{{', '.join(str(j) for j in sorted(chart.ip))}}}")
-    names = var_names(word.k)
-    coords = " ".join(
-        f"{names[v]}={point.coords[v]}" for v in range(chart.nvars)
-    )
-    print(f"point:       {coords}")
-    alt = " ".join(
-        f"{names[v]}={chart.alt_names[v]}" for v in range(chart.nvars)
-    )
-    print(f"alt names:   {alt}")
-    print(f"round trip:  {rvt_of_chart_point(point)}")
-    return EXIT_OK
-
-
-def cmd_bracket_table(args) -> int:
-    from . import symcalc
-
-    chart = Chart(args.chartword)
-    _check_levels(chart.k)
-    table = symcalc.bracket_table(chart)
-    print(render_bracket_table(table), end="")
-    return EXIT_OK
-
-
-def _shares(words: list[RvtWord], symbolic: bool, workers: int) -> list[list[int]]:
-    """The word indices split into at most workers shares, each in word
-    order, with every chart's words in one share, so that each process
-    sweeps a chart's structure lemmas (cached per process) once.
-
-    A chart's group weighs the sum of its words' degrees of nonholonomy
-    under --symbolic, whose brute force grows with the degree, and its
-    word count otherwise.  The groups go heaviest first to the share with
-    the least load (LPT scheduling).
-    """
-    groups: dict[str, list[int]] = {}
-    for i, w in enumerate(words):
-        groups.setdefault(w.symbols.translate(CHART_CHOICES), []).append(i)
-    cost = [invariants.nonholonomy_degree(w) for w in words] if symbolic else [1] * len(words)
-    weighed = sorted(
-        ((sum(cost[i] for i in group), group) for group in groups.values()),
-        key=lambda item: -item[0],
-    )
-    shares: list[list[int]] = [[] for _ in range(min(workers, len(groups)))]
-    loads = [0] * len(shares)
-    for weight, group in weighed:
-        least = loads.index(min(loads))
-        shares[least] += group
-        loads[least] += weight
-    return [sorted(share) for share in shares]
-
-
-def cmd_verify(args) -> int:
-    if args.all_words is not None and args.word is not None:
-        raise WordError("verify takes a word or --all-words N, not both")
-    if args.all_words is not None:
-        if args.all_words > ALL_WORDS_LEVEL_LIMIT:
-            raise LevelLimitExceeded(
-                f"verify --all-words is limited to N <= ALL_WORDS_LEVEL_LIMIT = "
-                f"{ALL_WORDS_LEVEL_LIMIT}, got {args.all_words}"
-            )
-        words = list(enumerate_goursat_words(args.all_words))
-        if not words:
-            raise WordError(f"no Goursat words of length {args.all_words}")
-    elif args.word is not None:
-        words = [_read_word(args.word)]
-    else:
-        raise WordError("verify needs a word or --all-words N")
-
-    # Before any word is checked, so that a refusal comes at once.
-    deepest = max(w.k for w in words)
-    if args.symbolic:
-        _check_symbolic_level(deepest)
-    _check_levels(deepest)
-    # verify_word imports the oracle; importing it here, before any worker
-    # is forked, lets the workers share the parent's copy.
-    from . import fanout, oracle  # noqa: F401
-
-    # Per-word checks are pure and independent; fan out across processes
-    # (forked, so the function they run is not pickled).
-    workers = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    shares = _shares(words, args.symbolic, workers)
-    try:
-        results = fanout.fan_out(lambda w: verify_word(w, args.seed, args.symbolic), words, shares)
-    except fanout.DeadWorker as exc:
-        # A worker was killed (by a signal, or out of memory); the words
-        # it held have no report, so none is printed.
-        print(
-            f"verify: a worker process ended abruptly ({exc}) before it sent "
-            "its reports; no report was printed",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-
-    for _, lines in results:
-        for line in lines:
-            print(line)
-    ok = all(ok for ok, _ in results)
-    print("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_MISMATCH
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit with EXIT_INVALID; exit
     code 2 is reserved for a verification mismatch."""
@@ -626,6 +417,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _chart_command(args) -> int:
+    # verify, chart and bracket-table live in goursat.verify, which is
+    # imported when one of them runs.
+    from . import verify
+
+    commands = {"chart": verify.cmd_chart, "bracket-table": verify.cmd_bracket_table}
+    return commands.get(args.command, verify.cmd_verify)(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -665,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chart", help="show the canonical chart realization")
     p.add_argument("word")
-    p.set_defaults(func=cmd_chart)
+    p.set_defaults(func=_chart_command)
 
     p = sub.add_parser("bracket-table", help="full Lie bracket table of a chart")
     p.add_argument("chartword", help="choice word over o/i, e.g. ooioii")
-    p.set_defaults(func=cmd_bracket_table)
+    p.set_defaults(func=_chart_command)
 
     p = sub.add_parser("verify", help="cross-validate all computation routes")
     p.add_argument("word", nargs="?")
@@ -678,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for generic jets")
     p.add_argument("--symbolic", action="store_true",
                    help="include brute-force and chart-lemma verification")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=_chart_command)
     return parser
 
 
@@ -710,4 +510,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Run as python -m goursat.cli: goursat.verify, which imports cli, gets
+    # this module rather than a second copy.
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

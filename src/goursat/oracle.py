@@ -17,7 +17,8 @@ from functools import lru_cache, reduce
 from operator import add, mul
 from typing import Callable, NamedTuple, Sequence
 
-from .codeword import CHART_MEMO_SIZE, Chart, ChartPoint, Frozen, var_names
+from .charts import CHART_MEMO_SIZE, Chart, ChartPoint, var_names
+from .codeword import Frozen
 from .errors import (
     IndexRange,
     OrderMismatch,

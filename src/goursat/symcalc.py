@@ -21,7 +21,8 @@ from math import gcd
 from operator import lshift, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .codeword import CHART_MEMO_SIZE, Chart, Frozen, var_names
+from .charts import CHART_MEMO_SIZE, Chart, var_names
+from .codeword import Frozen
 from .errors import (
     ExponentOverflow,
     IndexRange,

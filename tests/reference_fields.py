@@ -8,7 +8,7 @@ of a `symcalc.Packing`; `bracket` differentiates and multiplies with
 `Packing.bracket`.
 """
 
-from goursat.codeword import Chart
+from goursat.charts import Chart
 from goursat.polynomial import Poly
 
 

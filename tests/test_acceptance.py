@@ -25,9 +25,8 @@ from worked_fixtures import (
     VO_RVVVRVT,
 )
 
-from goursat import cli, invariants, oracle, proximity, symcalc
-from goursat.codeword import (
-    CRITICAL,
+from goursat import invariants, oracle, proximity, symcalc, verify
+from goursat.charts import (
     Chart,
     ChartPoint,
     canonical_chart_point,
@@ -35,6 +34,7 @@ from goursat.codeword import (
     enumerate_rvt_words,
     var_names,
 )
+from goursat.codeword import CRITICAL
 from goursat.invariants import PuiseuxCharacteristic
 from goursat.symcalc import render_term
 
@@ -155,7 +155,7 @@ def test_criterion_7_pathway_verification():
 
 def test_criterion_8_structure_lemma_sweep():
     with budget(8, "structure lemmas on all charts up to 7 levels", 300.0):
-        for k in range(1, cli.SYMBOLIC_LEVEL_LIMIT + 1):
+        for k in range(1, verify.SYMBOLIC_LEVEL_LIMIT + 1):
             for bits in itertools.product("oi", repeat=k):
                 symcalc.verify_structure(Chart("".join(bits)))
 

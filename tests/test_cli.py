@@ -10,23 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from goursat import cli, codeword, invariants, oracle, proximity, symcalc
-from goursat.codeword import (
+from goursat import charts, cli, codeword, invariants, oracle, proximity, symcalc, verify
+from goursat.charts import (
     CHART_CHOICES,
     LETTER_MAP,
     Chart,
     canonical_chart_point,
     enumerate_goursat_words,
     enumerate_rvt_words,
-    parse_word,
 )
 from goursat.cli import (
-    ALL_WORDS_LEVEL_LIMIT,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
-    MAX_LEVELS,
     MAX_OUTPUT_BYTES,
     MAX_WORD_LENGTH,
     bundle_from_json,
@@ -36,9 +33,10 @@ from goursat.cli import (
     output_bound,
     render_bundle,
     render_etable,
-    verify_word,
 )
+from goursat.codeword import parse_word
 from goursat.errors import LevelLimitExceeded, NonExactDivision, NotRealizable, RouteMismatch
+from goursat.verify import ALL_WORDS_LEVEL_LIMIT, MAX_LEVELS, verify_word
 from test_cli_corpus import LONG_WORDS, corpus_commands
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,16 +47,16 @@ SHORT_TABLE_WORDS = [("R", None), ("RR", None), ("RRR", None), ("RVT", 3)]
 
 def run_verify_script(body: str, argv: list[str], cpus: int = 2, timeout: float = 60):
     """Run cli.main(argv) in a fresh interpreter that reports cpus CPUs,
-    after body, which may patch cli.  body sees child_words: the words
+    after body, which may patch verify.  body sees child_words: the words
     that verify --all-words N runs in forked children."""
     n = int(argv[argv.index("--all-words") + 1])
     script = (
         "import os, signal, sys, time\n"
-        "from goursat import cli\n"
-        "from goursat.codeword import enumerate_goursat_words\n"
+        "from goursat import cli, verify\n"
+        "from goursat.charts import enumerate_goursat_words\n"
         f"os.cpu_count = lambda: {cpus}\n"
         f"words = list(enumerate_goursat_words({n}))\n"
-        f"shares = cli._shares(words, {'--symbolic' in argv}, {cpus})\n"
+        f"shares = verify._shares(words, {'--symbolic' in argv}, {cpus})\n"
         "child_words = [str(words[i]) for share in shares[1:] for i in share]\n"
         f"{body}\n"
         f"sys.exit(cli.main({argv!r}))\n"
@@ -616,7 +614,7 @@ class TestVerifyCommand:
         words = list(enumerate_goursat_words(6))
         degree = [invariants.nonholonomy_degree(w) for w in words]
         for workers in (2, 3):
-            shares = cli._shares(words, True, workers)
+            shares = verify._shares(words, True, workers)
             weight = {}
             for i, w in enumerate(words):
                 chart = canonical_chart_point(w).chart
@@ -636,7 +634,7 @@ class TestVerifyCommand:
         words = list(enumerate_goursat_words(7))
         for symbolic in (False, True):
             for workers in (1, 2, 3, 100):
-                shares = cli._shares(words, symbolic, workers)
+                shares = verify._shares(words, symbolic, workers)
                 assert sorted(i for share in shares for i in share) == list(range(len(words)))
                 assert all(share == sorted(share) for share in shares)
                 held = {}
@@ -693,12 +691,12 @@ class TestVerifyCommand:
             ("os.kill(os.getpid(), signal.SIGKILL)", "signal 9"),
         ]:
             body = (
-                "real = cli.verify_word\n"
+                "real = verify.verify_word\n"
                 "def dying(word, *args):\n"
                 "    if str(word) == child_words[0]:\n"
                 f"        {death}\n"
                 "    return real(word, *args)\n"
-                "cli.verify_word = dying\n"
+                "verify.verify_word = dying\n"
             )
             proc = run_verify_script(body, ["verify", "--all-words", "4"])
             assert proc.returncode == EXIT_BUDGET
@@ -710,15 +708,15 @@ class TestVerifyCommand:
         # A RouteMismatch raised in a child crosses the pipe and leaves as
         # it would from a serial run: its message on stderr and exit 2.
         words = list(enumerate_goursat_words(5))
-        failing = str(words[cli._shares(words, True, 2)[1][-1]])
+        failing = str(words[verify._shares(words, True, 2)[1][-1]])
         body = (
             "from goursat.errors import RouteMismatch\n"
-            "real = cli.verify_word\n"
+            "real = verify.verify_word\n"
             "def failing(word, *args):\n"
             f"    if str(word) == {failing!r}:\n"
             "        raise RouteMismatch(f'{word}: injected route mismatch')\n"
             "    return real(word, *args)\n"
-            "cli.verify_word = failing\n"
+            "verify.verify_word = failing\n"
         )
         argv = ["verify", "--all-words", "5", "--symbolic"]
         forked, serial = (run_verify_script(body, argv, cpus) for cpus in (2, 1))
@@ -746,7 +744,7 @@ class TestVerifyCommand:
             "            break\n"
             "        time.sleep(0.01)\n"
             "    raise RuntimeError('the parent share fails')\n"
-            "cli.verify_word = task\n"
+            "verify.verify_word = task\n"
         )
         start = time.perf_counter()
         proc = run_verify_script(body, ["verify", "--all-words", "4"], cpus=3)
@@ -880,14 +878,14 @@ def test_verify_word_validates_no_word_and_builds_one_chart_per_chart(monkeypatc
     # is a new cache key, so no step built before counts), and scans the
     # word for its proximity diagram without lifting it.
     words = list(enumerate_goursat_words(8))
-    validated, charts, slots, lifts = [], [], [], []
+    validated, built, slots, lifts = [], [], [], []
 
     def counting_validate(symbols):
         validated.append(symbols)
         return validate(symbols)
 
     def counting_init(self, choices):
-        charts.append(choices)
+        built.append(choices)
         init(self, choices)
 
     def counting_slots(chart):
@@ -900,7 +898,7 @@ def test_verify_word_validates_no_word_and_builds_one_chart_per_chart(monkeypatc
 
     validate, init = codeword._validate_rvt, Chart.__init__
     focal_slots, lift = oracle.focal_slots, codeword.lift
-    codeword._chart.cache_clear()
+    charts._chart.cache_clear()
     monkeypatch.setattr(codeword, "_validate_rvt", counting_validate)
     monkeypatch.setattr(Chart, "__init__", counting_init)
     monkeypatch.setattr(oracle, "focal_slots", counting_slots)
@@ -910,7 +908,7 @@ def test_verify_word_validates_no_word_and_builds_one_chart_per_chart(monkeypatc
     for w in words:
         assert verify_word(w)[0]
     assert validated == []
-    assert len(charts) == len(set(charts)) == 64
+    assert len(built) == len(set(built)) == 64
     assert len(slots) == len(set(slots)) == 64
     assert lifts == []
 
@@ -1004,13 +1002,34 @@ def test_main_invocation_in_process(capsys):
     assert main(["invariants", ""]) == EXIT_INVALID
 
 
-def test_verify_mismatch_exit_code(monkeypatch, capsys):
-    import goursat.cli as cli
+def test_verify_looks_up_the_chart_point_where_the_tracer_patches_it(monkeypatch):
+    # bench/trace_worker.install wraps canonical_chart_point as read on cli
+    # and sets the wrapper on cli and codeword.  verify must look the name
+    # up when it calls it, not hold a reference of its own, or the traced
+    # sweep loses the span.
+    assert cli.canonical_chart_point is charts.canonical_chart_point
+    assert cli.enumerate_goursat_words is charts.enumerate_goursat_words
+    assert cli.verify_word is verify.verify_word
+    real, calls = cli.canonical_chart_point, []
 
+    def counting(word):
+        calls.append(str(word))
+        return real(word)
+
+    monkeypatch.setattr(cli, "canonical_chart_point", counting)
+    monkeypatch.setattr(codeword, "canonical_chart_point", counting, raising=False)
+    words = list(enumerate_goursat_words(6))
+    assert len(words) == 34
+    for w in words:
+        assert verify_word(w)[0]
+    assert calls == [str(w) for w in words]
+
+
+def test_verify_mismatch_exit_code(monkeypatch, capsys):
     def fake_verify(word, *args):
         return False, [f"{word}: MISMATCH injected for the exit-code contract"]
 
-    monkeypatch.setattr(cli, "verify_word", fake_verify)
+    monkeypatch.setattr(verify, "verify_word", fake_verify)
     parser = cli.build_parser()
     args = parser.parse_args(["verify", "RR"])
     assert args.func(args) == EXIT_MISMATCH
@@ -1036,14 +1055,21 @@ def test_chart_commands_run_without_the_polynomials(argv):
     assert proc.stdout == "0 False\n"
 
 
+# The modules that only verify, chart, bracket-table and the m_0 of a word
+# that is not a Goursat word load.
+CHART_MODULES = {
+    "goursat.charts", "goursat.verify", "goursat.oracle", "goursat.symcalc", "goursat.fanout"
+}
+
+
 def test_cli_starts_without_the_symbolic_modules():
     # Only verify, chart, bracket-table and a word that is not a Goursat
-    # word need the oracle or the vector fields; they import them when they
-    # run.  No command needs the polynomials.
+    # word need the charts, the oracle or the vector fields; they import
+    # them when they run.  No command needs the polynomials.
     script = (
         "import sys, goursat.cli\n"
-        "print([m for m in ('goursat.oracle', 'goursat.symcalc', 'goursat.polynomial',"
-        " 'goursat.fanout') if m in sys.modules])\n"
+        "goursat.cli.build_parser()\n"
+        f"print(sorted({sorted(CHART_MODULES | {'goursat.polynomial'})} & sys.modules.keys()))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -1079,7 +1105,7 @@ def test_cli_starts_without_the_symbolic_modules():
     )
     costly = {"dataclasses", "inspect", "fractions", "decimal", "json"}
     assert not costly & (plain - baseline)
-    assert not {"goursat.oracle", "goursat.symcalc", "goursat.polynomial", "goursat.fanout"} & plain
+    assert not (CHART_MODULES | {"goursat.polynomial"}) & (plain | as_json)
     # _json is the json package's C accelerator.
     assert {m.partition(".")[0] for m in as_json - plain} <= {"json", "_json"}
     assert "json" in as_json

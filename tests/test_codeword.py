@@ -3,21 +3,23 @@ import time
 
 import pytest
 
-from goursat.codeword import (
-    CRITICAL,
+from goursat.charts import (
     Chart,
     ChartPoint,
-    GoursatWord,
-    RvtWord,
     canonical_chart_point,
     enumerate_goursat_words,
     enumerate_rvt_words,
+    rvt_of_chart_point,
+)
+from goursat.codeword import (
+    CRITICAL,
+    GoursatWord,
+    RvtWord,
     goursat_normalize,
     is_goursat,
     lift,
     lift_chain,
     parse_word,
-    rvt_of_chart_point,
 )
 from goursat.errors import (
     BadSymbol,

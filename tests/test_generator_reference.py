@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from goursat import invariants, oracle
-from goursat.codeword import Chart, canonical_chart_point, enumerate_goursat_words
+from goursat.charts import Chart, canonical_chart_point, enumerate_goursat_words
 from goursat.polynomial import Poly
 from goursat.symcalc import Packing, RankTracker, lie_bracket
 

@@ -6,12 +6,8 @@ import tracemalloc
 import pytest
 
 from goursat import invariants, proximity
-from goursat.codeword import (
-    enumerate_goursat_words,
-    enumerate_rvt_words,
-    goursat_normalize,
-    is_goursat,
-)
+from goursat.charts import enumerate_goursat_words, enumerate_rvt_words
+from goursat.codeword import goursat_normalize, is_goursat
 from goursat.errors import (
     InvalidM0,
     InvalidPC,
@@ -273,7 +269,7 @@ class TestPCFromMultseq:
 class TestPuiseuxOfWord:
     def test_rvt_tau_family(self):
         # m_0 for the non-Goursat words comes from the focal-order oracle
-        from goursat.codeword import canonical_chart_point
+        from goursat.charts import canonical_chart_point
         from goursat.oracle import vo_at_point
 
         for tau in range(1, 6):

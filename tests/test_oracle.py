@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from goursat import cli, invariants, oracle
-from goursat.codeword import (
+from goursat import invariants, oracle, verify
+from goursat.charts import (
     Chart,
     ChartPoint,
     canonical_chart_point,
     enumerate_goursat_words,
     enumerate_rvt_words,
-    parse_word,
     var_names,
 )
+from goursat.codeword import parse_word
 from goursat.errors import (
     IndexRange,
     OrderMismatch,
@@ -173,7 +173,7 @@ class TestGenericJet:
         oracle._generic_jets.cache_clear()
         for w in ("RRVT", "RVTV", "RRRVV"):
             built.clear()
-            ok, _ = cli.verify_word(parse_word(w), symbolic=True)
+            ok, _ = verify.verify_word(parse_word(w), symbolic=True)
             assert ok and len(built) == oracle.JET_TRIALS, (w, len(built))
 
     def test_verify_word_sets_the_jet_precision(self, monkeypatch):
@@ -190,7 +190,7 @@ class TestGenericJet:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "focal_order_generic_jet", recording)
-        ok, _ = cli.verify_word(word, symbolic=True)
+        ok, _ = verify.verify_word(word, symbolic=True)
         assert ok and precs == [want] * canonical_chart_point(word).chart.nvars
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -352,7 +352,8 @@ class TestNormalizationGermEquivalence:
         assert sg_orig == sg_norm
 
     def test_all_non_goursat_words_k4(self):
-        from goursat.codeword import enumerate_rvt_words, goursat_normalize, is_goursat
+        from goursat.charts import enumerate_rvt_words
+        from goursat.codeword import goursat_normalize, is_goursat
 
         for w in enumerate_rvt_words(4):
             if is_goursat(w):
@@ -446,7 +447,7 @@ class TestGeneratorSet:
 
 def test_oracle_equivalence_every_length_six_word():
     # beyond the acceptance scope: the central equality on all of k = 6
-    from goursat.codeword import enumerate_goursat_words
+    from goursat.charts import enumerate_goursat_words
 
     for w in enumerate_goursat_words(6):
         b = invariants.bundle(w)

@@ -12,13 +12,13 @@ backtracked out of, and f_k comes from the test-local Field recursion
 """
 
 from goursat import invariants, oracle
-from goursat.codeword import (
+from goursat.charts import (
     Chart,
     canonical_chart_point,
     enumerate_goursat_words,
     enumerate_rvt_words,
-    is_goursat,
 )
+from goursat.codeword import is_goursat
 from goursat.polynomial import Poly
 
 from reference_fields import std_fields as reference_std_fields

@@ -1,7 +1,7 @@
 import pytest
 
 from goursat.errors import VariableMismatch
-from goursat.codeword import var_names
+from goursat.charts import var_names
 from goursat.polynomial import Poly
 
 

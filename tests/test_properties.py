@@ -4,15 +4,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from goursat import invariants, oracle, proximity
-from goursat.codeword import (
-    CRITICAL,
-    canonical_chart_point,
-    enumerate_goursat_words,
-    enumerate_rvt_words,
-    goursat_normalize,
-    is_goursat,
-    parse_word,
-)
+from goursat.charts import canonical_chart_point, enumerate_goursat_words, enumerate_rvt_words
+from goursat.codeword import CRITICAL, goursat_normalize, is_goursat, parse_word
 from goursat.invariants import (
     PuiseuxCharacteristic,
     beta_backend,

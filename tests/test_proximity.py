@@ -1,6 +1,7 @@
 import random
 
-from goursat.codeword import enumerate_goursat_words, lift_chain
+from goursat.charts import enumerate_goursat_words
+from goursat.codeword import lift_chain
 from goursat.invariants import der_backend
 from goursat.proximity import (
     build_diagram,

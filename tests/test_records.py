@@ -14,7 +14,8 @@ import random
 import pytest
 
 from goursat import errors, oracle, symcalc
-from goursat.codeword import Chart, ChartPoint, GoursatWord, RvtWord, canonical_chart_point
+from goursat.charts import Chart, ChartPoint, canonical_chart_point
+from goursat.codeword import GoursatWord, RvtWord
 from goursat.errors import BadSymbol, InvalidPC, WordError
 from goursat.invariants import (
     ETable,

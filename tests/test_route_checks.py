@@ -6,7 +6,7 @@ carry into the next field, and the structure lemmas on those rows.
 The field matrix mutates, for each field of InvariantBundle, the route
 that produces it, and names the error of bundle or the MISMATCH line of
 verify that catches the mutation.  The fields that verify's checks cover
-are read from cli.route_checks, and each must be reported under some
+are read from verify.route_checks, and each must be reported under some
 mutation.  der2, nonholonomy_degree and the e-table's rows are
 written from checked values (der, beta and b) after every check, so no
 run-time check reads them; tests pin them instead.
@@ -30,7 +30,8 @@ SCRIPT = textwrap.dedent(
     from contextlib import contextmanager
 
     from goursat import cli, codeword, invariants, oracle, proximity, symcalc
-    from goursat.codeword import Chart, canonical_chart_point, enumerate_rvt_words, parse_word
+    from goursat.charts import Chart, canonical_chart_point, enumerate_rvt_words
+    from goursat.codeword import parse_word
     from goursat.errors import (
         ExponentOverflow,
         NonExactDivision,
@@ -38,6 +39,7 @@ SCRIPT = textwrap.dedent(
         RouteMismatch,
         TruncationTooSmall,
     )
+    from goursat.verify import route_checks, verify_word
 
     assert False, "asserts are live: the script must run under -O"
 
@@ -76,9 +78,9 @@ SCRIPT = textwrap.dedent(
 
 
     def verify_reports(word, symbolic=False):
-        ok, lines = cli.verify_word(parse_word(word), symbolic=symbolic)
+        ok, lines = verify_word(parse_word(word), symbolic=symbolic)
         if not ok:
-            steps = cli.route_checks(parse_word(word), symbolic=symbolic)
+            steps = route_checks(parse_word(word), symbolic=symbolic)
             failed = {c.field for _, checks in steps for c in checks if c.left[1] != c.right[1]}
             raise Reported(" ".join(line for line in lines if "MISMATCH" in line), failed)
 
@@ -117,7 +119,7 @@ SCRIPT = textwrap.dedent(
 
     def verify(word, i):
         # every column of the word at once
-        cli.verify_word(parse_word(word))
+        verify_word(parse_word(word))
 
 
     def pathway_with_a_raised_column_sum(check):
@@ -244,7 +246,7 @@ SCRIPT = textwrap.dedent(
         ),
         # S_5 one too large: _column_sums feeds the e-table route of the
         # bundle, which verify builds before it reaches the pathway frame
-        "cli.verify_word diagonal": (
+        "verify.verify_word diagonal": (
             RouteMismatch,
             lambda: pathway_with_a_raised_column_sum(verify),
             "beta from b",
@@ -256,7 +258,7 @@ SCRIPT = textwrap.dedent(
             lambda: pathway_with_a_scaled_focal_field(walk),
             "the focal step on r0 changes the order by 0, not -1, on chart ooiiii",
         ),
-        "cli.verify_word chain": (
+        "verify.verify_word chain": (
             OrderMismatch,
             lambda: pathway_with_a_scaled_focal_field(verify),
             "the focal step on r0 changes the order by 0, not -1, on chart ooiiii",
@@ -269,7 +271,7 @@ SCRIPT = textwrap.dedent(
             lambda: pathway_with_squared_ordinary_slots(walk),
             "the focal step on n0 changes the order by 22, not -1, on chart ooiooiii",
         ),
-        "cli.verify_word squared slot": (
+        "verify.verify_word squared slot": (
             OrderMismatch,
             lambda: pathway_with_squared_ordinary_slots(verify),
             "the focal step on n0 changes the order by 22, not -1, on chart ooiooiii",
@@ -380,7 +382,7 @@ SCRIPT = textwrap.dedent(
 
     # The fields that verify's checks cover, read from the checks: each
     # must be one that a mutated route above makes verify report.
-    steps = cli.route_checks(parse_word("RRVTVV"), symbolic=True)
+    steps = route_checks(parse_word("RRVTVV"), symbolic=True)
     covered = {c.field for _, checks in steps for c in checks} - {None}
     if not covered or reported != covered:
         print(f"verify's checks cover {sorted(covered)}, the mutations reach {sorted(reported)}")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from goursat import symcalc
-from goursat.codeword import Chart, var_names
+from goursat.charts import Chart, var_names
 from goursat.errors import (
     ExponentOverflow,
     IndexRange,
