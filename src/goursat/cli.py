@@ -44,7 +44,7 @@ MAX_OUTPUT_BYTES = 64 * 2**20
 # Every command's cost grows about like k^2 in the word length k; past
 # this many letters a command refuses rather than run for minutes.  At
 # this length the slowest command measured, invariants --json on
-# RRV T^997, took 0.27 s on a shared 2-vCPU host.
+# RRV T^997, took 0.23 s on a shared 2-vCPU host.
 MAX_WORD_LENGTH = 1000
 
 
@@ -281,16 +281,18 @@ def _canonical_point(word: RvtWord):
 
 def __getattr__(name: str):
     # The names of goursat.charts and goursat.verify that the benchmark's
-    # tracer reads on cli, loaded with their module on first use.
+    # tracer reads on cli, loaded with their module on first use and then
+    # kept here, where a patch replaces them.
     if name == "verify_word":
-        from .verify import verify_word
-
-        return verify_word
-    if name in ("canonical_chart_point", "enumerate_goursat_words"):
+        from .verify import verify_word as value
+    elif name in ("canonical_chart_point", "enumerate_goursat_words"):
         from . import charts
 
-        return getattr(charts, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(charts, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
