@@ -160,10 +160,10 @@ def _chunks(table: invariants.ETable) -> Iterator[tuple[int, int, int, int]]:
             yield start, min(start + CHUNK_ROWS, hi), z, c
 
 
-def _entries(table: invariants.ETable, lo: int, hi: int, z: int, c: int, *head) -> tuple:
-    """The positive entries b_i - h of the rows lo..hi-1 of a chunk, row
-    after row, each row led by its item of each range in head."""
-    columns = [range(x - lo, x - hi, -1) for x in table.b[z:c]]
+def _entries(tops: tuple[int, ...], lo: int, hi: int, *head: range) -> tuple[int, ...]:
+    """Row after row for h = lo..hi-1: the row's item of each range in
+    head, then b_i - h for each b_i in tops, the positive entries."""
+    columns = [range(x - lo, x - hi, -1) for x in tops]
     return tuple(chain.from_iterable(zip(*head, *columns)))
 
 
@@ -174,7 +174,7 @@ def _write_rows(table: invariants.ETable, indent: str, parts: list[str]) -> None
     for lo, hi, z, c in _chunks(table):
         entries = (",\n" + inner).join(chain(repeat("0", z), repeat("%d", c - z)))
         row = f"[\n{inner}{entries}\n{indent}],\n{indent}"
-        parts.append(row * (hi - lo) % _entries(table, lo, hi, z, c))
+        parts.append(row * (hi - lo) % _entries(table.b[z:c], lo, hi))
 
 
 def dumps_bundle(b: InvariantBundle) -> str:
@@ -235,7 +235,7 @@ def render_etable(table: invariants.ETable) -> str:
             f"  %{hwidth}d |{cell % 0 * z}{cell * (c - z)}{' ' * width * (table.k - c)}"
             f" | {z + 2}\n"
         )
-        text = row * (hi - lo) % _entries(table, lo, hi, z, c, range(lo, hi))
+        text = row * (hi - lo) % _entries(table.b[z:c], lo, hi, range(lo, hi))
         parts.append("*" + text[1:] if lo in red else text)
     return "".join(parts)
 
